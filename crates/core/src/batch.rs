@@ -1,11 +1,18 @@
 //! Amortized batched execution of mapped layers.
 //!
 //! [`BatchPlan`] precomputes everything in a [`MappedWeights`] forward
-//! pass that does not depend on the input sample — per-column crossbar
-//! conductance sums, capacitor charge factors, the nominal decode
-//! constants, and a column-major copy of the effective conductances —
-//! and then replays the *exact* per-sample floating-point operation
-//! sequence of [`MappedWeights::forward`] against those hoisted values.
+//! pass that does not depend on the input sample and then replays the
+//! *exact* per-sample floating-point operation sequence of
+//! [`MappedWeights::forward`] against those hoisted values:
+//!
+//! * a column-major copy of the effective conductances, routed through
+//!   the logical→physical column map;
+//! * the per-column crossbar conductance sums and capacitor charge
+//!   factors;
+//! * the nominal decode constants `k_j`;
+//! * the layer's [`VoltageCodec`]: `V_ref`, the comparator clamp, the
+//!   saturation voltage `V_sat = f(slice)`, and the optional time
+//!   quantum.
 //!
 //! Because every hoisted quantity is computed by the same expression on
 //! the same inputs (in the same order) as the per-sample path, and a
@@ -13,27 +20,22 @@
 //! plan's outputs are **bit-identical** to the sequential path. What the
 //! plan removes is pure redundancy:
 //!
-//! * column sums and charge factors, recomputed per sample by
-//!   [`crate::engine::ResipeEngine::mvm_matrix`], are computed once per
-//!   batch;
-//! * the output spike time `t_out` that `mvm_matrix` derives for every
-//!   physical bitline is skipped — the decode reconstructs its own
-//!   observed time from `V_out` and never reads it;
+//! * column sums and charge factors, recomputed per sample by the
+//!   reference, are computed once per batch;
 //! * spare (unrouted) bitlines are not evaluated;
-//! * the S1 ramp samples are shared between the positive and negative
+//! * the S1 held voltages are shared between the positive and negative
 //!   arrays of the differential pair instead of being recomputed per
 //!   array;
-//! * a **zero activation encodes to exactly `+0.0`** in both encodings
-//!   (`exp(±0.0) == 1.0` and `ln(1.0) == +0.0` are exact in IEEE 754,
-//!   so the whole `encode → ramp-sample` chain collapses to `+0.0`),
-//!   so its `ln`/`exp` pair is skipped outright;
+//! * a **zero activation holds exactly `+0.0`** in both encodings, so it
+//!   is skipped before the codec is asked;
 //! * wordlines held at `V = 0` are skipped inside the weighted
 //!   accumulation (their products are exactly `+0.0`, so skipping them
-//!   cannot change the sum's bits);
-//! * the decode of a column observing `V_out = +0.0` is a pure function
-//!   of that column's hoisted `(offset, k)` constants, so its value is
-//!   computed once at plan-build time and reused whenever the sampled
-//!   voltage is exactly zero.
+//!   cannot change the sum's bits).
+//!
+//! Neither path evaluates a spike time it does not need: with continuous
+//! timing the S2 decode is `min(V_eff, V_sat) / k_j` and a pass-through
+//! S1 encode is `a·V_ref` (see the
+//! [mapping docs](crate::mapping#closed-forms-of-the-cancellation)).
 //!
 //! This is what makes the batched inference path faster even on a single
 //! core; on multicore hosts [`crate::inference::HardwareNetwork::forward_batch`]
@@ -47,7 +49,7 @@ use resipe_analog::units::Seconds;
 use crate::engine::ResipeEngine;
 use crate::error::ResipeError;
 use crate::kernel::{Backend, FIXED_LEVELS, VECTOR_LANES};
-use crate::mapping::{MappedWeights, SpikeEncoding, Tile};
+use crate::mapping::{MappedWeights, SpikeEncoding, Tile, VoltageCodec};
 use crate::telemetry::{LayerProbe, SampleStats};
 
 /// Sample-independent constants of one crossbar tile pair.
@@ -78,9 +80,6 @@ struct TilePlan {
     /// Static comparator offsets per logical column.
     offset_plus: Vec<f64>,
     offset_minus: Vec<f64>,
-    /// Hoisted decode of `V_out = +0.0` per logical column.
-    d0_plus: Vec<f64>,
-    d0_minus: Vec<f64>,
 }
 
 /// Pre-quantized integer mirror of one [`TilePlan`] for the
@@ -105,7 +104,6 @@ impl TilePlan {
     fn new(tile: &Tile, row_start: usize, dt_over_c: f64) -> TilePlan {
         let rows = tile.rows();
         let cols = tile.cols();
-        let phys_cols = tile.physical_cols();
         let mut plan = TilePlan {
             row_start,
             rows,
@@ -121,10 +119,7 @@ impl TilePlan {
             k_minus: Vec::with_capacity(cols),
             offset_plus: Vec::with_capacity(cols),
             offset_minus: Vec::with_capacity(cols),
-            d0_plus: Vec::new(),
-            d0_minus: Vec::new(),
         };
-        let _ = phys_cols;
         for j in 0..cols {
             let pc = tile.col_map()[j];
             for (eff_cm, g_col, g_total, charge, k, offs, gsum, offsets) in [
@@ -170,10 +165,11 @@ impl TilePlan {
     }
 }
 
-/// Reusable per-worker buffers for [`BatchPlan::forward_one`].
+/// Reusable per-worker buffers for every [`BatchPlan`] kernel: the
+/// per-sample, blocked, probed and backend paths.
 ///
 /// Create one per thread with [`BatchPlan::scratch`] and reuse it across
-/// samples to keep the hot loop allocation-free.
+/// calls to keep the hot loop allocation-free.
 #[derive(Debug, Default, Clone)]
 pub struct BatchScratch {
     /// Held S1 wordline voltages of the current tile.
@@ -217,14 +213,9 @@ pub struct BatchPlan {
     rows: usize,
     cols: usize,
     encoding: SpikeEncoding,
-    tau: f64,
-    vs: f64,
-    t_max: f64,
-    v_ref: f64,
-    slice: f64,
-    /// Upper comparator clamp `V_s (1 − 1e−12)` of the decode.
-    v_clamp: f64,
-    time_quantum: Option<f64>,
+    /// The layer's S1/S2 codec: `V_ref`, `V_sat`, the comparator clamp
+    /// and the optional time quantum, hoisted once per plan.
+    codec: VoltageCodec,
     /// Final digital rescale `w_scale / (V_ref Δg_eff)`.
     scale: f64,
     tiles: Vec<TilePlan>,
@@ -250,10 +241,7 @@ impl BatchPlan {
         encoding: SpikeEncoding,
     ) -> BatchPlan {
         let cfg = engine.config();
-        let tau = cfg.tau_gd().0;
-        let vs = cfg.vs().0;
-        let t_max = cfg.t_max().0;
-        let v_ref = vs * (1.0 - (-t_max / tau).exp());
+        let codec = VoltageCodec::new(cfg, mapped.time_quantum().map(Seconds));
         let dt_over_c = cfg.dt().0 / cfg.c_cog().0;
         let mut tiles = Vec::with_capacity(mapped.tiles().len());
         let mut row_start = 0usize;
@@ -261,48 +249,22 @@ impl BatchPlan {
             tiles.push(TilePlan::new(tile, row_start, dt_over_c));
             row_start += tile.rows();
         }
-        let mut plan = BatchPlan {
-            rows: mapped.rows(),
-            cols: mapped.cols(),
-            encoding,
-            tau,
-            vs,
-            t_max,
-            v_ref,
-            slice: cfg.slice().0,
-            v_clamp: vs * (1.0 - 1e-12),
-            time_quantum: mapped.time_quantum(),
-            scale: mapped.weight_scale() / (v_ref * mapped.delta_g_eff().0),
-            max_tile_rows: mapped.tiles().iter().map(Tile::rows).max().unwrap_or(0),
-            tile_stream_bytes: 0,
-            v_lsb: vs / FIXED_LEVELS,
-            fixed: OnceLock::new(),
-            tiles,
-        };
-        plan.tile_stream_bytes = plan
-            .tiles
+        let tile_stream_bytes = tiles
             .iter()
             .map(|t| ((t.g_plus.len() + t.g_minus.len()) * std::mem::size_of::<f64>()) as u64)
             .sum();
-        for ti in 0..plan.tiles.len() {
-            let d0_plus: Vec<f64> = (0..plan.tiles[ti].cols)
-                .map(|j| {
-                    plan.decode_column(0.0, plan.tiles[ti].offset_plus[j], plan.tiles[ti].k_plus[j])
-                })
-                .collect();
-            let d0_minus: Vec<f64> = (0..plan.tiles[ti].cols)
-                .map(|j| {
-                    plan.decode_column(
-                        0.0,
-                        plan.tiles[ti].offset_minus[j],
-                        plan.tiles[ti].k_minus[j],
-                    )
-                })
-                .collect();
-            plan.tiles[ti].d0_plus = d0_plus;
-            plan.tiles[ti].d0_minus = d0_minus;
+        BatchPlan {
+            rows: mapped.rows(),
+            cols: mapped.cols(),
+            encoding,
+            codec,
+            scale: mapped.weight_scale() / (codec.v_ref() * mapped.delta_g_eff().0),
+            max_tile_rows: mapped.tiles().iter().map(Tile::rows).max().unwrap_or(0),
+            tile_stream_bytes,
+            v_lsb: codec.vs / FIXED_LEVELS,
+            fixed: OnceLock::new(),
+            tiles,
         }
-        plan
     }
 
     /// Allocates a scratch buffer sized for this plan.
@@ -372,21 +334,12 @@ impl BatchPlan {
             for (p, &l) in tile.row_source.iter().enumerate() {
                 let a = activations[tile.row_start + l].clamp(0.0, 1.0);
                 if a == 0.0 {
-                    // encode(±0.0) is exactly +0.0 in both encodings:
-                    // `0.0 * x == ±0.0`, `ln(1.0) == +0.0`, `exp(±0.0)
-                    // == 1.0` and `1.0 - 1.0 == +0.0` are all IEEE-exact,
-                    // so the ln/exp pair can be skipped without changing
-                    // a bit.
+                    // A zero activation holds exactly +0.0 in both
+                    // encodings (`VoltageCodec::held_voltage`).
                     scratch.v_in.push(0.0);
                     continue;
                 }
-                let t = match self.encoding {
-                    SpikeEncoding::LinearTime => a * self.t_max,
-                    SpikeEncoding::PassThrough => {
-                        Seconds(-self.tau * (1.0 - a * self.v_ref / self.vs).ln()).0
-                    }
-                };
-                let v = self.vs * (1.0 - (-t / self.tau).exp());
+                let v = self.codec.held_voltage(self.encoding, a);
                 scratch.v_in.push(v);
                 if v != 0.0 {
                     scratch.nonzero.push(p as u32);
@@ -408,19 +361,8 @@ impl BatchPlan {
                 }
                 let vp = Self::v_out(wp, tile.g_total_plus[j], tile.charge_plus[j]);
                 let vm = Self::v_out(wm, tile.g_total_minus[j], tile.charge_minus[j]);
-                // A column observing exactly V_out = 0.0 decodes to a
-                // sample-independent value hoisted at plan-build time
-                // (decode is a pure function of (v_out, offset, k)).
-                let d_plus = if vp == 0.0 {
-                    tile.d0_plus[j]
-                } else {
-                    self.decode_column(vp, tile.offset_plus[j], tile.k_plus[j])
-                };
-                let d_minus = if vm == 0.0 {
-                    tile.d0_minus[j]
-                } else {
-                    self.decode_column(vm, tile.offset_minus[j], tile.k_minus[j])
-                };
+                let d_plus = self.decode_column(vp, tile.offset_plus[j], tile.k_plus[j]);
+                let d_minus = self.decode_column(vm, tile.offset_minus[j], tile.k_minus[j]);
                 *slot += d_plus - d_minus;
             }
         }
@@ -443,37 +385,30 @@ impl BatchPlan {
         }
     }
 
-    /// The digital decode of one observed bitline voltage — the same
-    /// operation sequence as the sequential path, with the nominal
-    /// column constant `k_j` hoisted.
+    /// The digital decode of one observed bitline voltage: the codec's
+    /// read-back voltage (`min(V_eff, V_sat)` with continuous timing)
+    /// divided by the hoisted nominal column constant `k_j` — the
+    /// reference's operation sequence.
+    #[inline]
     fn decode_column(&self, v_out: f64, offset: f64, k: f64) -> f64 {
-        self.decode_column_traced(v_out, offset, k).0
+        self.codec.decode(v_out, offset).v_hat / k
     }
 
-    /// [`BatchPlan::decode_column`] plus the observation telemetry needs:
-    /// the effective comparator voltage, the observed spike time, and
-    /// whether the range clamp or the slice-end saturation engaged.
-    /// Identical floating-point sequence — the trace only reads values
-    /// the decode computes anyway.
-    fn decode_column_traced(&self, v_out: f64, offset: f64, k: f64) -> (f64, DecodeTrace) {
-        let raw = v_out + offset;
-        let v_eff = raw.clamp(0.0, self.v_clamp);
-        let mut t_obs = -self.tau * (1.0 - v_eff / self.vs).ln();
-        if let Some(q) = self.time_quantum {
-            t_obs = (t_obs / q).round() * q;
-        }
-        let saturated = t_obs > self.slice;
-        let t_obs = t_obs.min(self.slice);
-        let v_hat = self.vs * (1.0 - (-t_obs / self.tau).exp());
-        (
-            v_hat / k,
-            DecodeTrace {
-                v_eff,
-                t_obs,
-                offset_clamped: raw != v_eff,
-                saturated,
-            },
-        )
+    /// [`BatchPlan::decode_column`] plus what telemetry observes of it,
+    /// recorded into `probe` and `stats`.
+    fn decode_column_probed(
+        &self,
+        v_out: f64,
+        offset: f64,
+        k: f64,
+        probe: &LayerProbe,
+        stats: &mut SampleStats,
+    ) -> f64 {
+        let d = self.codec.decode(v_out, offset);
+        probe.record_decode(d.v_eff, d.v_hat, d.t_obs);
+        stats.comparator_offset_rejects += u64::from(d.offset_clamped);
+        stats.saturated_decodes += u64::from(d.saturated);
+        d.v_hat / k
     }
 
     /// [`BatchPlan::forward_one`] with an optional telemetry probe.
@@ -525,13 +460,7 @@ impl BatchPlan {
                     stats.zero_activation_skips += 1;
                     continue;
                 }
-                let t = match self.encoding {
-                    SpikeEncoding::LinearTime => a * self.t_max,
-                    SpikeEncoding::PassThrough => {
-                        Seconds(-self.tau * (1.0 - a * self.v_ref / self.vs).ln()).0
-                    }
-                };
-                let v = self.vs * (1.0 - (-t / self.tau).exp());
+                let v = self.codec.held_voltage(self.encoding, a);
                 scratch.v_in.push(v);
                 if v != 0.0 {
                     scratch.nonzero.push(p as u32);
@@ -558,19 +487,20 @@ impl BatchPlan {
             let t2 = Instant::now();
             for (j, slot) in acc.iter_mut().enumerate().take(tile.cols) {
                 let (vp, vm) = scratch.v_cols[j];
-                // The zero-voltage fast path of `forward_one` reuses a
-                // value hoisted from this same pure function, so always
-                // decoding here returns the same bits — and lets the
-                // probe observe every column.
-                let (d_plus, tr_p) =
-                    self.decode_column_traced(vp, tile.offset_plus[j], tile.k_plus[j]);
-                let (d_minus, tr_m) =
-                    self.decode_column_traced(vm, tile.offset_minus[j], tile.k_minus[j]);
-                for tr in [&tr_p, &tr_m] {
-                    probe.record_decode(tr.v_eff, tr.t_obs);
-                    stats.comparator_offset_rejects += u64::from(tr.offset_clamped);
-                    stats.saturated_decodes += u64::from(tr.saturated);
-                }
+                let d_plus = self.decode_column_probed(
+                    vp,
+                    tile.offset_plus[j],
+                    tile.k_plus[j],
+                    probe,
+                    &mut stats,
+                );
+                let d_minus = self.decode_column_probed(
+                    vm,
+                    tile.offset_minus[j],
+                    tile.k_minus[j],
+                    probe,
+                    &mut stats,
+                );
                 *slot += d_plus - d_minus;
             }
             let t3 = Instant::now();
@@ -614,13 +544,7 @@ impl BatchPlan {
                     skips += 1;
                     continue;
                 }
-                let t = match self.encoding {
-                    SpikeEncoding::LinearTime => a * self.t_max,
-                    SpikeEncoding::PassThrough => {
-                        Seconds(-self.tau * (1.0 - a * self.v_ref / self.vs).ln()).0
-                    }
-                };
-                let v = self.vs * (1.0 - (-t / self.tau).exp());
+                let v = self.codec.held_voltage(self.encoding, a);
                 scratch.v_in_block.push(v);
                 if v != 0.0 {
                     scratch.nz_idx.push(p as u32);
@@ -688,16 +612,8 @@ impl BatchPlan {
                     }
                     let vp = Self::v_out(wp, tile.g_total_plus[j], tile.charge_plus[j]);
                     let vm = Self::v_out(wm, tile.g_total_minus[j], tile.charge_minus[j]);
-                    let d_plus = if vp == 0.0 {
-                        tile.d0_plus[j]
-                    } else {
-                        self.decode_column(vp, tile.offset_plus[j], tile.k_plus[j])
-                    };
-                    let d_minus = if vm == 0.0 {
-                        tile.d0_minus[j]
-                    } else {
-                        self.decode_column(vm, tile.offset_minus[j], tile.k_minus[j])
-                    };
+                    let d_plus = self.decode_column(vp, tile.offset_plus[j], tile.k_plus[j]);
+                    let d_minus = self.decode_column(vm, tile.offset_minus[j], tile.k_minus[j]);
                     out[b * self.cols + j] += d_plus - d_minus;
                 }
             }
@@ -783,15 +699,20 @@ impl BatchPlan {
             for j in 0..tile.cols {
                 for b in 0..samples {
                     let (vp, vm) = scratch.v_cols_block[j * samples + b];
-                    let (d_plus, tr_p) =
-                        self.decode_column_traced(vp, tile.offset_plus[j], tile.k_plus[j]);
-                    let (d_minus, tr_m) =
-                        self.decode_column_traced(vm, tile.offset_minus[j], tile.k_minus[j]);
-                    for tr in [&tr_p, &tr_m] {
-                        probe.record_decode(tr.v_eff, tr.t_obs);
-                        stats.comparator_offset_rejects += u64::from(tr.offset_clamped);
-                        stats.saturated_decodes += u64::from(tr.saturated);
-                    }
+                    let d_plus = self.decode_column_probed(
+                        vp,
+                        tile.offset_plus[j],
+                        tile.k_plus[j],
+                        probe,
+                        &mut stats,
+                    );
+                    let d_minus = self.decode_column_probed(
+                        vm,
+                        tile.offset_minus[j],
+                        tile.k_minus[j],
+                        probe,
+                        &mut stats,
+                    );
                     out[b * self.cols + j] += d_plus - d_minus;
                 }
             }
@@ -889,10 +810,8 @@ impl BatchPlan {
     /// The generic staged block pipeline behind the non-scalar
     /// backends: shared S1 block encode, backend prepare + compute
     /// stages filling the `(V_out⁺, V_out⁻)` staging buffer, then the
-    /// shared decode pass. Always decoding (no `d0` fast path) returns
-    /// the same bits as the fused scalar kernel — the zero-voltage fast
-    /// path reuses a value hoisted from this same pure function — which
-    /// is what lets one decode pass serve every backend.
+    /// shared decode pass, the same per-column decode as the fused
+    /// scalar kernel.
     fn run_block_kernel(
         &self,
         backend: Backend,
@@ -936,17 +855,18 @@ impl BatchPlan {
             for j in 0..tile.cols {
                 for b in 0..samples {
                     let (vp, vm) = scratch.v_cols_block[j * samples + b];
-                    let (d_plus, tr_p) =
-                        self.decode_column_traced(vp, tile.offset_plus[j], tile.k_plus[j]);
-                    let (d_minus, tr_m) =
-                        self.decode_column_traced(vm, tile.offset_minus[j], tile.k_minus[j]);
-                    if let Some(probe) = probe {
-                        for tr in [&tr_p, &tr_m] {
-                            probe.record_decode(tr.v_eff, tr.t_obs);
-                            stats.comparator_offset_rejects += u64::from(tr.offset_clamped);
-                            stats.saturated_decodes += u64::from(tr.saturated);
-                        }
-                    }
+                    let (op, kp) = (tile.offset_plus[j], tile.k_plus[j]);
+                    let (om, km) = (tile.offset_minus[j], tile.k_minus[j]);
+                    let (d_plus, d_minus) = match probe {
+                        Some(probe) => (
+                            self.decode_column_probed(vp, op, kp, probe, &mut stats),
+                            self.decode_column_probed(vm, om, km, probe, &mut stats),
+                        ),
+                        None => (
+                            self.decode_column(vp, op, kp),
+                            self.decode_column(vm, om, km),
+                        ),
+                    };
                     out[b * self.cols + j] += d_plus - d_minus;
                 }
             }
@@ -1148,11 +1068,13 @@ impl BatchPlan {
     ///   (each held voltage is within `v_lsb/2` of its code, each
     ///   conductance within `g_lsb/2`, voltages below `V_s`);
     /// * through the charge division, `Δv_out = (Δw / ΣG_j) · charge_j`;
-    /// * through the decode — a monotone 1-Lipschitz map of the clamped
-    ///   comparator voltage, plus `V_s · q / τ_gd` when spike times are
-    ///   quantized to `q` (time rounding moves each decode by at most
-    ///   `q/2 · V_s/τ_gd`), plus a `10⁻¹² V_s` float-evaluation
-    ///   allowance — divided by the column constant `k_j`;
+    /// * through the decode, divided by the column constant `k_j`. With
+    ///   continuous timing the decode is exactly `min(clamp(·), V_sat)`,
+    ///   which is 1-Lipschitz and evaluated without rounding. When spike
+    ///   times are quantized to `q`, the time-domain round trip adds
+    ///   `V_s · q / τ_gd` (time rounding moves each decode by at most
+    ///   `q/2 · V_s/τ_gd`). A `10⁻¹² V_s` allowance covers the `ln`/`exp`
+    ///   evaluation of that quantized path;
     /// * summed over both arms and all tiles, scaled by the digital
     ///   rescale, with a `1 + 10⁻⁹` safety factor for `f64` rounding in
     ///   the comparison itself.
@@ -1165,12 +1087,16 @@ impl BatchPlan {
             return vec![0.0; self.cols];
         }
         let dv = self.v_lsb / 2.0;
-        let tq = self.time_quantum.map_or(0.0, |q| self.vs * q / self.tau);
+        let vs = self.codec.vs;
+        let tq = self
+            .codec
+            .time_quantum
+            .map_or(0.0, |q| vs * q / self.codec.tau);
         let fixed = self.fixed_tiles();
         let mut bound = vec![0.0f64; self.cols];
         for (tile, ft) in self.tiles.iter().zip(fixed) {
             let dg = ft.g_lsb / 2.0;
-            let per_row = self.vs * dg + dv * dg;
+            let per_row = vs * dg + dv * dg;
             for (j, slot) in bound.iter_mut().enumerate().take(tile.cols) {
                 for (g_total, charge, k) in [
                     (tile.g_total_plus[j], tile.charge_plus[j], tile.k_plus[j]),
@@ -1182,7 +1108,7 @@ impl BatchPlan {
                     }
                     let dw = g_total * dv + tile.rows as f64 * per_row;
                     let dvout = dw / g_total * charge;
-                    *slot += (dvout + tq + 1e-12 * self.vs) / k;
+                    *slot += (dvout + tq + 1e-12 * vs) / k;
                 }
             }
         }
@@ -1192,19 +1118,6 @@ impl BatchPlan {
         }
         bound
     }
-}
-
-/// Observation sidecar of one traced column decode.
-#[derive(Debug, Clone, Copy)]
-struct DecodeTrace {
-    /// Effective comparator voltage after offset and range clamp.
-    v_eff: f64,
-    /// Observed (possibly quantized, slice-limited) spike time.
-    t_obs: f64,
-    /// `true` when the clamp changed `v_out + offset`.
-    offset_clamped: bool,
-    /// `true` when the spike time saturated at the slice end.
-    saturated: bool,
 }
 
 #[cfg(test)]
@@ -1294,9 +1207,7 @@ mod tests {
         let plan = BatchPlan::new(&e, &mapped, SpikeEncoding::PassThrough);
         let telemetry = crate::telemetry::Telemetry::enabled();
         let cfg = e.config();
-        let probe = telemetry
-            .layer_probe(0, cfg.slice().0, cfg.vs().0)
-            .expect("enabled probe");
+        let probe = telemetry.layer_probe(0, cfg).expect("enabled probe");
         let mut scratch = plan.scratch();
         let mut samples = 0u64;
         for _ in 0..4 {
@@ -1326,6 +1237,87 @@ mod tests {
         let decodes = samples * 2 * 4 * plan.tiles.len() as u64;
         assert_eq!(snap.t_out.total(), decodes);
         assert_eq!(snap.v_out.total(), decodes);
+    }
+
+    /// The probe bins the read-back voltage against the voltage images
+    /// of the `t_out` bin edges instead of evaluating a spike time. Its
+    /// histograms and saturation count must match what the time-domain
+    /// decode records: `t_obs = f⁻¹(V_eff)`, rounded to the quantum if
+    /// one is set, cut at the slice end and binned by `t_obs / slice`.
+    #[test]
+    fn probed_histograms_match_time_domain_spike_times() {
+        use crate::telemetry::HISTOGRAM_BINS;
+        let mut rng = StdRng::seed_from_u64(31);
+        let (rows, cols, n) = (64usize, 16usize, 12usize);
+        let weights: Vec<f64> = (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let e = engine();
+        let cfg = e.config();
+        let (tau, vs, slice) = (cfg.tau_gd().0, cfg.vs().0, cfg.slice().0);
+        let bin = |x: f64| -> usize {
+            if !(x > 0.0) {
+                0
+            } else {
+                ((x * HISTOGRAM_BINS as f64) as usize).min(HISTOGRAM_BINS - 1)
+            }
+        };
+        for quantum in [None, Some(1e-9)] {
+            // Wide comparator offsets drive columns into both clamps and
+            // past the slice end.
+            let mut mapped = TileMapper::paper()
+                .map(&weights, rows, cols)
+                .unwrap()
+                .with_comparator_offsets(0.3, 5);
+            if let Some(q) = quantum {
+                mapped = mapped.with_time_quantization(Seconds(q));
+            }
+            let plan = BatchPlan::new(&e, &mapped, SpikeEncoding::LinearTime);
+            let telemetry = crate::telemetry::Telemetry::enabled();
+            let probe = telemetry.layer_probe(0, cfg).expect("enabled probe");
+            let a: Vec<f64> = (0..n * rows).map(|_| rng.gen_range(0.3..1.0)).collect();
+            let mut out = vec![0.0; n * cols];
+            plan.forward_block_probed(&a, n, &mut out, &mut plan.scratch(), Some(&probe))
+                .unwrap();
+
+            let mut t_bins = vec![0u64; HISTOGRAM_BINS];
+            let mut v_bins = vec![0u64; HISTOGRAM_BINS];
+            let mut saturated = 0u64;
+            for b in 0..n {
+                let mut row_start = 0;
+                for tile in mapped.tiles() {
+                    let t_in: Vec<Seconds> = tile
+                        .row_source
+                        .iter()
+                        .map(|&l| Seconds(a[b * rows + row_start + l] * cfg.t_max().0))
+                        .collect();
+                    for (g_cm, offsets) in [
+                        (&tile.eff_plus_cm, &tile.offset_plus),
+                        (&tile.eff_minus_cm, &tile.offset_minus),
+                    ] {
+                        let macs = e
+                            .mvm_matrix_cm(g_cm, tile.rows, tile.phys_cols, &t_in)
+                            .unwrap();
+                        for &pc in tile.col_map() {
+                            let v_eff =
+                                (macs[pc].v_out.0 + offsets[pc]).clamp(0.0, vs * (1.0 - 1e-12));
+                            let mut t_obs = -tau * (1.0 - v_eff / vs).ln();
+                            if let Some(q) = quantum {
+                                t_obs = (t_obs / q).round() * q;
+                            }
+                            saturated += u64::from(t_obs > slice);
+                            t_bins[bin(t_obs.min(slice) / slice)] += 1;
+                            v_bins[bin(v_eff / vs)] += 1;
+                        }
+                    }
+                    row_start += tile.rows;
+                }
+            }
+            let snap = telemetry.snapshot();
+            assert_eq!(snap.t_out.bins, t_bins, "t_out bins (quantum {quantum:?})");
+            assert_eq!(snap.v_out.bins, v_bins, "v_out bins (quantum {quantum:?})");
+            assert_eq!(snap.counters.saturated_decodes, saturated);
+            assert!(saturated > 0, "offsets must saturate some columns");
+            assert!(t_bins.iter().filter(|&&c| c > 0).count() > HISTOGRAM_BINS / 2);
+        }
     }
 
     #[test]
@@ -1408,9 +1400,7 @@ mod tests {
         let plan = BatchPlan::new(&e, &mapped, SpikeEncoding::PassThrough);
         let telemetry = crate::telemetry::Telemetry::enabled();
         let cfg = e.config();
-        let probe = telemetry
-            .layer_probe(0, cfg.slice().0, cfg.vs().0)
-            .expect("enabled probe");
+        let probe = telemetry.layer_probe(0, cfg).expect("enabled probe");
         let mut scratch = plan.scratch();
         let n = 7usize;
         let a: Vec<f64> = (0..n * 48).map(|_| rng.gen_range(0.0..1.0)).collect();
@@ -1551,9 +1541,7 @@ mod tests {
         let plan = BatchPlan::new(&e, &mapped, SpikeEncoding::PassThrough);
         let telemetry = crate::telemetry::Telemetry::enabled();
         let cfg = e.config();
-        let probe = telemetry
-            .layer_probe(0, cfg.slice().0, cfg.vs().0)
-            .expect("enabled probe");
+        let probe = telemetry.layer_probe(0, cfg).expect("enabled probe");
         let mut scratch = plan.scratch();
         let n = 6usize;
         let a: Vec<f64> = (0..n * 48).map(|_| rng.gen_range(0.0..1.0)).collect();

@@ -235,17 +235,18 @@ impl ResipeEngine {
                 g_total += g;
                 weighted += v_in[row] * g;
             }
-            out.push(self.finish_column(g_total, weighted));
+            out.push(self.spike_for_v_out(self.column_v_out(g_total, weighted)));
         }
         Ok(out)
     }
 
     /// [`ResipeEngine::mvm_matrix`] over a **column-major** conductance
     /// matrix (`cols` contiguous columns of `rows` entries each) — the
-    /// SoA layout [`crate::mapping::Tile`] compiles. The inner loop reads
-    /// both operands at unit stride, so it auto-vectorizes; the per-column
-    /// accumulation still adds products in row order, making the result
-    /// **bit-identical** to the row-major kernel on the same values.
+    /// SoA layout [`crate::mapping::Tile`] compiles. A thin wrapper over
+    /// [`ResipeEngine::mvm_held_cm`]: the S1 ramp samples of `t_in` go
+    /// through that kernel, and each sampled voltage is then inverted
+    /// into its output spike (Eq. 4). Bit-identical to the row-major
+    /// kernel on the same values.
     ///
     /// # Errors
     ///
@@ -266,18 +267,51 @@ impl ResipeEngine {
         }
         self.check_times(t_in)?;
         let v_in = self.ramp_samples(t_in);
-        let mut out = Vec::with_capacity(cols);
-        for col in 0..cols {
-            let g_col = &g_cols[col * rows..(col + 1) * rows];
-            let mut g_total = 0.0;
-            let mut weighted = 0.0;
-            for (row, &g) in g_col.iter().enumerate() {
-                g_total += g;
-                weighted += v_in[row] * g;
-            }
-            out.push(self.finish_column(g_total, weighted));
+        Ok(self
+            .mvm_held_cm(g_cols, rows, cols, &v_in)?
+            .into_iter()
+            .map(|v_out| self.spike_for_v_out(v_out))
+            .collect())
+    }
+
+    /// The computation stage over a **column-major** conductance matrix,
+    /// in the voltage domain: held S1 wordline voltages `v_in` (volts, in
+    /// `[0, V_s)`) in, the sampled bitline voltage `V_out` of every column
+    /// out (Eqs. 2–3). No output spike time is derived, since a caller
+    /// that reads the voltage back from the spike (the S1/S2
+    /// cancellation, see [`crate::mapping::VoltageCodec`]) never needs
+    /// it. The inner loop reads both operands at unit stride and adds
+    /// products in row order, the accumulation order of
+    /// [`ResipeEngine::mvm_matrix`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ResipeError::DimensionMismatch`] for shape mismatches.
+    pub fn mvm_held_cm(
+        &self,
+        g_cols: &[f64],
+        rows: usize,
+        cols: usize,
+        v_in: &[f64],
+    ) -> Result<Vec<f64>, ResipeError> {
+        if v_in.len() != rows || g_cols.len() != rows * cols {
+            return Err(ResipeError::DimensionMismatch {
+                expected: rows,
+                got: v_in.len(),
+            });
         }
-        Ok(out)
+        Ok((0..cols)
+            .map(|col| {
+                let g_col = &g_cols[col * rows..(col + 1) * rows];
+                let mut g_total = 0.0;
+                let mut weighted = 0.0;
+                for (&g, &v) in g_col.iter().zip(v_in) {
+                    g_total += g;
+                    weighted += v * g;
+                }
+                self.column_v_out(g_total, weighted)
+            })
+            .collect())
     }
 
     /// Shared S1 ramp samples of one input spike train.
@@ -289,19 +323,22 @@ impl ResipeEngine {
             .collect()
     }
 
-    /// The charge + ramp-inversion tail of one column (Eqs. 3–4), shared
-    /// verbatim by the row-major and column-major matrix kernels.
-    fn finish_column(&self, g_total: f64, weighted: f64) -> MacResult {
-        let tau = self.config.tau_gd().0;
-        let vs = self.config.vs().0;
+    /// The sampled bitline voltage of one column (Eq. 3), shared by every
+    /// matrix kernel.
+    fn column_v_out(&self, g_total: f64, weighted: f64) -> f64 {
         let dt_over_c = self.config.dt().0 / self.config.c_cog().0;
-        let slice = self.config.slice().0;
-        let v_out = if g_total == 0.0 {
+        if g_total == 0.0 {
             0.0
         } else {
             (weighted / g_total) * (1.0 - (-dt_over_c * g_total).exp())
-        };
-        // Invert the ramp (Eq. 4).
+        }
+    }
+
+    /// Inverts the ramp at a sampled bitline voltage (Eq. 4).
+    fn spike_for_v_out(&self, v_out: f64) -> MacResult {
+        let tau = self.config.tau_gd().0;
+        let vs = self.config.vs().0;
+        let slice = self.config.slice().0;
         let (t_out, saturated) = if v_out >= vs {
             (slice, true)
         } else {

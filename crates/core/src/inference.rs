@@ -1187,8 +1187,7 @@ impl HardwareNetwork {
     /// A telemetry probe for network layer `li`, normalizing histograms
     /// by this engine's slice and supply voltage. `None` when disabled.
     fn layer_probe(&self, li: usize) -> Option<crate::telemetry::LayerProbe> {
-        let cfg = self.engine.config();
-        self.telemetry.layer_probe(li, cfg.slice().0, cfg.vs().0)
+        self.telemetry.layer_probe(li, self.engine.config())
     }
 
     fn forward_layer(

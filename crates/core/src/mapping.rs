@@ -29,6 +29,24 @@
 //! the *nominal* (design-time) `ΣG_j`; under process variation the true
 //! `ΣG_j` differs, which is part of the accuracy loss Fig. 7 measures.
 //!
+//! # Closed forms of the cancellation
+//!
+//! [`VoltageCodec`] evaluates both ends of the spike domain in closed
+//! form wherever the time domain carries no information:
+//!
+//! * **S2 decode.** The comparator sees `V_eff = clamp(V_out + offset)`
+//!   and fires at `t_obs = f⁻¹(V_eff)`, cut at the slice end; the
+//!   peripheral reads back `f(t_obs)`. With continuous timing that round
+//!   trip is `V̂ = min(V_eff, V_sat)` with `V_sat = f(slice)`, so no `ln`
+//!   or `exp` is evaluated. Only a spike-time quantum
+//!   ([`MappedWeights::with_time_quantization`]) rounds in the time
+//!   domain, and then the decode still goes through `f⁻¹` and `f`.
+//! * **S1 encode.** A [`SpikeEncoding::PassThrough`] spike sits at
+//!   `f⁻¹(a·V_ref)`, so the ramp sample it produces is held as `a·V_ref`
+//!   directly. Only [`SpikeEncoding::LinearTime`] evaluates the ramp
+//!   (one `exp`), because there the concave `f(a·t_max)` is the paper's
+//!   real distortion.
+//!
 //! The residual circuit non-linearity is confined to how values enter the
 //! voltage domain, captured by [`SpikeEncoding`]:
 //!
@@ -84,6 +102,144 @@ pub fn linear_time_distortion(config: &ResipeConfig, a: f64) -> f64 {
     let t_max = config.t_max().0;
     let v_ref = 1.0 - (-t_max / tau).exp();
     (1.0 - (-a * t_max / tau).exp()) / v_ref
+}
+
+/// The S1 encode and S2 decode of one mapped layer in the voltage
+/// domain, with the Eq. 1/Eq. 4 cancellation taken in closed form (see
+/// the [module docs](crate::mapping#closed-forms-of-the-cancellation)).
+///
+/// [`MappedWeights::forward`] and [`crate::batch::BatchPlan`] both encode
+/// and decode through this one type, which is what keeps the planned
+/// path bit-identical to the reference.
+///
+/// ```
+/// use resipe::config::ResipeConfig;
+/// use resipe::mapping::{SpikeEncoding, VoltageCodec};
+///
+/// let codec = VoltageCodec::new(&ResipeConfig::paper(), None);
+/// // A pass-through spike holds exactly a·V_ref on its wordline.
+/// assert_eq!(codec.held_voltage(SpikeEncoding::PassThrough, 0.5), 0.5 * codec.v_ref());
+/// // Continuous timing decodes an in-range comparator voltage to itself…
+/// assert_eq!(codec.decode(0.25, 0.0).v_hat, 0.25);
+/// // …and a column past the slice end to the saturation voltage.
+/// let top = codec.decode(0.999_99, 0.0);
+/// assert!(top.saturated);
+/// assert_eq!(top.v_hat, codec.v_sat());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct VoltageCodec {
+    pub(crate) tau: f64,
+    pub(crate) vs: f64,
+    t_max: f64,
+    slice: f64,
+    /// Held voltage of a full-scale activation, `f(t_max)`.
+    v_ref: f64,
+    /// Upper comparator clamp `V_s (1 − 1e−12)`.
+    v_clamp: f64,
+    /// Read-back voltage of a spike at the slice end, `f(slice)`.
+    v_sat: f64,
+    /// Spike-time quantum in seconds; `None` is continuous timing.
+    pub(crate) time_quantum: Option<f64>,
+}
+
+/// One S2 column decode from [`VoltageCodec::decode`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ColumnDecode {
+    /// Comparator voltage after the offset and the range clamp.
+    pub v_eff: f64,
+    /// The voltage the peripheral reads back from the output spike.
+    pub v_hat: f64,
+    /// The observed spike time, evaluated only when a time quantum is
+    /// set (rounding happens in the time domain); `None` otherwise.
+    pub t_obs: Option<f64>,
+    /// `true` when the clamp changed `V_out + offset`.
+    pub offset_clamped: bool,
+    /// `true` when the spike fell past the slice end.
+    pub saturated: bool,
+}
+
+impl VoltageCodec {
+    /// The codec of an engine configuration, with an optional spike-time
+    /// quantum (see [`MappedWeights::with_time_quantization`]).
+    pub fn new(config: &ResipeConfig, time_quantum: Option<Seconds>) -> VoltageCodec {
+        let tau = config.tau_gd().0;
+        let vs = config.vs().0;
+        let t_max = config.t_max().0;
+        let slice = config.slice().0;
+        VoltageCodec {
+            tau,
+            vs,
+            t_max,
+            slice,
+            v_ref: vs * (1.0 - (-t_max / tau).exp()),
+            v_clamp: vs * (1.0 - 1e-12),
+            // The time-domain decode of a column saturated at the slice
+            // end, evaluated once with the same expression.
+            v_sat: vs * (1.0 - (-slice / tau).exp()),
+            time_quantum: time_quantum.map(|q| q.0),
+        }
+    }
+
+    /// Held voltage of a full-scale activation, `V_ref = f(t_max)`.
+    pub fn v_ref(&self) -> f64 {
+        self.v_ref
+    }
+
+    /// Read-back voltage of a saturated column, `V_sat = f(slice)`.
+    pub fn v_sat(&self) -> f64 {
+        self.v_sat
+    }
+
+    /// The S1 wordline voltage an activation holds. The activation is
+    /// clamped to `\[0, 1\]`, and zero holds exactly `+0.0` in both
+    /// encodings.
+    #[inline]
+    pub fn held_voltage(&self, encoding: SpikeEncoding, a: f64) -> f64 {
+        let a = a.clamp(0.0, 1.0);
+        if a == 0.0 {
+            return 0.0;
+        }
+        match encoding {
+            SpikeEncoding::LinearTime => {
+                let t = a * self.t_max;
+                self.vs * (1.0 - (-t / self.tau).exp())
+            }
+            // The ramp sampled at t = f⁻¹(a·V_ref) is a·V_ref.
+            SpikeEncoding::PassThrough => a * self.v_ref,
+        }
+    }
+
+    /// The S2 decode of one bitline: the comparator fires where the ramp
+    /// crosses `V_out` plus its (unknown to the decode) input offset,
+    /// and the peripheral reads the voltage back from that spike time.
+    #[inline]
+    pub fn decode(&self, v_out: f64, offset: f64) -> ColumnDecode {
+        let raw = v_out + offset;
+        let v_eff = raw.clamp(0.0, self.v_clamp);
+        let (v_hat, t_obs, saturated) = match self.time_quantum {
+            None => {
+                if v_eff > self.v_sat {
+                    (self.v_sat, None, true)
+                } else {
+                    (v_eff, None, false)
+                }
+            }
+            Some(q) => {
+                let t = -self.tau * (1.0 - v_eff / self.vs).ln();
+                let t = (t / q).round() * q;
+                let saturated = t > self.slice;
+                let t = t.min(self.slice);
+                (self.vs * (1.0 - (-t / self.tau).exp()), Some(t), saturated)
+            }
+        };
+        ColumnDecode {
+            v_eff,
+            v_hat,
+            t_obs,
+            offset_clamped: raw != v_eff,
+            saturated,
+        }
+    }
 }
 
 /// Configures how weights are lowered onto crossbars.
@@ -562,7 +718,8 @@ impl MappedWeights {
     /// # Errors
     ///
     /// Returns [`ResipeError::DimensionMismatch`] unless
-    /// `activations.len() == rows`.
+    /// `activations.len() == rows`, and [`ResipeError::SpikeOutOfSlice`]
+    /// for a NaN activation, which no spike time can encode.
     pub fn forward(
         &self,
         engine: &ResipeEngine,
@@ -575,21 +732,13 @@ impl MappedWeights {
                 got: activations.len(),
             });
         }
-        let cfg = engine.config();
-        let tau = cfg.tau_gd().0;
-        let vs = cfg.vs().0;
-        let t_max = cfg.t_max().0;
-        let v_ref = vs * (1.0 - (-t_max / tau).exp());
-
-        // Encode activations into spike times.
-        let encode = |a: f64| -> Seconds {
-            let a = a.clamp(0.0, 1.0);
-            match encoding {
-                SpikeEncoding::LinearTime => Seconds(a * t_max),
-                // t = f⁻¹(a·V_ref) so the sampled voltage is a·V_ref.
-                SpikeEncoding::PassThrough => Seconds(-tau * (1.0 - a * v_ref / vs).ln()),
-            }
-        };
+        if let Some(&a) = activations.iter().find(|a| a.is_nan()) {
+            return Err(ResipeError::SpikeOutOfSlice {
+                time: a,
+                slice: engine.config().slice().0,
+            });
+        }
+        let codec = VoltageCodec::new(engine.config(), self.time_quantum.map(Seconds));
 
         // Tiles are independent up to the final digital accumulation, so
         // they evaluate in parallel (one MVM pair per tile); the partial
@@ -610,10 +759,11 @@ impl MappedWeights {
             .map(|ti| {
                 self.tile_partial(
                     engine,
+                    &codec,
                     &self.tiles[ti],
                     tile_offsets[ti],
                     activations,
-                    &encode,
+                    encoding,
                 )
             })
             .collect();
@@ -625,7 +775,7 @@ impl MappedWeights {
             }
         }
         // Σ V_i ΔG_ij / V_ref · w_scale / Δg_eff ≈ Σ a_i w_ij.
-        let scale = self.weight_scale / (v_ref * self.delta_g_eff.0);
+        let scale = self.weight_scale / (codec.v_ref() * self.delta_g_eff.0);
         for y in &mut acc {
             *y *= scale;
         }
@@ -637,57 +787,36 @@ impl MappedWeights {
     fn tile_partial(
         &self,
         engine: &ResipeEngine,
+        codec: &VoltageCodec,
         tile: &Tile,
         row_start: usize,
         activations: &[f64],
-        encode: &(dyn Fn(f64) -> Seconds + Sync),
+        encoding: SpikeEncoding,
     ) -> Result<Vec<f64>, ResipeError> {
         let cfg = engine.config();
-        let tau = cfg.tau_gd().0;
-        let vs = cfg.vs().0;
         let dt_over_c = cfg.dt().0 / cfg.c_cog().0;
+        // Each physical wordline is driven by the logical tile row the
+        // (possibly repair-permuted) routing assigns to it.
+        let v_in: Vec<f64> = tile
+            .row_source
+            .iter()
+            .map(|&l| codec.held_voltage(encoding, activations[row_start + l]))
+            .collect();
+        // The SoA (column-major) kernel: contiguous per-bitline streams.
+        let plus = engine.mvm_held_cm(&tile.eff_plus_cm, tile.rows, tile.phys_cols, &v_in)?;
+        let minus = engine.mvm_held_cm(&tile.eff_minus_cm, tile.rows, tile.phys_cols, &v_in)?;
+        // Read the voltage back from the output spike and divide out the
+        // known nominal column constant k_j.
+        let decode_column = |v_out: f64, offset: f64, gsum_nom: f64| -> f64 {
+            let k = (1.0 - (-dt_over_c * gsum_nom).exp()) / gsum_nom;
+            codec.decode(v_out, offset).v_hat / k
+        };
         let mut acc = vec![0.0f64; self.cols];
-        {
-            // Each physical wordline is driven by the logical tile row the
-            // (possibly repair-permuted) routing assigns to it.
-            let t_in: Vec<Seconds> = tile
-                .row_source
-                .iter()
-                .map(|&l| encode(activations[row_start + l]))
-                .collect();
-            // The SoA (column-major) kernel: contiguous per-bitline
-            // streams, bit-identical to the row-major `mvm_matrix`.
-            let plus = engine.mvm_matrix_cm(&tile.eff_plus_cm, tile.rows, tile.phys_cols, &t_in)?;
-            let minus =
-                engine.mvm_matrix_cm(&tile.eff_minus_cm, tile.rows, tile.phys_cols, &t_in)?;
-            let slice = engine.config().slice().0;
-            for (j, out) in acc.iter_mut().enumerate().take(tile.cols) {
-                // The comparator fires when the ramp crosses V_out plus
-                // its (unknown to the decode) input offset; the observed
-                // time is then optionally quantized to the pulse-width
-                // grid. Reconstruct the voltage from that observed time
-                // and divide out the known nominal column constant k_j.
-                let decode_column = |v_out: f64, offset: f64, gsum_nom: f64| -> f64 {
-                    let v_eff = (v_out + offset).clamp(0.0, vs * (1.0 - 1e-12));
-                    let mut t_obs = -tau * (1.0 - v_eff / vs).ln();
-                    if let Some(q) = self.time_quantum {
-                        t_obs = (t_obs / q).round() * q;
-                    }
-                    let t_obs = t_obs.min(slice);
-                    let v_hat = vs * (1.0 - (-t_obs / tau).exp());
-                    let k = (1.0 - (-dt_over_c * gsum_nom).exp()) / gsum_nom;
-                    v_hat / k
-                };
-                let pc = tile.col_map[j];
-                let d_plus =
-                    decode_column(plus[pc].v_out.0, tile.offset_plus[pc], tile.gsum_plus[pc]);
-                let d_minus = decode_column(
-                    minus[pc].v_out.0,
-                    tile.offset_minus[pc],
-                    tile.gsum_minus[pc],
-                );
-                *out += d_plus - d_minus;
-            }
+        for (j, out) in acc.iter_mut().enumerate().take(tile.cols) {
+            let pc = tile.col_map[j];
+            let d_plus = decode_column(plus[pc], tile.offset_plus[pc], tile.gsum_plus[pc]);
+            let d_minus = decode_column(minus[pc], tile.offset_minus[pc], tile.gsum_minus[pc]);
+            *out += d_plus - d_minus;
         }
         Ok(acc)
     }
@@ -1174,6 +1303,10 @@ mod tests {
             .forward(&engine(), &[0.1], SpikeEncoding::LinearTime)
             .is_err());
         assert!(mapped.forward_ideal(&[0.1, 0.2, 0.3]).is_err());
+        for enc in [SpikeEncoding::LinearTime, SpikeEncoding::PassThrough] {
+            let err = mapped.forward(&engine(), &[0.5, f64::NAN], enc);
+            assert!(matches!(err, Err(ResipeError::SpikeOutOfSlice { .. })));
+        }
     }
 
     #[test]

@@ -52,6 +52,7 @@ use std::time::Instant;
 use resipe_analog::units::Joules;
 use serde::{Deserialize, Serialize};
 
+use crate::config::ResipeConfig;
 use crate::power::{EnergyModel, StageEnergy};
 
 /// Bins in the normalized `t_out` / `V_out` histograms.
@@ -149,6 +150,10 @@ impl Histogram {
         } else {
             ((v * HISTOGRAM_BINS as f64) as usize).min(HISTOGRAM_BINS - 1)
         };
+        self.record_bin(i);
+    }
+
+    fn record_bin(&self, i: usize) {
         self.bins[i].fetch_add(1, Ordering::Relaxed);
     }
 
@@ -244,18 +249,29 @@ impl Telemetry {
     }
 
     /// A recording probe for one network layer, or `None` on a disabled
-    /// handle. `slice_s` and `vs` normalize the histogram inputs.
-    pub(crate) fn layer_probe(&self, layer: usize, slice_s: f64, vs: f64) -> Option<LayerProbe> {
+    /// handle. The engine configuration's slice and supply voltage
+    /// normalize the histogram inputs.
+    pub(crate) fn layer_probe(&self, layer: usize, config: &ResipeConfig) -> Option<LayerProbe> {
         let sink = self.sink.as_ref()?;
         let stats = {
             let mut layers = sink.layers.lock().expect("telemetry layer map poisoned");
             Arc::clone(layers.entry(layer).or_default())
         };
+        let slice = config.slice().0;
+        let tau = config.tau_gd().0;
+        let vs = config.vs().0;
         Some(LayerProbe {
             stats,
             sink: Arc::clone(sink),
-            inv_slice: 1.0 / slice_s,
+            inv_slice: 1.0 / slice,
             inv_vs: 1.0 / vs,
+            // Bin i of the t_out histogram holds spike times in
+            // [i, i + 1) · slice/BINS; Eq. 1 maps each inner edge to the
+            // read-back voltage a spike at that time decodes to.
+            t_edges: std::array::from_fn(|i| {
+                let t = (i + 1) as f64 * slice / HISTOGRAM_BINS as f64;
+                vs * (1.0 - (-t / tau).exp())
+            }),
         })
     }
 
@@ -404,6 +420,10 @@ pub struct LayerProbe {
     sink: Arc<Sink>,
     inv_slice: f64,
     inv_vs: f64,
+    /// Read-back voltages `f(i · slice/BINS)` of the inner `t_out` bin
+    /// edges, ascending: a decode reading back `V̂` lands in bin
+    /// `#{edges ≤ V̂}`, the bin of its spike time `f⁻¹(V̂)`.
+    t_edges: [f64; HISTOGRAM_BINS - 1],
 }
 
 impl LayerProbe {
@@ -488,10 +508,20 @@ impl LayerProbe {
 
     /// Records one column decode into the normalized histograms:
     /// `v_eff` against the `C_cog`/comparator voltage range `[0, V_s]`,
-    /// `t_obs` against the S2 slice.
-    pub(crate) fn record_decode(&self, v_eff: f64, t_obs: f64) {
+    /// and the output spike time against the S2 slice. A decode that
+    /// evaluated its spike time (`t_obs`, quantized timing) is binned by
+    /// it; otherwise the read-back voltage `v_hat` is binned against the
+    /// voltage images of the time-bin edges, which places it in the bin
+    /// of `f⁻¹(v_hat)` without evaluating a logarithm.
+    pub(crate) fn record_decode(&self, v_eff: f64, v_hat: f64, t_obs: Option<f64>) {
         self.sink.v_out.record(v_eff * self.inv_vs);
-        self.sink.t_out.record(t_obs * self.inv_slice);
+        match t_obs {
+            Some(t) => self.sink.t_out.record(t * self.inv_slice),
+            None => self
+                .sink
+                .t_out
+                .record_bin(self.t_edges.partition_point(|&e| e <= v_hat)),
+        }
     }
 }
 
@@ -741,7 +771,7 @@ mod tests {
         {
             let _g = t.span("forward");
         }
-        assert!(t.layer_probe(0, 100e-9, 1.0).is_none());
+        assert!(t.layer_probe(0, &ResipeConfig::paper()).is_none());
         let snap = t.snapshot();
         assert!(!snap.enabled);
         assert_eq!(snap.counters.mvms, 0);
@@ -781,7 +811,9 @@ mod tests {
     #[test]
     fn probe_aggregates_per_layer_and_globally() {
         let t = Telemetry::enabled();
-        let probe = t.layer_probe(1, 100e-9, 1.0).expect("enabled probe");
+        let probe = t
+            .layer_probe(1, &ResipeConfig::paper())
+            .expect("enabled probe");
         probe.record_sample(SampleStats {
             s1_encode_nanos: 10,
             crossbar_nanos: 20,
@@ -791,8 +823,8 @@ mod tests {
             comparator_offset_rejects: 1,
             saturated_decodes: 2,
         });
-        probe.record_decode(0.5, 50e-9);
-        probe.record_decode(2.0, 120e-9); // clamps into the top bins
+        probe.record_decode(0.5, 0.0, Some(50e-9));
+        probe.record_decode(2.0, 0.0, Some(120e-9)); // clamps into the top bins
         let snap = t.snapshot();
         assert_eq!(snap.counters.mvms, 50);
         assert_eq!(snap.counters.zero_activation_skips, 7);
@@ -818,7 +850,9 @@ mod tests {
     #[test]
     fn block_records_count_samples_and_kernel_traffic() {
         let t = Telemetry::enabled();
-        let probe = t.layer_probe(0, 100e-9, 1.0).expect("enabled probe");
+        let probe = t
+            .layer_probe(0, &ResipeConfig::paper())
+            .expect("enabled probe");
         probe.record_block(
             SampleStats {
                 mvms: 16,
@@ -911,8 +945,8 @@ mod tests {
     fn reset_clears_everything() {
         let t = Telemetry::enabled();
         t.add(Counter::RepairPulses, 9);
-        let probe = t.layer_probe(0, 100e-9, 1.0).unwrap();
-        probe.record_decode(0.3, 50e-9);
+        let probe = t.layer_probe(0, &ResipeConfig::paper()).unwrap();
+        probe.record_decode(0.3, 0.0, Some(50e-9));
         {
             let _g = t.span("forward");
         }

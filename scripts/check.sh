@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, the full test suite, and the
-# fault-injection smoke check. Run from anywhere; exits non-zero on the
+# Repo gate: formatting, lints, the full test suite (the workspace and
+# the separate perfbench package), and the fault-injection smoke check. Run from anywhere; exits non-zero on the
 # first failure.
 #
 # With --perf-smoke, additionally runs the throughput bench in gate
@@ -81,6 +81,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
+
+# perfbench is a workspace of its own, so `--workspace` above never
+# reaches its unit tests.
+echo "==> cargo test (perfbench)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> fault_sweep --smoke"
 cargo run --release -q -p resipe-bench --bin fault_sweep -- --smoke

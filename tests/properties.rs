@@ -1,13 +1,14 @@
 //! Property-based tests (proptest) on the cross-crate invariants of the
 //! reproduction: the engine's transfer function, the mapping round trip,
-//! and the spike codec.
+//! the spike codec, and the closed-form S1/S2 voltage codec against the
+//! time-domain formulas it replaces.
 
 use proptest::prelude::*;
 
-use resipe_suite::analog::units::{Seconds, Siemens};
+use resipe_suite::analog::units::{Seconds, Siemens, Volts};
 use resipe_suite::core::config::ResipeConfig;
 use resipe_suite::core::engine::ResipeEngine;
-use resipe_suite::core::mapping::{SpikeEncoding, TileMapper};
+use resipe_suite::core::mapping::{SpikeEncoding, TileMapper, VoltageCodec};
 use resipe_suite::core::repair::{repair_tile, run_bist, BistConfig, RepairPolicy, TileStatus};
 use resipe_suite::core::spike::SpikeCodec;
 use resipe_suite::reram::device::{ReramCell, ResistanceWindow};
@@ -17,6 +18,59 @@ use resipe_suite::reram::program::{ProgramConfig, Programmer};
 fn engine() -> ResipeEngine {
     ResipeEngine::new(ResipeConfig::paper())
 }
+
+/// Test-only oracle: the time-domain S2 decode the closed form replaced.
+/// The comparator fires at `t = f⁻¹(v_eff)`, optionally rounded to the
+/// quantum `q`, cut at the slice end, and the peripheral reads back
+/// `f(t)`. Returns the read-back voltage and whether the spike
+/// saturated.
+fn ln_exp_decode(cfg: &ResipeConfig, v_eff: f64, q: Option<f64>) -> (f64, bool) {
+    let (tau, vs, slice) = (cfg.tau_gd().0, cfg.vs().0, cfg.slice().0);
+    let mut t = -tau * (1.0 - v_eff / vs).ln();
+    if let Some(q) = q {
+        t = (t / q).round() * q;
+    }
+    let saturated = t > slice;
+    let t = t.min(slice);
+    (vs * (1.0 - (-t / tau).exp()), saturated)
+}
+
+/// Test-only oracle: the time-domain pass-through S1 encode the closed
+/// form replaced — the spike at `t = f⁻¹(a·V_ref)` sampled on the ramp.
+fn ln_exp_pass_through(cfg: &ResipeConfig, a: f64) -> f64 {
+    let (tau, vs, t_max) = (cfg.tau_gd().0, cfg.vs().0, cfg.t_max().0);
+    let v_ref = vs * (1.0 - (-t_max / tau).exp());
+    let t = Seconds(-tau * (1.0 - a * v_ref / vs).ln());
+    vs * (1.0 - (-t.0 / tau).exp())
+}
+
+/// The spacing of `f64` values at `x > 0`.
+fn ulp(x: f64) -> f64 {
+    f64::from_bits(x.to_bits() + 1) - x
+}
+
+/// How far the closed forms may sit from the `ln`/`exp` oracles, in
+/// units of `ulp(V_s)`.
+///
+/// Both oracles evaluate the round trip `f(f⁻¹(v))` for some `v` in
+/// `[0, V_s)`, where the closed form returns `v` itself. With unit
+/// roundoff `u = 2⁻⁵³`, and `ln`/`exp` within one ulp (relative error
+/// `2u`):
+///
+/// * `x = v/V_s` and `y = 1 − x` carry an absolute error of at most
+///   `u·x + u·(1 − x) = u`;
+/// * `ln y`, the products with `τ` and the division by `τ` put a
+///   relative error of at most `4u` on the exponent `ln y`, so
+///   `exp(·)` lands within `y·|ln y|·4u + 2u·y ≤ 4u/e + 2u·y` of `y`
+///   (`y·|ln y| ≤ 1/e`);
+/// * `1 − exp(·)` and the final product with `V_s` round by at most
+///   `u` each, relative to a result of at most `1`.
+///
+/// Summed, `|f(f⁻¹(v)) − v| ≤ V_s·u·(4/e + 3) < 4.5·u·V_s` to first
+/// order, and `u·V_s < ulp(V_s)`. Five ulps leave room for the
+/// second-order terms. Zero, clamped and saturated columns take no
+/// rounded step in either form, so they must agree exactly.
+const ULP_BOUND: f64 = 5.0;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -235,5 +289,77 @@ proptest! {
             health.status,
             bist.failing_cols()
         );
+    }
+    /// The closed-form S2 decode `min(V_eff, V_sat)` stays within
+    /// [`ULP_BOUND`] ulps of `V_s` from the time-domain decode, for any
+    /// supply voltage, bitline voltage and comparator offset, and agrees
+    /// with it exactly on zero, clamped and saturated columns. With a
+    /// time quantum the codec still decodes in the time domain, so it
+    /// must match the oracle bit for bit.
+    #[test]
+    fn closed_form_decode_within_ulp_bound(
+        vs in 0.5..3.0f64,
+        v_frac in -0.1..1.1f64,
+        offset_frac in -0.05..0.05f64,
+    ) {
+        let cfg = ResipeConfig::paper().with_vs(Volts(vs));
+        let codec = VoltageCodec::new(&cfg, None);
+        let (v_out, offset) = (v_frac * vs, offset_frac * vs);
+        let d = codec.decode(v_out, offset);
+        let (old, old_saturated) = ln_exp_decode(&cfg, d.v_eff, None);
+        let err = (d.v_hat - old).abs() / ulp(vs);
+        prop_assert!(err <= ULP_BOUND, "v_eff {:e}: {:e} vs {:e} ({err} ulp)", d.v_eff, d.v_hat, old);
+        if d.v_eff == 0.0 || d.offset_clamped || (d.saturated && old_saturated) {
+            prop_assert_eq!(d.v_hat.to_bits(), old.to_bits());
+        }
+        prop_assert!(d.saturated == old_saturated || (d.v_eff - codec.v_sat()).abs() <= ULP_BOUND * ulp(vs));
+        let quantized = VoltageCodec::new(&cfg, Some(Seconds(1e-9))).decode(v_out, offset);
+        let (old_q, old_q_saturated) = ln_exp_decode(&cfg, quantized.v_eff, Some(1e-9));
+        prop_assert_eq!(quantized.v_hat.to_bits(), old_q.to_bits());
+        prop_assert_eq!(quantized.saturated, old_q_saturated);
+    }
+
+    /// Around the saturation voltage, where the two forms switch between
+    /// `V_eff` and `V_sat`, the closed form stays within the bound, and
+    /// both forms read back the same `V_sat` once both saturate.
+    #[test]
+    fn closed_form_decode_at_saturation_edge(
+        vs in 0.5..3.0f64,
+        ulps in -64i64..64,
+    ) {
+        let cfg = ResipeConfig::paper().with_vs(Volts(vs));
+        let codec = VoltageCodec::new(&cfg, None);
+        let v_out = f64::from_bits((codec.v_sat().to_bits() as i64 + ulps) as u64);
+        let d = codec.decode(v_out, 0.0);
+        prop_assert_eq!(d.saturated, ulps > 0);
+        let (old, old_saturated) = ln_exp_decode(&cfg, d.v_eff, None);
+        prop_assert!((d.v_hat - old).abs() <= ULP_BOUND * ulp(vs));
+        if d.saturated && old_saturated {
+            prop_assert_eq!(d.v_hat.to_bits(), old.to_bits());
+        }
+    }
+
+    /// The closed-form pass-through encode `a·V_ref` stays within
+    /// [`ULP_BOUND`] ulps of `V_s` from the ramp sampled at
+    /// `f⁻¹(a·V_ref)`, and zero holds exactly `+0.0`. The linear-time
+    /// encode keeps its one `exp`, so it matches the ramp bit for bit.
+    #[test]
+    fn closed_form_pass_through_within_ulp_bound(
+        vs in 0.5..3.0f64,
+        a in 0.0..=1.0f64,
+    ) {
+        let cfg = ResipeConfig::paper().with_vs(Volts(vs));
+        let codec = VoltageCodec::new(&cfg, None);
+        let held = codec.held_voltage(SpikeEncoding::PassThrough, a);
+        let old = ln_exp_pass_through(&cfg, a);
+        prop_assert!((held - old).abs() <= ULP_BOUND * ulp(vs), "a {a}: {held:e} vs {old:e}");
+        for zero in [0.0, -0.0, -0.5] {
+            let z = codec.held_voltage(SpikeEncoding::PassThrough, zero);
+            prop_assert_eq!(z.to_bits(), 0.0f64.to_bits());
+            prop_assert_eq!(z.to_bits(), ln_exp_pass_through(&cfg, zero.max(0.0)).to_bits());
+        }
+        let (tau, t_max) = (cfg.tau_gd().0, cfg.t_max().0);
+        let ramp = vs * (1.0 - (-(a * t_max) / tau).exp());
+        prop_assert_eq!(codec.held_voltage(SpikeEncoding::LinearTime, a).to_bits(), ramp.to_bits());
     }
 }
