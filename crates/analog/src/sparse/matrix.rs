@@ -15,8 +15,8 @@
 //!
 //! The pattern also carries `PartialEq`, which is how
 //! [`crate::transient::SolverSession`] decides whether a cached symbolic
-//! factorization ([`crate::sparse::SymbolicLu`]) can be reused for a new
-//! run.
+//! factorization (the `SymbolicLu` inside a [`crate::sparse::SparseLu`])
+//! can be reused for a new run.
 
 use crate::linalg::Matrix;
 

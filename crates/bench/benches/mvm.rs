@@ -73,8 +73,14 @@ fn bench_forward_block(c: &mut Criterion) {
         let mut scratch = plan.scratch();
         group.bench_with_input(BenchmarkId::from_parameter(block), &block, |b, _| {
             b.iter(|| {
-                plan.forward_block(std::hint::black_box(&a), block, &mut out, &mut scratch)
-                    .expect("valid block")
+                plan.forward_block(
+                    std::hint::black_box(&a),
+                    block,
+                    &mut out,
+                    &mut scratch,
+                    None,
+                )
+                .expect("valid block")
             })
         });
     }

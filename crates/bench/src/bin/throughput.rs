@@ -5,10 +5,8 @@
 //! per-sample `HardwareNetwork::forward` path against the amortized
 //! data-parallel `forward_batch` path across thread counts, a
 //! single-thread sweep of the cache-blocked kernel at pinned block
-//! sizes, a single-thread sweep of the pluggable kernel backends
-//! (`Backend::all()`), and the compile-cache statistics the
-//! repeated-compile pattern sweeps use. `host_parallelism` records how
-//! many CPUs the host
+//! sizes, and the compile-cache statistics the repeated-compile pattern
+//! sweeps use. `host_parallelism` records how many CPUs the host
 //! actually exposes — thread counts above it cannot speed anything up,
 //! so speedup rows must be read against it.
 //!
@@ -33,7 +31,6 @@ use std::time::Instant;
 
 use resipe::cache::CompileCache;
 use resipe::inference::{CompileOptions, HardwareNetwork, RunOptions};
-use resipe::kernel::Backend;
 use resipe_bench::Args;
 use resipe_nn::data::synth_digits;
 use resipe_nn::models;
@@ -170,61 +167,6 @@ fn main() {
         blocked_rows.push((block, m));
     }
 
-    // Single-thread backend sweep: every pluggable kernel backend runs
-    // the same measured batch at block 32, checked against the
-    // sequential reference before timing. Exact backends (scalar,
-    // vector_f32) must match bit for bit; the fixed-point backend's
-    // deviation is reported and sanity-capped at 10% of full scale.
-    let full_scale = reference
-        .data()
-        .iter()
-        .fold(0.0f32, |m, v| m.max(v.abs()))
-        .max(1e-6);
-    let mut backend_rows = Vec::new();
-    let mut scalar_backend_sps = f64::NAN;
-    for backend in Backend::all() {
-        eprintln!(
-            "measuring backend {} at block=32 (1 thread)...",
-            backend.name()
-        );
-        let ropts = RunOptions::planned()
-            .with_block_size(32)
-            .with_backend(backend);
-        let out = hw.run(&x, &ropts).expect("backend run").outputs;
-        let exact = out
-            .data()
-            .iter()
-            .zip(reference.data())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        let max_abs_dev = out
-            .data()
-            .iter()
-            .zip(reference.data())
-            .fold(0.0f64, |m, (a, b)| m.max(f64::from((a - b).abs())));
-        if backend.is_exact() {
-            assert!(
-                exact,
-                "exact backend {} diverged from the sequential reference",
-                backend.name()
-            );
-        } else {
-            assert!(
-                max_abs_dev.is_finite() && max_abs_dev <= 0.1 * f64::from(full_scale),
-                "backend {} deviation {max_abs_dev:e} exceeds 10% of full scale",
-                backend.name()
-            );
-        }
-        let m = single.install(|| {
-            measure(&hw, n_samples, reps, || {
-                let _ = hw.run(&x, &ropts).expect("backend run");
-            })
-        });
-        if backend == Backend::Scalar {
-            scalar_backend_sps = m.samples_per_sec;
-        }
-        backend_rows.push((backend, m, exact, max_abs_dev));
-    }
-
     let host_parallelism = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -262,20 +204,6 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
-    json.push_str("  \"backends\": [\n");
-    for (i, (backend, m, exact, max_abs_dev)) in backend_rows.iter().enumerate() {
-        let comma = if i + 1 < backend_rows.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"block\": 32, \"threads\": 1, \"elapsed_s\": {}, \
-             \"samples_per_sec\": {}, \"speedup_vs_scalar\": {}, \"exact\": {exact}, \
-             \"max_abs_dev\": {max_abs_dev:e}}}{comma}\n",
-            backend.name(),
-            json_num(m.elapsed_s),
-            json_num(m.samples_per_sec),
-            json_num(m.samples_per_sec / scalar_backend_sps)
-        ));
-    }
-    json.push_str("  ],\n");
     json.push_str("  \"batched\": [\n");
     for (i, (threads, m)) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
@@ -305,15 +233,6 @@ fn main() {
             "blocked B={block:<3} x1: {:>7.1} samples/s  ({:.2}x vs sequential)",
             m.samples_per_sec,
             m.samples_per_sec / seq.samples_per_sec
-        );
-    }
-    for (backend, m, exact, max_abs_dev) in &backend_rows {
-        println!(
-            "backend {:<10} x1: {:>7.1} samples/s  ({:.2}x vs scalar, exact={exact}, \
-             max_abs_dev={max_abs_dev:.2e})",
-            backend.name(),
-            m.samples_per_sec,
-            m.samples_per_sec / scalar_backend_sps
         );
     }
     for (threads, m) in &rows {

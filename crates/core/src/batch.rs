@@ -37,18 +37,35 @@
 //! S1 encode is `a·V_ref` (see the
 //! [mapping docs](crate::mapping#closed-forms-of-the-cancellation)).
 //!
+//! # One kernel
+//!
+//! [`BatchPlan::forward_block`] is the only entry point: it evaluates a
+//! block of `B` samples (one sample is a block of 1) in one pass over
+//! the tile data. Per tile it encodes every sample's wordlines, then
+//! loads each column's conductance pair once and sweeps it across the
+//! block with the sparse non-zero wordline walk. The optional
+//! [`LayerProbe`] selects the loop order around that walk:
+//!
+//! * without a probe, each `(column, sample)` is decoded as soon as its
+//!   weighted sums are formed (fused);
+//! * with a probe, the crossbar pass stages every `(column, sample)`
+//!   voltage pair first and a separate decode pass follows, so S1
+//!   encode, the crossbar and S2 decode can each be timed, and every
+//!   decode lands in the telemetry histograms.
+//!
+//! Columns and samples are independent and staging a value in memory
+//! does not change its bits, so both orders return the same outputs.
+//!
 //! This is what makes the batched inference path faster even on a single
 //! core; on multicore hosts [`crate::inference::HardwareNetwork::forward_batch`]
-//! additionally fans samples out across the rayon pool.
+//! additionally fans sample blocks out across the rayon pool.
 
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use resipe_analog::units::Seconds;
 
 use crate::engine::ResipeEngine;
 use crate::error::ResipeError;
-use crate::kernel::{Backend, FIXED_LEVELS, VECTOR_LANES};
 use crate::mapping::{MappedWeights, SpikeEncoding, Tile, VoltageCodec};
 use crate::telemetry::{LayerProbe, SampleStats};
 
@@ -80,24 +97,6 @@ struct TilePlan {
     /// Static comparator offsets per logical column.
     offset_plus: Vec<f64>,
     offset_minus: Vec<f64>,
-}
-
-/// Pre-quantized integer mirror of one [`TilePlan`] for the
-/// [`Backend::FixedI32`] kernel: conductances rounded to `i32` codes of
-/// `g_lsb` siemens each, built lazily once per plan and shared by every
-/// fixed-point block afterwards.
-#[derive(Debug, Clone)]
-struct FixedTile {
-    /// Column-major conductance codes `round(g / g_lsb)`.
-    q_plus: Vec<i32>,
-    q_minus: Vec<i32>,
-    /// Conductance quantization step: `max(g) / 2^FIXED_QBITS` over both
-    /// arrays of this tile (floored at `f64::MIN_POSITIVE` so an
-    /// all-zero tile stays well-defined).
-    g_lsb: f64,
-    /// Dequantization factor `v_lsb * g_lsb` applied to the integer dot
-    /// product.
-    w_scale: f64,
 }
 
 impl TilePlan {
@@ -163,25 +162,23 @@ impl TilePlan {
         }
         plan
     }
+
+    /// Column `j`'s conductances in both arrays, row order.
+    #[inline(always)]
+    fn column(&self, j: usize) -> (&[f64], &[f64]) {
+        let col = j * self.rows..(j + 1) * self.rows;
+        (&self.g_plus[col.clone()], &self.g_minus[col])
+    }
 }
 
-/// Reusable per-worker buffers for every [`BatchPlan`] kernel: the
-/// per-sample, blocked, probed and backend paths.
+/// Reusable per-worker buffers for [`BatchPlan::forward_block`].
 ///
 /// Create one per thread with [`BatchPlan::scratch`] and reuse it across
 /// calls to keep the hot loop allocation-free.
 #[derive(Debug, Default, Clone)]
 pub struct BatchScratch {
-    /// Held S1 wordline voltages of the current tile.
-    v_in: Vec<f64>,
-    /// Indices of wordlines with a non-zero held voltage.
-    nonzero: Vec<u32>,
-    /// Sampled `(V_out⁺, V_out⁻)` per column of the current tile —
-    /// used only by the probed path, which splits the column loop into
-    /// a crossbar pass and a decode pass to time them separately.
-    v_cols: Vec<(f64, f64)>,
     /// Held wordline voltages of every sample in the current block,
-    /// stride `tile.rows` per sample ([`BatchPlan::forward_block`]).
+    /// stride `tile.rows` per sample.
     v_in_block: Vec<f64>,
     /// Concatenated non-zero wordline indices of the block's samples.
     nz_idx: Vec<u32>,
@@ -189,24 +186,31 @@ pub struct BatchScratch {
     /// `nz_idx[nz_bounds[b]..nz_bounds[b + 1]]`.
     nz_bounds: Vec<usize>,
     /// Staged `(V_out⁺, V_out⁻)` per (column, sample) of the probed
-    /// block path and of the non-scalar kernel backends, indexed
-    /// `j * samples + b`.
+    /// loop order, indexed `j * samples + b`.
     v_cols_block: Vec<(f64, f64)>,
-    /// Quantized held-voltage codes of the current tile block (stride
-    /// `tile.rows` per sample), filled by the [`Backend::FixedI32`]
-    /// prepare stage.
-    q_in_block: Vec<i32>,
     /// Normalized-activation staging for a block of samples — borrowed
     /// by `HardwareNetwork` between kernel invocations so the per-block
     /// input copy reuses one allocation.
     pub(crate) a_block: Vec<f64>,
 }
 
+impl BatchScratch {
+    /// Sample `b`'s held wordline voltages (`rows` of them) and its
+    /// non-zero wordline indices in the current tile.
+    #[inline(always)]
+    fn held(&self, b: usize, rows: usize) -> (&[f64], &[u32]) {
+        (
+            &self.v_in_block[b * rows..(b + 1) * rows],
+            &self.nz_idx[self.nz_bounds[b]..self.nz_bounds[b + 1]],
+        )
+    }
+}
+
 /// A sample-independent execution plan for one mapped weight layer.
 ///
 /// See the [module docs](crate::batch) for the amortization/determinism
-/// contract. Build once per layer per batch with [`BatchPlan::new`], then
-/// call [`BatchPlan::forward_one`] per sample (from any number of
+/// contract. Build once per layer with [`BatchPlan::new`], then call
+/// [`BatchPlan::forward_block`] per block of samples (from any number of
 /// threads, each with its own [`BatchScratch`]).
 #[derive(Debug, Clone)]
 pub struct BatchPlan {
@@ -222,15 +226,8 @@ pub struct BatchPlan {
     max_tile_rows: usize,
     /// Conductance bytes read from the tile plans by one pass over all
     /// tiles (both differential arrays) — the traffic one block of the
-    /// blocked kernel streams, versus once per *sample* unblocked.
+    /// kernel streams, versus once per *sample* unblocked.
     tile_stream_bytes: u64,
-    /// Held-voltage quantization step `V_s / 2^FIXED_QBITS` of the
-    /// fixed-point backend.
-    v_lsb: f64,
-    /// Lazily built integer tile mirrors for [`Backend::FixedI32`] —
-    /// a pure function of the plan, so sharing the cache across threads
-    /// and backends is race-free.
-    fixed: OnceLock<Vec<FixedTile>>,
 }
 
 impl BatchPlan {
@@ -261,20 +258,14 @@ impl BatchPlan {
             scale: mapped.weight_scale() / (codec.v_ref() * mapped.delta_g_eff().0),
             max_tile_rows: mapped.tiles().iter().map(Tile::rows).max().unwrap_or(0),
             tile_stream_bytes,
-            v_lsb: codec.vs / FIXED_LEVELS,
-            fixed: OnceLock::new(),
             tiles,
         }
     }
 
-    /// Allocates a scratch buffer sized for this plan.
+    /// Allocates a scratch buffer for this plan (its buffers grow to
+    /// the largest block on first use and are reused afterwards).
     pub fn scratch(&self) -> BatchScratch {
-        BatchScratch {
-            v_in: Vec::with_capacity(self.max_tile_rows),
-            nonzero: Vec::with_capacity(self.max_tile_rows),
-            v_cols: Vec::with_capacity(self.cols),
-            ..BatchScratch::default()
-        }
+        BatchScratch::default()
     }
 
     /// Logical input dimension.
@@ -288,9 +279,8 @@ impl BatchPlan {
     }
 
     /// Conductance bytes streamed from the tile plans by one pass over
-    /// all tiles (both differential arrays). The blocked kernel pays
-    /// this once per *block*; the unblocked path pays it once per
-    /// *sample*.
+    /// all tiles (both differential arrays). The kernel pays this once
+    /// per *block*; a one-sample block pays it per *sample*.
     pub fn tile_stream_bytes(&self) -> u64 {
         self.tile_stream_bytes
     }
@@ -306,77 +296,8 @@ impl BatchPlan {
         (32 * 1024 / per_sample.max(1)).clamp(1, 64)
     }
 
-    /// Executes one logical MVM — bit-identical to
-    /// [`MappedWeights::forward`] on the same activations and encoding.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ResipeError::DimensionMismatch`] unless
-    /// `activations.len() == rows`.
-    pub fn forward_one(
-        &self,
-        activations: &[f64],
-        scratch: &mut BatchScratch,
-    ) -> Result<Vec<f64>, ResipeError> {
-        if activations.len() != self.rows {
-            return Err(ResipeError::DimensionMismatch {
-                expected: self.rows,
-                got: activations.len(),
-            });
-        }
-        let mut acc = vec![0.0f64; self.cols];
-        for tile in &self.tiles {
-            scratch.v_in.clear();
-            scratch.nonzero.clear();
-            // S1: encode each driven wordline's activation into a spike
-            // time and sample the shared GD ramp — once per tile, shared
-            // by both arrays of the differential pair.
-            for (p, &l) in tile.row_source.iter().enumerate() {
-                let a = activations[tile.row_start + l].clamp(0.0, 1.0);
-                if a == 0.0 {
-                    // A zero activation holds exactly +0.0 in both
-                    // encodings (`VoltageCodec::held_voltage`).
-                    scratch.v_in.push(0.0);
-                    continue;
-                }
-                let v = self.codec.held_voltage(self.encoding, a);
-                scratch.v_in.push(v);
-                if v != 0.0 {
-                    scratch.nonzero.push(p as u32);
-                }
-            }
-            for (j, slot) in acc.iter_mut().enumerate().take(tile.cols) {
-                let col = j * tile.rows..(j + 1) * tile.rows;
-                // One pass over the held wordlines accumulates both
-                // arrays' weighted sums; each accumulator still adds its
-                // products in row order, so the bits are unchanged.
-                let gp = &tile.g_plus[col.clone()];
-                let gm = &tile.g_minus[col];
-                let mut wp = 0.0f64;
-                let mut wm = 0.0f64;
-                for &p in &scratch.nonzero {
-                    let v = scratch.v_in[p as usize];
-                    wp += v * gp[p as usize];
-                    wm += v * gm[p as usize];
-                }
-                let vp = Self::v_out(wp, tile.g_total_plus[j], tile.charge_plus[j]);
-                let vm = Self::v_out(wm, tile.g_total_minus[j], tile.charge_minus[j]);
-                let d_plus = self.decode_column(vp, tile.offset_plus[j], tile.k_plus[j]);
-                let d_minus = self.decode_column(vm, tile.offset_minus[j], tile.k_minus[j]);
-                *slot += d_plus - d_minus;
-            }
-        }
-        for y in &mut acc {
-            *y *= self.scale;
-        }
-        Ok(acc)
-    }
-
     /// The sampled bitline voltage of one column from its accumulated
-    /// weighted sum: `V_eq` times the hoisted charge factor. Zero-voltage
-    /// wordlines contribute exactly `+0.0` to the weighted sum, so the
-    /// caller skips them without changing a single bit of the
-    /// accumulation.
+    /// weighted sum: `V_eq` times the hoisted charge factor.
     fn v_out(weighted: f64, g_total: f64, charge: f64) -> f64 {
         if g_total == 0.0 {
             0.0
@@ -411,118 +332,11 @@ impl BatchPlan {
         d.v_hat / k
     }
 
-    /// [`BatchPlan::forward_one`] with an optional telemetry probe.
-    ///
-    /// With `None` this *is* `forward_one`. With a probe, the per-tile
-    /// column loop is split into a crossbar pass (weighted sums and
-    /// sampled `V_out`, staged in the scratch buffer) and a decode pass,
-    /// so S1 encode, the computation stage and S2 decode can be timed
-    /// separately — and the decode records the `t_out`/`V_out`
-    /// histograms, zero-activation skips, comparator-offset rejects and
-    /// slice-end saturations. Every column still sees the exact
-    /// floating-point operation sequence of the unprobed path on the
-    /// same inputs (columns are independent; staging an intermediate in
-    /// memory does not change its bits), so probed outputs remain
-    /// **bit-identical**.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ResipeError::DimensionMismatch`] unless
-    /// `activations.len() == rows`.
-    pub fn forward_one_probed(
-        &self,
-        activations: &[f64],
-        scratch: &mut BatchScratch,
-        probe: Option<&LayerProbe>,
-    ) -> Result<Vec<f64>, ResipeError> {
-        let Some(probe) = probe else {
-            return self.forward_one(activations, scratch);
-        };
-        if activations.len() != self.rows {
-            return Err(ResipeError::DimensionMismatch {
-                expected: self.rows,
-                got: activations.len(),
-            });
-        }
-        let mut stats = SampleStats {
-            mvms: 2 * self.tiles.len() as u64,
-            ..SampleStats::default()
-        };
-        let mut acc = vec![0.0f64; self.cols];
-        for tile in &self.tiles {
-            let t0 = Instant::now();
-            scratch.v_in.clear();
-            scratch.nonzero.clear();
-            for (p, &l) in tile.row_source.iter().enumerate() {
-                let a = activations[tile.row_start + l].clamp(0.0, 1.0);
-                if a == 0.0 {
-                    scratch.v_in.push(0.0);
-                    stats.zero_activation_skips += 1;
-                    continue;
-                }
-                let v = self.codec.held_voltage(self.encoding, a);
-                scratch.v_in.push(v);
-                if v != 0.0 {
-                    scratch.nonzero.push(p as u32);
-                }
-            }
-            let t1 = Instant::now();
-            scratch.v_cols.clear();
-            for j in 0..tile.cols {
-                let col = j * tile.rows..(j + 1) * tile.rows;
-                let gp = &tile.g_plus[col.clone()];
-                let gm = &tile.g_minus[col];
-                let mut wp = 0.0f64;
-                let mut wm = 0.0f64;
-                for &p in &scratch.nonzero {
-                    let v = scratch.v_in[p as usize];
-                    wp += v * gp[p as usize];
-                    wm += v * gm[p as usize];
-                }
-                scratch.v_cols.push((
-                    Self::v_out(wp, tile.g_total_plus[j], tile.charge_plus[j]),
-                    Self::v_out(wm, tile.g_total_minus[j], tile.charge_minus[j]),
-                ));
-            }
-            let t2 = Instant::now();
-            for (j, slot) in acc.iter_mut().enumerate().take(tile.cols) {
-                let (vp, vm) = scratch.v_cols[j];
-                let d_plus = self.decode_column_probed(
-                    vp,
-                    tile.offset_plus[j],
-                    tile.k_plus[j],
-                    probe,
-                    &mut stats,
-                );
-                let d_minus = self.decode_column_probed(
-                    vm,
-                    tile.offset_minus[j],
-                    tile.k_minus[j],
-                    probe,
-                    &mut stats,
-                );
-                *slot += d_plus - d_minus;
-            }
-            let t3 = Instant::now();
-            stats.s1_encode_nanos += (t1 - t0).as_nanos() as u64;
-            stats.crossbar_nanos += (t2 - t1).as_nanos() as u64;
-            stats.s2_decode_nanos += (t3 - t2).as_nanos() as u64;
-        }
-        let t_scale = Instant::now();
-        for y in &mut acc {
-            *y *= self.scale;
-        }
-        stats.s2_decode_nanos += t_scale.elapsed().as_nanos() as u64;
-        probe.record_sample(stats);
-        Ok(acc)
-    }
-
-    /// Encodes one tile's wordlines for every sample of a block into the
-    /// scratch staging buffers: held voltages at stride `tile.rows`, and
-    /// the per-sample non-zero index lists behind a shared prefix-bounds
-    /// array. Each sample sees the exact encode sequence of
-    /// [`BatchPlan::forward_one`]; only the buffer it lands in differs.
-    /// Returns the number of zero-activation skips taken.
+    /// S1: encodes one tile's wordlines for every sample of a block into
+    /// the scratch staging buffers — held voltages at stride
+    /// `tile.rows`, and the per-sample non-zero index lists behind a
+    /// shared prefix-bounds array. Returns the number of zero-activation
+    /// skips taken.
     fn encode_block(
         &self,
         tile: &TilePlan,
@@ -540,6 +354,8 @@ impl BatchPlan {
             for (p, &l) in tile.row_source.iter().enumerate() {
                 let a = activations[base + l].clamp(0.0, 1.0);
                 if a == 0.0 {
+                    // A zero activation holds exactly +0.0 in both
+                    // encodings (`VoltageCodec::held_voltage`).
                     scratch.v_in_block.push(0.0);
                     skips += 1;
                     continue;
@@ -555,19 +371,52 @@ impl BatchPlan {
         skips
     }
 
+    /// The crossbar stage of one `(column, sample)`: the sparse walk
+    /// over the sample's non-zero wordlines against column `j`'s
+    /// conductance pair, returning the sampled `(V_out⁺, V_out⁻)`. One
+    /// pass accumulates both arrays' weighted sums, each in row order,
+    /// so the bits match the reference; a zero-voltage wordline would
+    /// only add an exact `+0.0` product, so skipping it is bit-neutral.
+    #[inline(always)]
+    fn crossbar(
+        tile: &TilePlan,
+        j: usize,
+        (gp, gm): (&[f64], &[f64]),
+        (v_in, nz): (&[f64], &[u32]),
+    ) -> (f64, f64) {
+        let mut wp = 0.0f64;
+        let mut wm = 0.0f64;
+        for &p in nz {
+            let v = v_in[p as usize];
+            wp += v * gp[p as usize];
+            wm += v * gm[p as usize];
+        }
+        (
+            Self::v_out(wp, tile.g_total_plus[j], tile.charge_plus[j]),
+            Self::v_out(wm, tile.g_total_minus[j], tile.charge_minus[j]),
+        )
+    }
+
     /// Executes `samples` logical MVMs in one pass over the tile data —
-    /// the cache-blocked kernel. `activations` holds the samples
-    /// back-to-back (`samples × rows`), `out` receives the outputs
-    /// back-to-back (`samples × cols`).
+    /// bit-identical to calling [`MappedWeights::forward`] on each
+    /// sample, for any block size and with or without a probe.
+    /// `activations` holds the samples back-to-back (`samples × rows`),
+    /// `out` receives the outputs back-to-back (`samples × cols`).
     ///
-    /// Per tile, the S1 encode runs for every sample of the block first,
-    /// then each column's conductance pair is loaded **once** and swept
-    /// across all samples, so tile data is read from cache instead of
-    /// being re-streamed from memory per sample. For every sample the
-    /// per-(tile, column) contributions still accumulate in tile order
-    /// with the row-order weighted sums of `forward_one`, so the result
-    /// is **bit-identical** to calling [`BatchPlan::forward_one`] on
-    /// each sample — for any block size.
+    /// For every sample the per-(tile, column) contributions accumulate
+    /// in tile order with row-order weighted sums, exactly as the
+    /// reference does; the block only changes how often the tile data is
+    /// streamed (once per block instead of once per sample).
+    ///
+    /// With `probe: None` each `(column, sample)` is decoded as soon as
+    /// its weighted sums are formed. With a probe the crossbar pass
+    /// stages every voltage pair first and a decode pass follows, so
+    /// the probe can time S1 encode, crossbar and S2 decode separately
+    /// and record the `t_out`/`V_out` histograms, zero-activation skips,
+    /// comparator-offset rejects and slice-end saturations. The probe's
+    /// layer counters advance by the whole block (`calls += samples`),
+    /// and the global kernel counters record one block of `samples`
+    /// samples streaming [`BatchPlan::tile_stream_bytes`] bytes.
     ///
     /// # Errors
     ///
@@ -580,6 +429,7 @@ impl BatchPlan {
         samples: usize,
         out: &mut [f64],
         scratch: &mut BatchScratch,
+        probe: Option<&LayerProbe>,
     ) -> Result<(), ResipeError> {
         if activations.len() != samples * self.rows {
             return Err(ResipeError::DimensionMismatch {
@@ -594,24 +444,28 @@ impl BatchPlan {
             });
         }
         out.fill(0.0);
+        match probe {
+            None => self.block_fused(activations, samples, out, scratch),
+            Some(probe) => self.block_staged(activations, samples, out, scratch, probe),
+        }
+        Ok(())
+    }
+
+    /// The unprobed loop order: decode each `(column, sample)` straight
+    /// from the crossbar walk.
+    fn block_fused(
+        &self,
+        activations: &[f64],
+        samples: usize,
+        out: &mut [f64],
+        scratch: &mut BatchScratch,
+    ) {
         for tile in &self.tiles {
             self.encode_block(tile, activations, samples, scratch);
             for j in 0..tile.cols {
-                let col = j * tile.rows..(j + 1) * tile.rows;
-                let gp = &tile.g_plus[col.clone()];
-                let gm = &tile.g_minus[col];
+                let g = tile.column(j);
                 for b in 0..samples {
-                    let v_in = &scratch.v_in_block[b * tile.rows..(b + 1) * tile.rows];
-                    let nz = &scratch.nz_idx[scratch.nz_bounds[b]..scratch.nz_bounds[b + 1]];
-                    let mut wp = 0.0f64;
-                    let mut wm = 0.0f64;
-                    for &p in nz {
-                        let v = v_in[p as usize];
-                        wp += v * gp[p as usize];
-                        wm += v * gm[p as usize];
-                    }
-                    let vp = Self::v_out(wp, tile.g_total_plus[j], tile.charge_plus[j]);
-                    let vm = Self::v_out(wm, tile.g_total_minus[j], tile.charge_minus[j]);
+                    let (vp, vm) = Self::crossbar(tile, j, g, scratch.held(b, tile.rows));
                     let d_plus = self.decode_column(vp, tile.offset_plus[j], tile.k_plus[j]);
                     let d_minus = self.decode_column(vm, tile.offset_minus[j], tile.k_minus[j]);
                     out[b * self.cols + j] += d_plus - d_minus;
@@ -621,78 +475,32 @@ impl BatchPlan {
         for y in out.iter_mut() {
             *y *= self.scale;
         }
-        Ok(())
     }
 
-    /// [`BatchPlan::forward_block`] with an optional telemetry probe.
-    ///
-    /// With `None` this *is* `forward_block`. With a probe, the per-tile
-    /// work is split into a block encode pass, a crossbar pass staging
-    /// every `(column, sample)` voltage pair, and a decode pass, so the
-    /// three stages can be timed separately and every column decode is
-    /// observed — the same staging argument as
-    /// [`BatchPlan::forward_one_probed`] keeps the outputs
-    /// **bit-identical**. The probe's layer counters advance by the
-    /// whole block (`calls += samples`), and the global kernel counters
-    /// record one block of `samples` samples streaming
-    /// [`BatchPlan::tile_stream_bytes`] conductance bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ResipeError::DimensionMismatch`] unless
-    /// `activations.len() == samples * rows` and
-    /// `out.len() == samples * cols`.
-    pub fn forward_block_probed(
+    /// The probed loop order: encode pass, crossbar pass staging every
+    /// voltage pair, decode pass — each timed into `probe`.
+    fn block_staged(
         &self,
         activations: &[f64],
         samples: usize,
         out: &mut [f64],
         scratch: &mut BatchScratch,
-        probe: Option<&LayerProbe>,
-    ) -> Result<(), ResipeError> {
-        let Some(probe) = probe else {
-            return self.forward_block(activations, samples, out, scratch);
-        };
-        if activations.len() != samples * self.rows {
-            return Err(ResipeError::DimensionMismatch {
-                expected: samples * self.rows,
-                got: activations.len(),
-            });
-        }
-        if out.len() != samples * self.cols {
-            return Err(ResipeError::DimensionMismatch {
-                expected: samples * self.cols,
-                got: out.len(),
-            });
-        }
+        probe: &LayerProbe,
+    ) {
         let mut stats = SampleStats {
             mvms: (samples * 2 * self.tiles.len()) as u64,
             ..SampleStats::default()
         };
-        out.fill(0.0);
         for tile in &self.tiles {
             let t0 = Instant::now();
             stats.zero_activation_skips += self.encode_block(tile, activations, samples, scratch);
             let t1 = Instant::now();
             scratch.v_cols_block.clear();
             for j in 0..tile.cols {
-                let col = j * tile.rows..(j + 1) * tile.rows;
-                let gp = &tile.g_plus[col.clone()];
-                let gm = &tile.g_minus[col];
+                let g = tile.column(j);
                 for b in 0..samples {
-                    let v_in = &scratch.v_in_block[b * tile.rows..(b + 1) * tile.rows];
-                    let nz = &scratch.nz_idx[scratch.nz_bounds[b]..scratch.nz_bounds[b + 1]];
-                    let mut wp = 0.0f64;
-                    let mut wm = 0.0f64;
-                    for &p in nz {
-                        let v = v_in[p as usize];
-                        wp += v * gp[p as usize];
-                        wm += v * gm[p as usize];
-                    }
-                    scratch.v_cols_block.push((
-                        Self::v_out(wp, tile.g_total_plus[j], tile.charge_plus[j]),
-                        Self::v_out(wm, tile.g_total_minus[j], tile.charge_minus[j]),
-                    ));
+                    let pair = Self::crossbar(tile, j, g, scratch.held(b, tile.rows));
+                    scratch.v_cols_block.push(pair);
                 }
             }
             let t2 = Instant::now();
@@ -727,396 +535,7 @@ impl BatchPlan {
         }
         stats.s2_decode_nanos += t_scale.elapsed().as_nanos() as u64;
         probe.record_block(stats, samples as u64);
-        probe.record_kernel(samples as u64, self.tile_stream_bytes, Backend::Scalar);
-        Ok(())
-    }
-
-    /// [`BatchPlan::forward_one`] executed by the selected
-    /// [`Backend`]. [`Backend::Scalar`] *is* `forward_one`;
-    /// [`Backend::VectorF32`] returns the same bits through the lane
-    /// kernel; [`Backend::FixedI32`] stays within
-    /// [`BatchPlan::backend_error_bound`] of the reference.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ResipeError::DimensionMismatch`] unless
-    /// `activations.len() == rows`.
-    pub fn forward_one_with(
-        &self,
-        backend: Backend,
-        activations: &[f64],
-        scratch: &mut BatchScratch,
-    ) -> Result<Vec<f64>, ResipeError> {
-        if backend == Backend::Scalar {
-            return self.forward_one(activations, scratch);
-        }
-        let mut out = vec![0.0f64; self.cols];
-        self.forward_block_with(backend, activations, 1, &mut out, scratch)?;
-        Ok(out)
-    }
-
-    /// [`BatchPlan::forward_block`] executed by the selected
-    /// [`Backend`]. The scalar arm delegates to the untouched reference
-    /// kernel; the other backends run the shared
-    /// encode → prepare → stage → decode pipeline with their own
-    /// computation stage (see [`crate::kernel`] for the per-backend
-    /// equivalence guarantees).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ResipeError::DimensionMismatch`] unless
-    /// `activations.len() == samples * rows` and
-    /// `out.len() == samples * cols`.
-    pub fn forward_block_with(
-        &self,
-        backend: Backend,
-        activations: &[f64],
-        samples: usize,
-        out: &mut [f64],
-        scratch: &mut BatchScratch,
-    ) -> Result<(), ResipeError> {
-        if backend == Backend::Scalar {
-            return self.forward_block(activations, samples, out, scratch);
-        }
-        self.run_block_kernel(backend, activations, samples, out, scratch, None)
-    }
-
-    /// [`BatchPlan::forward_block_probed`] executed by the selected
-    /// [`Backend`]: the probed counterpart of
-    /// [`BatchPlan::forward_block_with`]. The probe's kernel counters
-    /// record the block against the backend that ran it (per-backend
-    /// block counters, backend-specific streamed bytes).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ResipeError::DimensionMismatch`] unless
-    /// `activations.len() == samples * rows` and
-    /// `out.len() == samples * cols`.
-    pub fn forward_block_probed_with(
-        &self,
-        backend: Backend,
-        activations: &[f64],
-        samples: usize,
-        out: &mut [f64],
-        scratch: &mut BatchScratch,
-        probe: Option<&LayerProbe>,
-    ) -> Result<(), ResipeError> {
-        if backend == Backend::Scalar {
-            return self.forward_block_probed(activations, samples, out, scratch, probe);
-        }
-        self.run_block_kernel(backend, activations, samples, out, scratch, probe)
-    }
-
-    /// The generic staged block pipeline behind the non-scalar
-    /// backends: shared S1 block encode, backend prepare + compute
-    /// stages filling the `(V_out⁺, V_out⁻)` staging buffer, then the
-    /// shared decode pass, the same per-column decode as the fused
-    /// scalar kernel.
-    fn run_block_kernel(
-        &self,
-        backend: Backend,
-        activations: &[f64],
-        samples: usize,
-        out: &mut [f64],
-        scratch: &mut BatchScratch,
-        probe: Option<&LayerProbe>,
-    ) -> Result<(), ResipeError> {
-        if activations.len() != samples * self.rows {
-            return Err(ResipeError::DimensionMismatch {
-                expected: samples * self.rows,
-                got: activations.len(),
-            });
-        }
-        if out.len() != samples * self.cols {
-            return Err(ResipeError::DimensionMismatch {
-                expected: samples * self.cols,
-                got: out.len(),
-            });
-        }
-        let kernel = backend.kernel();
-        let mut stats = SampleStats {
-            mvms: (samples * 2 * self.tiles.len()) as u64,
-            ..SampleStats::default()
-        };
-        out.fill(0.0);
-        for ti in 0..self.tiles.len() {
-            let t0 = Instant::now();
-            stats.zero_activation_skips +=
-                self.encode_block(&self.tiles[ti], activations, samples, scratch);
-            kernel.prepare_tile_block(self, ti, samples, scratch);
-            let t1 = Instant::now();
-            scratch.v_cols_block.clear();
-            scratch
-                .v_cols_block
-                .resize(self.tiles[ti].cols * samples, (0.0, 0.0));
-            kernel.stage_tile_block(self, ti, samples, scratch);
-            let t2 = Instant::now();
-            let tile = &self.tiles[ti];
-            for j in 0..tile.cols {
-                for b in 0..samples {
-                    let (vp, vm) = scratch.v_cols_block[j * samples + b];
-                    let (op, kp) = (tile.offset_plus[j], tile.k_plus[j]);
-                    let (om, km) = (tile.offset_minus[j], tile.k_minus[j]);
-                    let (d_plus, d_minus) = match probe {
-                        Some(probe) => (
-                            self.decode_column_probed(vp, op, kp, probe, &mut stats),
-                            self.decode_column_probed(vm, om, km, probe, &mut stats),
-                        ),
-                        None => (
-                            self.decode_column(vp, op, kp),
-                            self.decode_column(vm, om, km),
-                        ),
-                    };
-                    out[b * self.cols + j] += d_plus - d_minus;
-                }
-            }
-            let t3 = Instant::now();
-            stats.s1_encode_nanos += (t1 - t0).as_nanos() as u64;
-            stats.crossbar_nanos += (t2 - t1).as_nanos() as u64;
-            stats.s2_decode_nanos += (t3 - t2).as_nanos() as u64;
-        }
-        let t_scale = Instant::now();
-        for y in out.iter_mut() {
-            *y *= self.scale;
-        }
-        stats.s2_decode_nanos += t_scale.elapsed().as_nanos() as u64;
-        if let Some(probe) = probe {
-            probe.record_block(stats, samples as u64);
-            probe.record_kernel(samples as u64, kernel.stream_bytes(self), backend);
-        }
-        Ok(())
-    }
-
-    /// The scalar computation stage in staged form: the sparse
-    /// non-zero-index walk of [`BatchPlan::forward_block`] writing the
-    /// sampled voltage pairs into the staging buffer instead of fusing
-    /// the decode.
-    pub(crate) fn stage_tile_block_scalar(
-        &self,
-        ti: usize,
-        samples: usize,
-        scratch: &mut BatchScratch,
-    ) {
-        let tile = &self.tiles[ti];
-        for j in 0..tile.cols {
-            let col = j * tile.rows..(j + 1) * tile.rows;
-            let gp = &tile.g_plus[col.clone()];
-            let gm = &tile.g_minus[col];
-            for b in 0..samples {
-                let v_in = &scratch.v_in_block[b * tile.rows..(b + 1) * tile.rows];
-                let nz = &scratch.nz_idx[scratch.nz_bounds[b]..scratch.nz_bounds[b + 1]];
-                let mut wp = 0.0f64;
-                let mut wm = 0.0f64;
-                for &p in nz {
-                    let v = v_in[p as usize];
-                    wp += v * gp[p as usize];
-                    wm += v * gm[p as usize];
-                }
-                scratch.v_cols_block[j * samples + b] = (
-                    Self::v_out(wp, tile.g_total_plus[j], tile.charge_plus[j]),
-                    Self::v_out(wm, tile.g_total_minus[j], tile.charge_minus[j]),
-                );
-            }
-        }
-    }
-
-    /// The [`Backend::VectorF32`] computation stage: [`VECTOR_LANES`]
-    /// samples advance per conductance load, each lane's accumulator
-    /// adding its products in the reference ascending row order, and the
-    /// dense rows replace the non-zero index walk (zero-voltage rows
-    /// contribute exact `±0.0` products, which cannot flip an
-    /// accumulator that is never `-0.0`). Bit-identical to
-    /// [`BatchPlan::stage_tile_block_scalar`] by construction.
-    pub(crate) fn stage_tile_block_vector(
-        &self,
-        ti: usize,
-        samples: usize,
-        scratch: &mut BatchScratch,
-    ) {
-        let tile = &self.tiles[ti];
-        let rows = tile.rows;
-        for j in 0..tile.cols {
-            let col = j * rows..(j + 1) * rows;
-            let gp = &tile.g_plus[col.clone()];
-            let gm = &tile.g_minus[col];
-            let (gtp, chp) = (tile.g_total_plus[j], tile.charge_plus[j]);
-            let (gtm, chm) = (tile.g_total_minus[j], tile.charge_minus[j]);
-            let mut b = 0usize;
-            while b + VECTOR_LANES <= samples {
-                let mut wp = [0.0f64; VECTOR_LANES];
-                let mut wm = [0.0f64; VECTOR_LANES];
-                let lanes: [&[f64]; VECTOR_LANES] = std::array::from_fn(|l| {
-                    &scratch.v_in_block[(b + l) * rows..(b + l + 1) * rows]
-                });
-                for (p, (&gpv, &gmv)) in gp.iter().zip(gm).enumerate() {
-                    for l in 0..VECTOR_LANES {
-                        let v = lanes[l][p];
-                        wp[l] += v * gpv;
-                        wm[l] += v * gmv;
-                    }
-                }
-                for l in 0..VECTOR_LANES {
-                    scratch.v_cols_block[j * samples + b + l] =
-                        (Self::v_out(wp[l], gtp, chp), Self::v_out(wm[l], gtm, chm));
-                }
-                b += VECTOR_LANES;
-            }
-            while b < samples {
-                let v_in = &scratch.v_in_block[b * rows..(b + 1) * rows];
-                let mut swp = 0.0f64;
-                let mut swm = 0.0f64;
-                for (p, (&gpv, &gmv)) in gp.iter().zip(gm).enumerate() {
-                    let v = v_in[p];
-                    swp += v * gpv;
-                    swm += v * gmv;
-                }
-                scratch.v_cols_block[j * samples + b] =
-                    (Self::v_out(swp, gtp, chp), Self::v_out(swm, gtm, chm));
-                b += 1;
-            }
-        }
-    }
-
-    /// The [`Backend::FixedI32`] prepare stage: rounds the block's held
-    /// wordline voltages to `i32` codes of `v_lsb` volts each. Codes
-    /// never exceed `2^FIXED_QBITS` because held voltages live in
-    /// `[0, V_s)`.
-    pub(crate) fn quantize_block_inputs(&self, scratch: &mut BatchScratch) {
-        scratch.q_in_block.clear();
-        for &v in &scratch.v_in_block {
-            scratch.q_in_block.push((v / self.v_lsb).round() as i32);
-        }
-    }
-
-    /// The [`Backend::FixedI32`] computation stage: an exact `i64` dot
-    /// product of the quantized voltage and conductance codes,
-    /// dequantized once per `(column, sample)` and fed through the same
-    /// analog charge division as the reference. Products are bounded by
-    /// `2^(2·FIXED_QBITS)`, so the accumulator cannot overflow below
-    /// `2^33` wordlines per tile.
-    pub(crate) fn stage_tile_block_fixed(
-        &self,
-        ti: usize,
-        samples: usize,
-        scratch: &mut BatchScratch,
-    ) {
-        let tile = &self.tiles[ti];
-        let ft = &self.fixed_tiles()[ti];
-        let rows = tile.rows;
-        for j in 0..tile.cols {
-            let col = j * rows..(j + 1) * rows;
-            let qp = &ft.q_plus[col.clone()];
-            let qm = &ft.q_minus[col];
-            for b in 0..samples {
-                let qv = &scratch.q_in_block[b * rows..(b + 1) * rows];
-                let mut ap = 0i64;
-                let mut am = 0i64;
-                for (p, (&qpv, &qmv)) in qp.iter().zip(qm).enumerate() {
-                    let v = i64::from(qv[p]);
-                    ap += v * i64::from(qpv);
-                    am += v * i64::from(qmv);
-                }
-                scratch.v_cols_block[j * samples + b] = (
-                    Self::v_out(
-                        ap as f64 * ft.w_scale,
-                        tile.g_total_plus[j],
-                        tile.charge_plus[j],
-                    ),
-                    Self::v_out(
-                        am as f64 * ft.w_scale,
-                        tile.g_total_minus[j],
-                        tile.charge_minus[j],
-                    ),
-                );
-            }
-        }
-    }
-
-    /// The lazily built integer tile mirrors of the fixed-point backend.
-    fn fixed_tiles(&self) -> &[FixedTile] {
-        self.fixed.get_or_init(|| {
-            self.tiles
-                .iter()
-                .map(|t| {
-                    let g_max = t
-                        .g_plus
-                        .iter()
-                        .chain(&t.g_minus)
-                        .fold(f64::MIN_POSITIVE, |m, &g| m.max(g));
-                    let g_lsb = g_max / FIXED_LEVELS;
-                    let quantize =
-                        |gs: &[f64]| gs.iter().map(|&g| (g / g_lsb).round() as i32).collect();
-                    FixedTile {
-                        q_plus: quantize(&t.g_plus),
-                        q_minus: quantize(&t.g_minus),
-                        g_lsb,
-                        w_scale: self.v_lsb * g_lsb,
-                    }
-                })
-                .collect()
-        })
-    }
-
-    /// Worst-case absolute deviation of the selected backend from the
-    /// scalar reference, per logical output column, on *any* valid
-    /// input. Exact backends return all-zero bounds; the documented
-    /// [`Backend::FixedI32`] bound is, per column `j` and differential
-    /// arm of each tile:
-    ///
-    /// * weighted-sum quantization
-    ///   `Δw ≤ ΣG_j · v_lsb/2 + rows · (V_s · g_lsb/2 + v_lsb·g_lsb/4)`
-    ///   (each held voltage is within `v_lsb/2` of its code, each
-    ///   conductance within `g_lsb/2`, voltages below `V_s`);
-    /// * through the charge division, `Δv_out = (Δw / ΣG_j) · charge_j`;
-    /// * through the decode, divided by the column constant `k_j`. With
-    ///   continuous timing the decode is exactly `min(clamp(·), V_sat)`,
-    ///   which is 1-Lipschitz and evaluated without rounding. When spike
-    ///   times are quantized to `q`, the time-domain round trip adds
-    ///   `V_s · q / τ_gd` (time rounding moves each decode by at most
-    ///   `q/2 · V_s/τ_gd`). A `10⁻¹² V_s` allowance covers the `ln`/`exp`
-    ///   evaluation of that quantized path;
-    /// * summed over both arms and all tiles, scaled by the digital
-    ///   rescale, with a `1 + 10⁻⁹` safety factor for `f64` rounding in
-    ///   the comparison itself.
-    ///
-    /// The `backend_equivalence` proptests pin every fixed-point output
-    /// inside this bound across shapes, block sizes and the full
-    /// non-ideality chain.
-    pub fn backend_error_bound(&self, backend: Backend) -> Vec<f64> {
-        if backend.is_exact() {
-            return vec![0.0; self.cols];
-        }
-        let dv = self.v_lsb / 2.0;
-        let vs = self.codec.vs;
-        let tq = self
-            .codec
-            .time_quantum
-            .map_or(0.0, |q| vs * q / self.codec.tau);
-        let fixed = self.fixed_tiles();
-        let mut bound = vec![0.0f64; self.cols];
-        for (tile, ft) in self.tiles.iter().zip(fixed) {
-            let dg = ft.g_lsb / 2.0;
-            let per_row = vs * dg + dv * dg;
-            for (j, slot) in bound.iter_mut().enumerate().take(tile.cols) {
-                for (g_total, charge, k) in [
-                    (tile.g_total_plus[j], tile.charge_plus[j], tile.k_plus[j]),
-                    (tile.g_total_minus[j], tile.charge_minus[j], tile.k_minus[j]),
-                ] {
-                    if g_total == 0.0 {
-                        // Both backends sample exactly V_out = 0 here.
-                        continue;
-                    }
-                    let dw = g_total * dv + tile.rows as f64 * per_row;
-                    let dvout = dw / g_total * charge;
-                    *slot += (dvout + tq + 1e-12 * vs) / k;
-                }
-            }
-        }
-        let s = self.scale.abs() * (1.0 + 1e-9);
-        for b in &mut bound {
-            *b *= s;
-        }
-        bound
+        probe.record_kernel(samples as u64, self.tile_stream_bytes);
     }
 }
 
@@ -1143,6 +562,18 @@ mod tests {
         }
     }
 
+    /// One sample through the kernel: a block of 1.
+    fn run_one(
+        plan: &BatchPlan,
+        a: &[f64],
+        scratch: &mut BatchScratch,
+        probe: Option<&LayerProbe>,
+    ) -> Vec<f64> {
+        let mut out = vec![f64::NAN; plan.cols()];
+        plan.forward_block(a, 1, &mut out, scratch, probe).unwrap();
+        out
+    }
+
     #[test]
     fn plan_matches_sequential_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(11);
@@ -1155,7 +586,7 @@ mod tests {
             for _ in 0..5 {
                 let a: Vec<f64> = (0..64).map(|_| rng.gen_range(0.0..1.0)).collect();
                 let seq = mapped.forward(&e, &a, encoding).unwrap();
-                let bat = plan.forward_one(&a, &mut scratch).unwrap();
+                let bat = run_one(&plan, &a, &mut scratch, None);
                 exact_eq(&seq, &bat);
             }
         }
@@ -1190,7 +621,7 @@ mod tests {
                 })
                 .collect();
             let seq = mapped.forward(&e, &a, SpikeEncoding::PassThrough).unwrap();
-            let bat = plan.forward_one(&a, &mut scratch).unwrap();
+            let bat = run_one(&plan, &a, &mut scratch, None);
             exact_eq(&seq, &bat);
         }
     }
@@ -1220,11 +651,11 @@ mod tests {
                     }
                 })
                 .collect();
-            let plain = plan.forward_one(&a, &mut scratch).unwrap();
-            let probed = plan
-                .forward_one_probed(&a, &mut scratch, Some(&probe))
-                .unwrap();
-            exact_eq(&plain, &probed);
+            let seq = mapped.forward(&e, &a, SpikeEncoding::PassThrough).unwrap();
+            let plain = run_one(&plan, &a, &mut scratch, None);
+            let probed = run_one(&plan, &a, &mut scratch, Some(&probe));
+            exact_eq(&seq, &plain);
+            exact_eq(&seq, &probed);
             samples += 1;
         }
         let snap = telemetry.snapshot();
@@ -1233,6 +664,9 @@ mod tests {
         assert_eq!(l.calls, samples);
         assert_eq!(l.mvms, samples * mapped.mvms_per_forward() as u64);
         assert!(l.zero_activation_skips > 0, "sparse inputs must skip");
+        // One sample is one kernel block.
+        assert_eq!(snap.counters.kernel_blocks, samples);
+        assert_eq!(snap.counters.kernel_block_samples, samples);
         // Every decoded column lands in both histograms (2 arrays/col).
         let decodes = samples * 2 * 4 * plan.tiles.len() as u64;
         assert_eq!(snap.t_out.total(), decodes);
@@ -1275,7 +709,7 @@ mod tests {
             let probe = telemetry.layer_probe(0, cfg).expect("enabled probe");
             let a: Vec<f64> = (0..n * rows).map(|_| rng.gen_range(0.3..1.0)).collect();
             let mut out = vec![0.0; n * cols];
-            plan.forward_block_probed(&a, n, &mut out, &mut plan.scratch(), Some(&probe))
+            plan.forward_block(&a, n, &mut out, &mut plan.scratch(), Some(&probe))
                 .unwrap();
 
             let mut t_bins = vec![0u64; HISTOGRAM_BINS];
@@ -1325,19 +759,26 @@ mod tests {
         let mapped = TileMapper::paper().map(&[0.5, -0.5], 2, 1).unwrap();
         let e = engine();
         let plan = BatchPlan::new(&e, &mapped, SpikeEncoding::LinearTime);
+        let telemetry = crate::telemetry::Telemetry::enabled();
+        let probe = telemetry.layer_probe(0, e.config()).expect("enabled probe");
         let mut scratch = plan.scratch();
-        assert!(plan.forward_one(&[0.1], &mut scratch).is_err());
         let mut out = vec![0.0; 2];
-        assert!(plan
-            .forward_block(&[0.1; 3], 2, &mut out, &mut scratch)
-            .is_err());
-        assert!(plan
-            .forward_block(&[0.1; 4], 2, &mut out[..1], &mut scratch)
-            .is_err());
+        for probe in [None, Some(&probe)] {
+            assert!(plan
+                .forward_block(&[0.1], 1, &mut out[..1], &mut scratch, probe)
+                .is_err());
+            assert!(plan
+                .forward_block(&[0.1; 3], 2, &mut out, &mut scratch, probe)
+                .is_err());
+            assert!(plan
+                .forward_block(&[0.1; 4], 2, &mut out[..1], &mut scratch, probe)
+                .is_err());
+        }
+        assert_eq!(telemetry.snapshot().counters.kernel_blocks, 0);
     }
 
     #[test]
-    fn block_kernel_matches_forward_one_bit_for_bit() {
+    fn block_kernel_matches_sequential_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(23);
         let weights: Vec<f64> = (0..80 * 6).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let model = resipe_reram::VariationModel::device_to_device(0.12).unwrap();
@@ -1367,7 +808,8 @@ mod tests {
             let mut reference = Vec::with_capacity(n * 6);
             for b in 0..n {
                 reference.extend(
-                    plan.forward_one(&a[b * 80..(b + 1) * 80], &mut scratch)
+                    mapped
+                        .forward(&e, &a[b * 80..(b + 1) * 80], encoding)
                         .unwrap(),
                 );
             }
@@ -1380,6 +822,7 @@ mod tests {
                         b,
                         &mut out[start * 6..(start + b) * 6],
                         &mut scratch,
+                        None,
                     )
                     .unwrap();
                 }
@@ -1405,9 +848,10 @@ mod tests {
         let n = 7usize;
         let a: Vec<f64> = (0..n * 48).map(|_| rng.gen_range(0.0..1.0)).collect();
         let mut plain = vec![0.0; n * 4];
-        plan.forward_block(&a, n, &mut plain, &mut scratch).unwrap();
+        plan.forward_block(&a, n, &mut plain, &mut scratch, None)
+            .unwrap();
         let mut probed = vec![0.0; n * 4];
-        plan.forward_block_probed(&a, n, &mut probed, &mut scratch, Some(&probe))
+        plan.forward_block(&a, n, &mut probed, &mut scratch, Some(&probe))
             .unwrap();
         exact_eq(&plain, &probed);
         let snap = telemetry.snapshot();
@@ -1421,164 +865,5 @@ mod tests {
             plan.tile_stream_bytes()
         );
         assert!(plan.tile_stream_bytes() > 0);
-    }
-
-    /// A mapped layer carrying the full non-ideality chain, shared by
-    /// the backend tests below.
-    fn nonideal_mapped(rows: usize, cols: usize, quantized: bool) -> MappedWeights {
-        let mut rng = StdRng::seed_from_u64(41);
-        let weights: Vec<f64> = (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let model = resipe_reram::VariationModel::device_to_device(0.12).unwrap();
-        let mapped = TileMapper::paper()
-            .with_spare_cols(2)
-            .map(&weights, rows, cols)
-            .unwrap()
-            .with_faults(0.02, 4, 31)
-            .unwrap()
-            .perturbed(&model, 9)
-            .with_comparator_offsets(0.01, 17);
-        if quantized {
-            mapped.with_time_quantization(Seconds(1e-9))
-        } else {
-            mapped
-        }
-    }
-
-    #[test]
-    fn vector_backend_is_bit_identical_across_blocks() {
-        let mut rng = StdRng::seed_from_u64(43);
-        let mapped = nonideal_mapped(80, 6, true);
-        let e = engine();
-        for encoding in [SpikeEncoding::LinearTime, SpikeEncoding::PassThrough] {
-            let plan = BatchPlan::new(&e, &mapped, encoding);
-            let mut scratch = plan.scratch();
-            let n = 11usize;
-            let a: Vec<f64> = (0..n * 80)
-                .map(|_| {
-                    if rng.gen_range(0.0..1.0) < 0.4 {
-                        0.0
-                    } else {
-                        rng.gen_range(0.0..1.0)
-                    }
-                })
-                .collect();
-            let mut reference = Vec::with_capacity(n * 6);
-            for b in 0..n {
-                reference.extend(
-                    plan.forward_one(&a[b * 80..(b + 1) * 80], &mut scratch)
-                        .unwrap(),
-                );
-            }
-            // Blocks below, at, and above the lane width exercise both
-            // the unrolled lanes and the scalar remainder loop.
-            for block in [1usize, 3, 4, 5, 8, 11] {
-                let mut out = vec![f64::NAN; n * 6];
-                for start in (0..n).step_by(block) {
-                    let b = block.min(n - start);
-                    plan.forward_block_with(
-                        Backend::VectorF32,
-                        &a[start * 80..(start + b) * 80],
-                        b,
-                        &mut out[start * 6..(start + b) * 6],
-                        &mut scratch,
-                    )
-                    .unwrap();
-                }
-                exact_eq(&reference, &out);
-            }
-        }
-    }
-
-    #[test]
-    fn fixed_backend_stays_within_documented_bound() {
-        let mut rng = StdRng::seed_from_u64(47);
-        let e = engine();
-        for quantized in [false, true] {
-            let mapped = nonideal_mapped(64, 5, quantized);
-            let plan = BatchPlan::new(&e, &mapped, SpikeEncoding::PassThrough);
-            let bound = plan.backend_error_bound(Backend::FixedI32);
-            assert!(bound.iter().all(|&b| b > 0.0 && b.is_finite()));
-            let mut scratch = plan.scratch();
-            for _ in 0..8 {
-                let a: Vec<f64> = (0..64).map(|_| rng.gen_range(0.0..1.0)).collect();
-                let exact = plan.forward_one(&a, &mut scratch).unwrap();
-                let fixed = plan
-                    .forward_one_with(Backend::FixedI32, &a, &mut scratch)
-                    .unwrap();
-                for (j, ((x, f), b)) in exact.iter().zip(&fixed).zip(&bound).enumerate() {
-                    let dev = (x - f).abs();
-                    assert!(
-                        dev <= *b,
-                        "column {j}: |{x:e} - {f:e}| = {dev:e} exceeds bound {b:e} \
-                         (quantized: {quantized})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn exact_backends_report_zero_bound() {
-        let mapped = nonideal_mapped(32, 3, false);
-        let e = engine();
-        let plan = BatchPlan::new(&e, &mapped, SpikeEncoding::LinearTime);
-        assert!(plan
-            .backend_error_bound(Backend::Scalar)
-            .iter()
-            .all(|&b| b == 0.0));
-        assert!(plan
-            .backend_error_bound(Backend::VectorF32)
-            .iter()
-            .all(|&b| b == 0.0));
-    }
-
-    #[test]
-    fn probed_backend_blocks_count_per_backend() {
-        let mut rng = StdRng::seed_from_u64(53);
-        let weights: Vec<f64> = (0..48 * 4).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mapped = TileMapper::paper().map(&weights, 48, 4).unwrap();
-        let e = engine();
-        let plan = BatchPlan::new(&e, &mapped, SpikeEncoding::PassThrough);
-        let telemetry = crate::telemetry::Telemetry::enabled();
-        let cfg = e.config();
-        let probe = telemetry.layer_probe(0, cfg).expect("enabled probe");
-        let mut scratch = plan.scratch();
-        let n = 6usize;
-        let a: Vec<f64> = (0..n * 48).map(|_| rng.gen_range(0.0..1.0)).collect();
-        let mut plain = vec![0.0; n * 4];
-        plan.forward_block_with(Backend::VectorF32, &a, n, &mut plain, &mut scratch)
-            .unwrap();
-        let mut probed = vec![0.0; n * 4];
-        plan.forward_block_probed_with(
-            Backend::VectorF32,
-            &a,
-            n,
-            &mut probed,
-            &mut scratch,
-            Some(&probe),
-        )
-        .unwrap();
-        exact_eq(&plain, &probed);
-        let mut fixed = vec![0.0; n * 4];
-        plan.forward_block_probed_with(
-            Backend::FixedI32,
-            &a,
-            n,
-            &mut fixed,
-            &mut scratch,
-            Some(&probe),
-        )
-        .unwrap();
-        let snap = telemetry.snapshot();
-        assert_eq!(snap.counters.kernel_blocks, 2);
-        assert_eq!(snap.counters.backend_vector_f32_blocks, 1);
-        assert_eq!(snap.counters.backend_fixed_i32_blocks, 1);
-        assert_eq!(snap.counters.backend_scalar_blocks, 0);
-        // The vector backend streams the f64 mirrors, the fixed backend
-        // its half-width i32 codes.
-        assert_eq!(
-            snap.counters.kernel_bytes_streamed,
-            plan.tile_stream_bytes() + plan.tile_stream_bytes() / 2
-        );
     }
 }

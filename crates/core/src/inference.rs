@@ -33,7 +33,6 @@ use crate::batch::{BatchPlan, BatchScratch};
 use crate::config::ResipeConfig;
 use crate::engine::ResipeEngine;
 use crate::error::ResipeError;
-use crate::kernel::Backend;
 use crate::mapping::{MappedWeights, SpikeEncoding, TileMapper};
 use crate::repair::{repair_layer_with, HealthReport, RepairPolicy};
 use crate::seeds;
@@ -477,6 +476,30 @@ impl EpochCell {
     }
 }
 
+/// Output `(height, width)` of a `kernel × kernel` convolution with
+/// `padding` over an `h × w` input.
+///
+/// # Errors
+///
+/// Returns [`ResipeError::DimensionMismatch`] (expected: the kernel
+/// size, got: the smaller padded input side) when the padded input is
+/// smaller than the kernel, so no output pixel exists.
+fn conv_output_hw(
+    h: usize,
+    w: usize,
+    kernel: usize,
+    padding: usize,
+) -> Result<(usize, usize), ResipeError> {
+    let (padded_h, padded_w) = (h + 2 * padding, w + 2 * padding);
+    if padded_h < kernel || padded_w < kernel {
+        return Err(ResipeError::DimensionMismatch {
+            expected: kernel,
+            got: padded_h.min(padded_w),
+        });
+    }
+    Ok((padded_h + 1 - kernel, padded_w + 1 - kernel))
+}
+
 /// How [`HardwareNetwork::run`] executes the hardware layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecutionMode {
@@ -501,12 +524,6 @@ pub struct RunOptions {
     /// Block size never changes output bits — only how samples are
     /// grouped per tile pass.
     pub block: Option<usize>,
-    /// Kernel backend executing the planned path's crossbar weighted
-    /// sums (default [`Backend::Scalar`]; see [`crate::kernel`] for the
-    /// per-backend exactness guarantees). Ignored by
-    /// [`ExecutionMode::PerSample`], which *is* the scalar reference by
-    /// definition.
-    pub backend: Backend,
 }
 
 impl RunOptions {
@@ -515,7 +532,6 @@ impl RunOptions {
         RunOptions {
             mode: ExecutionMode::Planned,
             block: None,
-            backend: Backend::Scalar,
         }
     }
 
@@ -524,7 +540,6 @@ impl RunOptions {
         RunOptions {
             mode: ExecutionMode::PerSample,
             block: None,
-            backend: Backend::Scalar,
         }
     }
 
@@ -537,12 +552,6 @@ impl RunOptions {
     /// Pins the planned path's sample-block size (clamped to ≥ 1).
     pub fn with_block_size(mut self, block: usize) -> RunOptions {
         self.block = Some(block.max(1));
-        self
-    }
-
-    /// Selects the kernel backend of the planned path.
-    pub fn with_backend(mut self, backend: Backend) -> RunOptions {
-        self.backend = backend;
         self
     }
 }
@@ -1071,14 +1080,8 @@ impl HardwareNetwork {
                             );
                         }
                         let mut ys = vec![0.0f64; b * cols];
-                        let r = plan.forward_block_probed_with(
-                            options.backend,
-                            &a_block,
-                            b,
-                            &mut ys,
-                            &mut scratch,
-                            probe.as_ref(),
-                        );
+                        let r =
+                            plan.forward_block(&a_block, b, &mut ys, &mut scratch, probe.as_ref());
                         scratch.a_block = a_block;
                         self.put_scratch(scratch);
                         r.map(|()| ys)
@@ -1115,9 +1118,8 @@ impl HardwareNetwork {
                         got: s.len(),
                     });
                 }
-                let (n, h, w) = (s[0], s[2], s[3]);
-                let h_out = h + 2 * padding + 1 - kernel;
-                let w_out = w + 2 * padding + 1 - kernel;
+                let n = s[0];
+                let (h_out, w_out) = conv_output_hw(s[2], s[3], *kernel, *padding)?;
                 let n_pix = h_out * w_out;
                 let plan = state.plan(&self.engine);
                 let probe = self.layer_probe(li);
@@ -1148,8 +1150,7 @@ impl HardwareNetwork {
                                     (cols.get(&[r, pix]) as f64 / input_scale).clamp(0.0, 1.0)
                                 }));
                             }
-                            if let Err(e) = plan.forward_block_probed_with(
-                                options.backend,
+                            if let Err(e) = plan.forward_block(
                                 &a_block,
                                 bl,
                                 &mut pix_out[start * n_cols..(start + bl) * n_cols],
@@ -1252,9 +1253,8 @@ impl HardwareNetwork {
                         got: s.len(),
                     });
                 }
-                let (n, h, w) = (s[0], s[2], s[3]);
-                let h_out = h + 2 * padding + 1 - kernel;
-                let w_out = w + 2 * padding + 1 - kernel;
+                let n = s[0];
+                let (h_out, w_out) = conv_output_hw(s[2], s[3], *kernel, *padding)?;
                 let probe = self.layer_probe(li);
                 let mut out = Tensor::zeros(&[n, *out_channels, h_out, w_out]);
                 for b in 0..n {
@@ -1434,6 +1434,34 @@ mod tests {
         let (x, _) = train.batch(&[0, 1]).unwrap();
         let y = hw.forward(&x).unwrap();
         assert_eq!(y.shape(), &[2, 10]);
+    }
+
+    /// An input smaller than the (padded) kernel has no output pixel:
+    /// both execution modes must reject it instead of panicking on an
+    /// empty output tensor (2×2) or a `usize` underflow (1×1).
+    #[test]
+    fn conv_input_smaller_than_kernel_is_rejected() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut net = Network::new("conv3x3");
+        net.push(resipe_nn::layers::Conv2d::new(1, 2, 3, 0, &mut rng));
+        let calib =
+            Tensor::from_vec((0..4 * 9).map(|i| i as f32 / 36.0).collect(), &[4, 1, 3, 3]).unwrap();
+        let hw = HardwareNetwork::compile(&net, &calib, &CompileOptions::paper()).unwrap();
+        for side in [2usize, 1] {
+            let x = Tensor::from_vec(vec![0.5; side * side], &[1, 1, side, side]).unwrap();
+            for options in [RunOptions::planned(), RunOptions::per_sample()] {
+                let err = hw.run(&x, &options).unwrap_err();
+                assert!(
+                    matches!(err, ResipeError::DimensionMismatch { expected: 3, got } if got == side),
+                    "{side}x{side} input under {:?}: {err}",
+                    options.mode
+                );
+            }
+        }
+        // The smallest valid input still runs: one output pixel.
+        let y = hw.run(&calib, &RunOptions::planned()).unwrap().outputs;
+        assert_eq!(y.shape(), &[4, 2, 1, 1]);
     }
 
     #[test]

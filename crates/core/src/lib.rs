@@ -63,7 +63,6 @@ pub mod engine;
 pub mod error;
 pub mod gd;
 pub mod inference;
-pub mod kernel;
 pub mod mapping;
 pub mod parasitics;
 pub mod pipeline;

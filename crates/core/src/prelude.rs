@@ -8,8 +8,7 @@
 //! the engine and its configuration, the compile pipeline
 //! ([`CompileOptions`], [`TileMapper`], [`HardwareNetwork`],
 //! [`CompileCache`]), the unified run API ([`RunOptions`],
-//! [`RunResult`], [`ExecutionMode`], the kernel [`Backend`]
-//! selector), resilience ([`RepairPolicy`],
+//! [`RunResult`], [`ExecutionMode`]), resilience ([`RepairPolicy`],
 //! [`HealthReport`], [`Scrubber`], [`ScrubConfig`]), energy
 //! ([`EnergyModel`], [`StageEnergy`]),
 //! telemetry ([`Telemetry`], [`TelemetrySnapshot`]) and the
@@ -27,7 +26,6 @@ pub use crate::inference::{
     accuracy_under_variation, CompileOptions, EncodingPolicy, ExecutionMode, FaultInjection,
     HardwareNetwork, RunOptions, RunResult,
 };
-pub use crate::kernel::Backend;
 pub use crate::mapping::{SpikeEncoding, TileMapper};
 pub use crate::power::{EnergyBreakdown, EnergyModel, PeripheralCosts, StageEnergy};
 pub use crate::repair::{HealthReport, RepairPolicy, TileStatus};

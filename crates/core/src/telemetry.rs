@@ -101,15 +101,9 @@ pub(crate) enum Counter {
     /// Wall-clock nanoseconds between a scrub pass detecting degradation
     /// and publishing the repaired epoch (time served degraded).
     DegradedServingNanos,
-    /// Kernel blocks executed by the scalar reference backend.
-    BackendScalarBlocks,
-    /// Kernel blocks executed by the sample-lane vector backend.
-    BackendVectorBlocks,
-    /// Kernel blocks executed by the fixed-point integer backend.
-    BackendFixedBlocks,
 }
 
-const COUNTER_COUNT: usize = 21;
+const COUNTER_COUNT: usize = 18;
 
 /// One span's running aggregate.
 #[derive(Debug, Default, Clone)]
@@ -303,9 +297,6 @@ impl Telemetry {
             scrub_repairs: c(Counter::ScrubRepairs),
             plan_swaps: c(Counter::PlanSwaps),
             degraded_serving_nanos: c(Counter::DegradedServingNanos),
-            backend_scalar_blocks: c(Counter::BackendScalarBlocks),
-            backend_vector_f32_blocks: c(Counter::BackendVectorBlocks),
-            backend_fixed_i32_blocks: c(Counter::BackendFixedBlocks),
         };
         let mut spans: Vec<SpanSnapshot> = sink
             .spans
@@ -396,8 +387,8 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Per-sample stage aggregates delivered by the batched hot path in one
-/// call, keeping atomic traffic off the inner loops.
+/// Stage aggregates of one kernel block, delivered by the hot path in
+/// one call, keeping atomic traffic off the inner loops.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct SampleStats {
     pub(crate) s1_encode_nanos: u64,
@@ -427,36 +418,9 @@ pub struct LayerProbe {
 }
 
 impl LayerProbe {
-    /// Folds one sample's stage aggregates into the layer and the global
-    /// counters.
-    pub(crate) fn record_sample(&self, s: SampleStats) {
-        self.stats.calls.fetch_add(1, Ordering::Relaxed);
-        self.stats.mvms.fetch_add(s.mvms, Ordering::Relaxed);
-        self.stats
-            .zero_activation_skips
-            .fetch_add(s.zero_activation_skips, Ordering::Relaxed);
-        self.stats
-            .s1_encode_nanos
-            .fetch_add(s.s1_encode_nanos, Ordering::Relaxed);
-        self.stats
-            .crossbar_nanos
-            .fetch_add(s.crossbar_nanos, Ordering::Relaxed);
-        self.stats
-            .s2_decode_nanos
-            .fetch_add(s.s2_decode_nanos, Ordering::Relaxed);
-        let c = &self.sink.counters;
-        c[Counter::Mvms as usize].fetch_add(s.mvms, Ordering::Relaxed);
-        c[Counter::ZeroActivationSkips as usize]
-            .fetch_add(s.zero_activation_skips, Ordering::Relaxed);
-        c[Counter::ComparatorOffsetRejects as usize]
-            .fetch_add(s.comparator_offset_rejects, Ordering::Relaxed);
-        c[Counter::SaturatedDecodes as usize].fetch_add(s.saturated_decodes, Ordering::Relaxed);
-    }
-
-    /// Folds one *block's* stage aggregates into the layer and global
-    /// counters. Identical to [`LayerProbe::record_sample`] except the
-    /// call counter advances by the block's `samples`, so per-layer
-    /// `calls` keeps meaning "samples seen" on the blocked path.
+    /// Folds one block's stage aggregates into the layer and global
+    /// counters. The call counter advances by the block's `samples`, so
+    /// per-layer `calls` means "samples seen".
     pub(crate) fn record_block(&self, s: SampleStats, samples: u64) {
         self.stats.calls.fetch_add(samples, Ordering::Relaxed);
         self.stats.mvms.fetch_add(s.mvms, Ordering::Relaxed);
@@ -481,21 +445,14 @@ impl LayerProbe {
         c[Counter::SaturatedDecodes as usize].fetch_add(s.saturated_decodes, Ordering::Relaxed);
     }
 
-    /// Records one blocked-kernel invocation against the global kernel
+    /// Records one kernel invocation against the global kernel
     /// counters: a block of `samples` samples that streamed `bytes` of
-    /// tile conductance data through the selected `backend`, which is
-    /// also tallied on its own per-backend block counter.
-    pub(crate) fn record_kernel(&self, samples: u64, bytes: u64, backend: crate::kernel::Backend) {
+    /// tile conductance data.
+    pub(crate) fn record_kernel(&self, samples: u64, bytes: u64) {
         let c = &self.sink.counters;
         c[Counter::KernelBlocks as usize].fetch_add(1, Ordering::Relaxed);
         c[Counter::KernelBlockSamples as usize].fetch_add(samples, Ordering::Relaxed);
         c[Counter::KernelBytesStreamed as usize].fetch_add(bytes, Ordering::Relaxed);
-        let by_backend = match backend {
-            crate::kernel::Backend::Scalar => Counter::BackendScalarBlocks,
-            crate::kernel::Backend::VectorF32 => Counter::BackendVectorBlocks,
-            crate::kernel::Backend::FixedI32 => Counter::BackendFixedBlocks,
-        };
-        c[by_backend as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records `n` MVMs against this layer (the per-sample sequential
@@ -564,12 +521,6 @@ pub struct CounterSnapshot {
     pub plan_swaps: u64,
     /// Wall-clock nanoseconds served degraded (detection → publish).
     pub degraded_serving_nanos: u64,
-    /// Kernel blocks executed by the scalar reference backend.
-    pub backend_scalar_blocks: u64,
-    /// Kernel blocks executed by the sample-lane vector backend.
-    pub backend_vector_f32_blocks: u64,
-    /// Kernel blocks executed by the fixed-point integer backend.
-    pub backend_fixed_i32_blocks: u64,
 }
 
 /// One aggregated span: every open/close of `path` summed.
@@ -695,9 +646,7 @@ impl TelemetrySnapshot {
              \"kernel_blocks\": {}, \"kernel_block_samples\": {}, \
              \"kernel_bytes_streamed\": {}, \
              \"scrub_passes\": {}, \"tiles_scrubbed\": {}, \"scrub_repairs\": {}, \
-             \"plan_swaps\": {}, \"degraded_serving_nanos\": {}, \
-             \"backend_scalar_blocks\": {}, \"backend_vector_f32_blocks\": {}, \
-             \"backend_fixed_i32_blocks\": {}}},\n",
+             \"plan_swaps\": {}, \"degraded_serving_nanos\": {}}},\n",
             c.mvms,
             c.zero_activation_skips,
             c.spare_remaps,
@@ -715,10 +664,7 @@ impl TelemetrySnapshot {
             c.tiles_scrubbed,
             c.scrub_repairs,
             c.plan_swaps,
-            c.degraded_serving_nanos,
-            c.backend_scalar_blocks,
-            c.backend_vector_f32_blocks,
-            c.backend_fixed_i32_blocks
+            c.degraded_serving_nanos
         ));
         s.push_str("  \"spans\": [\n");
         for (i, sp) in self.spans.iter().enumerate() {
@@ -814,15 +760,18 @@ mod tests {
         let probe = t
             .layer_probe(1, &ResipeConfig::paper())
             .expect("enabled probe");
-        probe.record_sample(SampleStats {
-            s1_encode_nanos: 10,
-            crossbar_nanos: 20,
-            s2_decode_nanos: 30,
-            mvms: 50,
-            zero_activation_skips: 7,
-            comparator_offset_rejects: 1,
-            saturated_decodes: 2,
-        });
+        probe.record_block(
+            SampleStats {
+                s1_encode_nanos: 10,
+                crossbar_nanos: 20,
+                s2_decode_nanos: 30,
+                mvms: 50,
+                zero_activation_skips: 7,
+                comparator_offset_rejects: 1,
+                saturated_decodes: 2,
+            },
+            1,
+        );
         probe.record_decode(0.5, 0.0, Some(50e-9));
         probe.record_decode(2.0, 0.0, Some(120e-9)); // clamps into the top bins
         let snap = t.snapshot();
@@ -861,9 +810,9 @@ mod tests {
             },
             8,
         );
-        probe.record_kernel(8, 4096, crate::kernel::Backend::Scalar);
-        probe.record_kernel(5, 4096, crate::kernel::Backend::VectorF32);
-        probe.record_kernel(2, 2048, crate::kernel::Backend::FixedI32);
+        probe.record_kernel(8, 4096);
+        probe.record_kernel(5, 4096);
+        probe.record_kernel(2, 2048);
         let snap = t.snapshot();
         assert_eq!(snap.layers[0].calls, 8, "calls advance by the block");
         assert_eq!(snap.layers[0].mvms, 16);
@@ -871,9 +820,6 @@ mod tests {
         assert_eq!(snap.counters.kernel_blocks, 3);
         assert_eq!(snap.counters.kernel_block_samples, 15);
         assert_eq!(snap.counters.kernel_bytes_streamed, 10240);
-        assert_eq!(snap.counters.backend_scalar_blocks, 1);
-        assert_eq!(snap.counters.backend_vector_f32_blocks, 1);
-        assert_eq!(snap.counters.backend_fixed_i32_blocks, 1);
     }
 
     #[test]
@@ -929,9 +875,6 @@ mod tests {
             "\"scrub_repairs\"",
             "\"plan_swaps\"",
             "\"degraded_serving_nanos\"",
-            "\"backend_scalar_blocks\"",
-            "\"backend_vector_f32_blocks\"",
-            "\"backend_fixed_i32_blocks\"",
             "\"spans\"",
             "\"layers\"",
             "\"t_out\"",

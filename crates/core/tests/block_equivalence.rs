@@ -1,7 +1,7 @@
 //! Bit-identity of the cache-blocked kernel layer, end to end.
 //!
 //! The blocked planned path (`BatchPlan::forward_block` under
-//! `RunOptions::with_block_size`) re-orders *memory traffic* — tile
+//! `RunOptions::with_block_size`, probed or not) re-orders *memory traffic* — tile
 //! conductances are streamed once per sample block instead of once per
 //! sample — but must never re-order a floating-point accumulation. These
 //! tests pin that contract across random layer shapes, batch sizes,
@@ -16,6 +16,7 @@ use rand::{Rng, SeedableRng};
 
 use resipe::inference::{CompileOptions, FaultInjection, HardwareNetwork, RunOptions};
 use resipe::mapping::TileMapper;
+use resipe::telemetry::Telemetry;
 use resipe_analog::units::Seconds;
 use resipe_nn::layers::{Conv2d, Dense};
 use resipe_nn::network::Network;
@@ -72,8 +73,9 @@ proptest! {
     /// For arbitrary dense layers under the full non-ideality chain, the
     /// blocked planned path equals the per-sample reference path to the
     /// bit — for any block size, any thread count, and the auto-sized
-    /// block — and the telemetry MVM counter stays pinned to the static
-    /// figure.
+    /// block, with and without a telemetry probe (which switches the
+    /// kernel to its staged loop order) — and the MVM counters stay
+    /// pinned to the static figure.
     #[test]
     fn blocked_planned_path_is_bit_identical_to_per_sample(
         in_features in 1usize..60,
@@ -111,6 +113,18 @@ proptest! {
         for (a, b) in reference.data().iter().zip(auto.data()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
+        let mut traced = hw.clone();
+        traced.set_telemetry(Telemetry::enabled());
+        let probed = pool
+            .install(|| traced.run(&x, &RunOptions::planned().with_block_size(block)))
+            .expect("probed run");
+        for (a, b) in reference.data().iter().zip(probed.outputs.data()) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
+        prop_assert_eq!(
+            probed.telemetry.counters.mvms,
+            (batch * hw.dense_mvms_per_sample()) as u64
+        );
         prop_assert_eq!(
             hw.mvm_count(),
             3 * (batch * hw.dense_mvms_per_sample()) as u64,

@@ -3,7 +3,7 @@
 //! on one engine replica.
 //!
 //! Each model's worker threads loop: pop a weighted batch from the
-//! model's [`BoundedQueue`] (blocking for the first request, lingering
+//! model's [`BoundedQueue`](crate::queue::BoundedQueue) (blocking for the first request, lingering
 //! up to `max_wait` for more, never exceeding `max_batch` samples), drop
 //! requests whose deadline already passed, pick a target replica per
 //! request (the hinted replica when healthy, otherwise the balancer's
@@ -55,7 +55,6 @@ pub trait BatchExecutor: Send + Sync + 'static {
 #[derive(Debug)]
 pub struct NetworkExecutor {
     hw: Arc<HardwareNetwork>,
-    options: RunOptions,
 }
 
 impl NetworkExecutor {
@@ -69,20 +68,7 @@ impl NetworkExecutor {
     /// aging driver) holds the same network and mutates its published
     /// epoch while this executor serves it.
     pub fn new_shared(hw: Arc<HardwareNetwork>) -> NetworkExecutor {
-        NetworkExecutor {
-            hw,
-            options: RunOptions::planned(),
-        }
-    }
-
-    /// Selects the kernel [`Backend`](resipe::kernel::Backend) every
-    /// coalesced batch runs through (default
-    /// [`Backend::Scalar`](resipe::kernel::Backend::Scalar); exact
-    /// backends keep the bit-identity contract above, the fixed-point
-    /// backend trades it for the documented error bound).
-    pub fn with_backend(mut self, backend: resipe::kernel::Backend) -> NetworkExecutor {
-        self.options = self.options.with_backend(backend);
-        self
+        NetworkExecutor { hw }
     }
 
     /// The served network.
@@ -98,7 +84,7 @@ impl NetworkExecutor {
 
 impl BatchExecutor for NetworkExecutor {
     fn execute(&self, batch: &Tensor) -> Result<Tensor, ResipeError> {
-        Ok(self.hw.run(batch, &self.options)?.outputs)
+        Ok(self.hw.run(batch, &RunOptions::planned())?.outputs)
     }
 }
 
@@ -325,7 +311,6 @@ mod tests {
     use std::time::Duration;
 
     use resipe::cache::CompileCache;
-    use resipe::kernel::Backend;
 
     use crate::protocol::PROTOCOL_V1;
     use crate::registry::{ModelSpec, ReplicaHealth};
@@ -362,7 +347,6 @@ mod tests {
             max_batch,
             Duration::from_millis(1),
             1,
-            Backend::Scalar,
             Arc::new(Mutex::new(CompileCache::new(2))),
         );
         WorkerContext {

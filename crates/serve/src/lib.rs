@@ -26,12 +26,12 @@
 //!   `ListModels`/`ModelStats` verbs. Pre-registry **v1 frames keep
 //!   working bit-identically** (they route to the default model), and
 //!   garbage preambles are rejected with
-//!   [`Status::Malformed`](protocol::Status::Malformed) before any
+//!   [`Status::Malformed`] before any
 //!   tensor decode.
 //! - **Admission control** — per-model bounded queues answer
-//!   [`Status::Busy`](protocol::Status::Busy) when full instead of
+//!   [`Status::Busy`] when full instead of
 //!   queueing unboundedly; requests whose deadline passes while queued
-//!   are dropped with [`Status::Expired`](protocol::Status::Expired).
+//!   are dropped with [`Status::Expired`].
 //! - **Dynamic micro-batching** — [`batcher`] workers coalesce queued
 //!   requests (up to [`ServerConfig::max_batch`] samples, lingering at
 //!   most [`ServerConfig::max_wait`]) into one

@@ -505,8 +505,10 @@ pub struct ServerStats {
     /// Epoch swaps on the served networks (scrub repairs + aging
     /// publishes), lifetime.
     pub plan_swaps: u64,
-    /// Name of the kernel [`Backend`](resipe::kernel::Backend) the
-    /// server executes batches with (`"scalar"` by default).
+    /// Name of the MVM kernel the server executes batches with. The
+    /// engine has one kernel, so a server always reports `"scalar"`;
+    /// the string slot stays in both wire layouts so existing decoders
+    /// keep working.
     pub kernel_backend: String,
     /// Request-latency percentiles (admission → response enqueued),
     /// across all models.

@@ -1,8 +1,8 @@
 //! The model registry and replicated-shard execution layer.
 //!
 //! A server no longer fronts *one* compiled network: it fronts a
-//! [`ModelRegistry`] of named models, each backed by a set of
-//! [`Replica`]s — independent engine instances compiled with **distinct
+//! `ModelRegistry` of named models, each backed by a set of
+//! `Replica`s — independent engine instances compiled with **distinct
 //! variation/fault seeds** (distinct simulated "chips") — behind a
 //! deterministic least-outstanding-requests balancer.
 //!
@@ -10,7 +10,7 @@
 //!
 //! - **Lazy compilation through [`CompileCache`]** — a model registered
 //!   from an uncompiled [`Network`] is not compiled at `bind` time; the
-//!   first request (or the first [`replicas`](ModelEntry::replicas)
+//!   first request (or the first `ModelEntry::replicas`
 //!   resolution) compiles every replica through the shared cache, so a
 //!   model nobody addresses costs nothing, and two replicas with
 //!   identical options (e.g. [`CompileOptions::paper`], whose seed feeds
@@ -36,7 +36,6 @@ use std::time::Duration;
 
 use resipe::cache::CompileCache;
 use resipe::inference::{CompileOptions, HardwareNetwork};
-use resipe::kernel::Backend;
 use resipe::scrub::{ScrubConfig, Scrubber};
 use resipe_nn::network::Network;
 use resipe_nn::tensor::Tensor;
@@ -110,7 +109,6 @@ pub struct ModelSpec {
     pub(crate) max_batch: Option<usize>,
     pub(crate) max_wait: Option<Duration>,
     pub(crate) workers: Option<usize>,
-    pub(crate) backend: Option<Backend>,
     pub(crate) scrub: Option<ScrubConfig>,
 }
 
@@ -124,7 +122,6 @@ impl ModelSpec {
             max_batch: None,
             max_wait: None,
             workers: None,
-            backend: None,
             scrub: None,
         }
     }
@@ -193,12 +190,6 @@ impl ModelSpec {
     /// Overrides the server-wide batch worker count for this model.
     pub fn with_workers(mut self, workers: usize) -> ModelSpec {
         self.workers = Some(workers);
-        self
-    }
-
-    /// Overrides the server-wide kernel backend for this model.
-    pub fn with_backend(mut self, backend: Backend) -> ModelSpec {
-        self.backend = Some(backend);
         self
     }
 
@@ -289,7 +280,6 @@ pub(crate) fn pick_replica(replicas: &[Arc<Replica>], hint: Option<u32>) -> Opti
 struct PendingInit {
     source: ModelSource,
     replicas: usize,
-    backend: Backend,
     scrub: Option<ScrubConfig>,
     cache: Arc<Mutex<CompileCache>>,
 }
@@ -316,9 +306,6 @@ pub(crate) struct ModelEntry {
 }
 
 impl ModelEntry {
-    // One parameter per server-level default a ModelSpec can override;
-    // grouping them would just add a struct nobody else uses.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         name: String,
         spec: ModelSpec,
@@ -326,7 +313,6 @@ impl ModelEntry {
         default_max_batch: usize,
         default_max_wait: Duration,
         default_workers: usize,
-        default_backend: Backend,
         cache: Arc<Mutex<CompileCache>>,
     ) -> ModelEntry {
         ModelEntry {
@@ -345,7 +331,6 @@ impl ModelEntry {
             init: Mutex::new(Some(PendingInit {
                 source: spec.source,
                 replicas: spec.replicas.max(1),
-                backend: spec.backend.unwrap_or(default_backend),
                 scrub: spec.scrub,
                 cache,
             })),
@@ -424,7 +409,7 @@ impl ModelEntry {
                 scrubbers.push(scrubber);
             }
             let executor: Arc<dyn BatchExecutor> =
-                Arc::new(NetworkExecutor::new_shared(Arc::clone(&hw)).with_backend(init.backend));
+                Arc::new(NetworkExecutor::new_shared(Arc::clone(&hw)));
             replicas.push(Arc::new(Replica::new(r as u32, executor, Some(hw))));
         }
         self.scrubbers
@@ -601,7 +586,6 @@ mod tests {
             8,
             Duration::from_millis(1),
             1,
-            Backend::Scalar,
             Arc::new(Mutex::new(CompileCache::new(4))),
         )
     }

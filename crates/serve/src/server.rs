@@ -17,7 +17,7 @@
 //! Connection count is decoupled from thread count: a small, fixed
 //! budget of event-loop threads ([`ServerConfig::event_threads`]) puts
 //! every accepted socket into non-blocking mode and multiplexes them
-//! over `poll(2)` (see [`crate::event_loop`]). Each loop incrementally
+//! over `poll(2)` (see the private `event_loop` module). Each loop incrementally
 //! decodes frames — both protocol versions — resolves the addressed
 //! model, performs admission control, answers
 //! `PING`/`STATS`/`LIST_MODELS`/`MODEL_STATS` inline, and drains each
@@ -46,11 +46,10 @@ use std::time::{Duration, Instant};
 
 use resipe::cache::CompileCache;
 use resipe::inference::HardwareNetwork;
-use resipe::kernel::Backend;
 use resipe::scrub::ScrubConfig;
 use resipe::telemetry::Telemetry;
 
-use crate::batcher::{worker_loop, BatchExecutor, PendingRequest, Reply, ReplySink, WorkerContext};
+use crate::batcher::{worker_loop, PendingRequest, Reply, ReplySink, WorkerContext};
 use crate::error::ServeError;
 use crate::event_loop::{run_event_loop, EventLoopHandle};
 use crate::metrics::{ConnCounters, LatencyHistogram, ServerCounters, ServerStats};
@@ -84,10 +83,6 @@ pub struct ServerConfig {
     /// single request. Ignored for executor-backed models (mock
     /// executors have no crossbars to scrub).
     pub scrub: Option<ScrubConfig>,
-    /// Kernel [`Backend`] coalesced batches execute with (default
-    /// [`Backend::Scalar`]). Surfaced back to clients as the
-    /// `kernel_backend` field of `STATS`.
-    pub backend: Backend,
     /// Event-loop threads multiplexing the client connections (default
     /// 2). Connection count is independent of this: each loop polls
     /// its whole share of the sockets, so thousands of connections run
@@ -113,7 +108,6 @@ impl Default for ServerConfig {
             queue_capacity: 256,
             workers: 1,
             scrub: None,
-            backend: Backend::Scalar,
             event_threads: 2,
             max_connections: 1024,
             write_buffer_cap: 4 * 1024 * 1024,
@@ -149,12 +143,6 @@ impl ServerConfig {
     /// Attaches a background scrubber to every model's replicas.
     pub fn with_scrub(mut self, scrub: ScrubConfig) -> ServerConfig {
         self.scrub = Some(scrub);
-        self
-    }
-
-    /// Selects the kernel backend batches execute with.
-    pub fn with_backend(mut self, backend: Backend) -> ServerConfig {
-        self.backend = backend;
         self
     }
 
@@ -354,7 +342,6 @@ impl ServerBuilder {
                     self.config.max_batch,
                     self.config.max_wait,
                     self.config.workers,
-                    self.config.backend,
                     Arc::clone(&cache),
                 ))
             })
@@ -374,7 +361,6 @@ impl ServerBuilder {
             shutting_down: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             telemetry: self.telemetry,
-            kernel_backend: self.config.backend.name(),
             conn_counters: ConnCounters::default(),
             write_buffer_cap: self.config.write_buffer_cap,
             max_connections: self.config.max_connections,
@@ -436,8 +422,6 @@ pub(crate) struct Shared {
     /// answered replies, close its connections, and exit.
     pub(crate) draining: AtomicBool,
     telemetry: Telemetry,
-    /// Name of the kernel backend batches execute with, for `STATS`.
-    kernel_backend: &'static str,
     /// Connection-lifecycle counters (accept/open/peak/evict/reject).
     pub(crate) conn_counters: ConnCounters,
     /// Per-connection outbound buffer bound; beyond it, eviction.
@@ -486,7 +470,7 @@ impl Shared {
             queue_depth,
             queue_capacity,
             in_flight,
-            kernel_backend: self.kernel_backend.to_owned(),
+            kernel_backend: "scalar".to_owned(),
             latency: self.global_latency.snapshot(),
             telemetry_json: self.telemetry.snapshot().to_json(),
             conns_accepted: ServerCounters::get(&self.conn_counters.accepted),
@@ -518,54 +502,6 @@ impl Server {
             default_model: None,
             telemetry: Telemetry::disabled(),
         }
-    }
-
-    /// Serves one compiled [`HardwareNetwork`] on `addr` as the model
-    /// `"default"`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the listener cannot bind or the config is invalid.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use Server::builder().register_model(name, ModelSpec::compiled(hw, shape)).bind(addr)"
-    )]
-    pub fn spawn<A: ToSocketAddrs>(
-        hw: HardwareNetwork,
-        sample_shape: &[usize],
-        addr: A,
-        config: ServerConfig,
-    ) -> Result<Server, ServeError> {
-        let telemetry = hw.telemetry().clone();
-        Server::builder()
-            .telemetry(telemetry)
-            .config(config)
-            .register_model("default", ModelSpec::compiled(hw, sample_shape))
-            .bind(addr)
-    }
-
-    /// Serves an arbitrary [`BatchExecutor`] on `addr` as the model
-    /// `"default"`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the listener cannot bind or the config is invalid.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use Server::builder().register_model(name, ModelSpec::executor(executor, shape)).bind(addr)"
-    )]
-    pub fn spawn_with_executor<A: ToSocketAddrs>(
-        executor: Arc<dyn BatchExecutor>,
-        telemetry: Telemetry,
-        sample_shape: &[usize],
-        addr: A,
-        config: ServerConfig,
-    ) -> Result<Server, ServeError> {
-        Server::builder()
-            .telemetry(telemetry)
-            .config(config)
-            .register_model("default", ModelSpec::executor(executor, sample_shape))
-            .bind(addr)
     }
 
     /// The bound address (useful after binding port 0).

@@ -9,13 +9,6 @@
 # over 1-thread on hosts with >= 4 CPUs; 1-thread batched >= 2x over
 # sequential on smaller hosts, where thread scaling is unobservable).
 #
-# With --backends-smoke, additionally runs the throughput bench's kernel
-# backend sweep (scalar / vector_f32 / fixed_i32) and schema-checks the
-# per-backend rows of BENCH_throughput.json. The bench itself hard-fails
-# if an exact backend loses bit identity or the fixed-point backend
-# drifts past 10% of full scale. Every stage, flag, gate, and output
-# field is documented in docs/BENCHMARKS.md.
-#
 # With --serve-smoke, additionally re-runs the serving bench and
 # schema-checks the registry surface of BENCH_serve.json: the per-model
 # blocks (per-model p99, per-replica health/load), the multi-model
@@ -37,38 +30,25 @@
 # across the batch), or IR drop stops being monotone in wire resistance.
 # Single-threaded circuit solves, so it runs fine on `host_parallelism: 1`
 # CI hosts.
+#
+# Every stage, flag, gate, and output field is documented in
+# docs/BENCHMARKS.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 perf_smoke=0
-backends_smoke=0
 serve_smoke=0
 conn_smoke=0
 circuit_smoke=0
 for arg in "$@"; do
     case "$arg" in
         --perf-smoke) perf_smoke=1 ;;
-        --backends-smoke) backends_smoke=1 ;;
         --serve-smoke) serve_smoke=1 ;;
         --conn-smoke) conn_smoke=1 ;;
         --circuit-smoke) circuit_smoke=1 ;;
-        *) echo "check: unknown argument '$arg' (supported: --perf-smoke, --backends-smoke, --serve-smoke, --conn-smoke, --circuit-smoke)" >&2; exit 2 ;;
+        *) echo "check: unknown argument '$arg' (supported: --perf-smoke, --serve-smoke, --conn-smoke, --circuit-smoke)" >&2; exit 2 ;;
     esac
 done
-
-# The deprecated single-model constructors must not creep back into
-# non-test code: the builder/registry API is the supported surface. The
-# only allowed call sites are the shims themselves and their
-# back-compat test.
-echo "==> deprecated serving API grep gate"
-spawn_hits="$(grep -rn "Server::spawn" --include='*.rs' crates/ \
-    | grep -v "crates/serve/src/server.rs" \
-    | grep -v "crates/serve/tests/deprecated_shims.rs" || true)"
-if [[ -n "$spawn_hits" ]]; then
-    echo "check: deprecated Server::spawn* called outside the shims:" >&2
-    echo "$spawn_hits" >&2
-    exit 2
-fi
 
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
@@ -220,28 +200,6 @@ if [[ "$conn_smoke" -eq 1 ]]; then
         fi
     done
     rm -f "$conn_out"
-fi
-
-if [[ "$backends_smoke" -eq 1 ]]; then
-    echo "==> throughput --smoke (kernel backend sweep + schema check)"
-    backends_out="$(mktemp)"
-    cargo run --release -q -p resipe-bench --bin throughput -- --smoke \
-        --out "$backends_out" >/dev/null
-    for key in backends backend speedup_vs_scalar exact max_abs_dev; do
-        if ! grep -q "\"$key\"" "$backends_out"; then
-            echo "check: BENCH_throughput.json schema drift — missing key \"$key\"" >&2
-            rm -f "$backends_out"
-            exit 1
-        fi
-    done
-    for name in scalar vector_f32 fixed_i32; do
-        if ! grep -q "\"backend\": \"$name\"" "$backends_out"; then
-            echo "check: backend sweep missing row for \"$name\"" >&2
-            rm -f "$backends_out"
-            exit 1
-        fi
-    done
-    rm -f "$backends_out"
 fi
 
 if [[ "$circuit_smoke" -eq 1 ]]; then
