@@ -192,6 +192,9 @@ pub struct BatchScratch {
     /// by `HardwareNetwork` between kernel invocations so the per-block
     /// input copy reuses one allocation.
     pub(crate) a_block: Vec<f64>,
+    /// One conv sample's normalized `[C, H, W]` activations, which the
+    /// conv arm gathers each pixel's window from into `a_block`.
+    pub(crate) a_sample: Vec<f64>,
 }
 
 impl BatchScratch {

@@ -500,6 +500,40 @@ fn conv_output_hw(
     Ok((padded_h + 1 - kernel, padded_w + 1 - kernel))
 }
 
+/// Appends the receptive field of output pixel `(oi, oj)` to `dst` in
+/// im2col row order `(ch, ki, kj)` — the planned conv arm's replacement
+/// for building an im2col tensor. `scaled` is one sample's `[C, H, W]`
+/// activations, already normalized; window positions in the zero
+/// padding take `pad`.
+fn gather_window(
+    dst: &mut Vec<f64>,
+    scaled: &[f64],
+    (c, h, w): (usize, usize, usize),
+    k: usize,
+    padding: usize,
+    (oi, oj): (usize, usize),
+    pad: f64,
+) {
+    // Window columns `lead..end` fall inside the input; the rest pad.
+    let lead = padding.saturating_sub(oj).min(k);
+    let end = (w + padding).saturating_sub(oj).min(k).max(lead);
+    for ch in 0..c {
+        for ki in 0..k {
+            let ii = oi + ki;
+            if ii < padding || ii - padding >= h {
+                dst.extend(std::iter::repeat_n(pad, k));
+                continue;
+            }
+            dst.extend(std::iter::repeat_n(pad, lead));
+            if end > lead {
+                let row = (ch * h + ii - padding) * w;
+                dst.extend_from_slice(&scaled[row + oj + lead - padding..row + oj + end - padding]);
+            }
+            dst.extend(std::iter::repeat_n(pad, k - end));
+        }
+    }
+}
+
 /// How [`HardwareNetwork::run`] executes the hardware layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecutionMode {
@@ -1007,19 +1041,25 @@ impl HardwareNetwork {
 
     /// Borrows a recycled kernel scratch buffer (or a fresh one).
     fn take_scratch(&self) -> BatchScratch {
-        self.scratch_pool
-            .lock()
-            .expect("scratch pool poisoned")
-            .pop()
-            .unwrap_or_default()
+        self.scratch_pool().pop().unwrap_or_default()
     }
 
     /// Returns a scratch buffer to the pool for the next chunk.
     fn put_scratch(&self, scratch: BatchScratch) {
-        let mut pool = self.scratch_pool.lock().expect("scratch pool poisoned");
+        let mut pool = self.scratch_pool();
         if pool.len() < 64 {
             pool.push(scratch);
         }
+    }
+
+    /// Locks the scratch pool, recovering it if a panicking holder
+    /// poisoned the lock: the pool only holds reusable buffers whose
+    /// contents every user overwrites, so its state is always
+    /// consistent.
+    fn scratch_pool(&self) -> std::sync::MutexGuard<'_, Vec<BatchScratch>> {
+        self.scratch_pool
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     fn forward_layer_batched(
@@ -1090,13 +1130,12 @@ impl HardwareNetwork {
                 self.mvm_count
                     .fetch_add((n * mapped.mvms_per_forward()) as u64, Ordering::Relaxed);
                 let mut out = Tensor::zeros(&[n, cols]);
-                let mut i = 0usize;
+                let mut out_rows = out.data_mut().chunks_exact_mut(cols);
                 for chunk in chunks {
-                    for y in chunk?.chunks_exact(cols) {
-                        for (j, &yj) in y.iter().enumerate() {
-                            out.set(&[i, j], (yj * input_scale + bias[j]) as f32);
+                    for (y, row) in chunk?.chunks_exact(cols).zip(&mut out_rows) {
+                        for ((o, &yj), &bj) in row.iter_mut().zip(y).zip(bias) {
+                            *o = (yj * input_scale + bj) as f32;
                         }
-                        i += 1;
                     }
                 }
                 Ok(out)
@@ -1118,12 +1157,14 @@ impl HardwareNetwork {
                         got: s.len(),
                     });
                 }
-                let n = s[0];
-                let (h_out, w_out) = conv_output_hw(s[2], s[3], *kernel, *padding)?;
+                let (n, c_in, h, w) = (s[0], s[1], s[2], s[3]);
+                let (k, p) = (*kernel, *padding);
+                let (h_out, w_out) = conv_output_hw(h, w, k, p)?;
                 let n_pix = h_out * w_out;
                 let plan = state.plan(&self.engine);
                 let probe = self.layer_probe(li);
                 let n_cols = mapped.cols();
+                let fan_in = c_in * k * k;
                 // Samples already fan out over the pool; within one
                 // sample the output pixels run through the blocked
                 // kernel, so the conv tile data is streamed once per
@@ -1132,13 +1173,26 @@ impl HardwareNetwork {
                     .block
                     .unwrap_or_else(|| plan.preferred_block())
                     .max(1);
+                // The activation the reference derives from im2col's
+                // zero fill, so padded window positions match it bit
+                // for bit.
+                let pad = (0.0f32 as f64 / input_scale).clamp(0.0, 1.0);
+                let sample_len = c_in * h * w;
                 let per_sample: Vec<Result<Vec<f64>, ResipeError>> = (0..n)
                     .into_par_iter()
                     .map(|b| {
-                        let cols = im2col(x, b, *kernel, *padding)?;
-                        let fan_in = cols.shape()[0];
                         let mut scratch = self.take_scratch();
                         let mut a_block = std::mem::take(&mut scratch.a_block);
+                        // Normalize the sample once; every window below
+                        // copies from this `[C, H, W]` buffer instead of
+                        // re-scaling each of its k² appearances.
+                        let mut scaled = std::mem::take(&mut scratch.a_sample);
+                        scaled.clear();
+                        scaled.extend(
+                            x.data()[b * sample_len..(b + 1) * sample_len]
+                                .iter()
+                                .map(|&v| (v as f64 / input_scale).clamp(0.0, 1.0)),
+                        );
                         let mut pix_out = vec![0.0f64; n_pix * n_cols];
                         let mut result = Ok(());
                         for start in (0..n_pix).step_by(block) {
@@ -1146,9 +1200,15 @@ impl HardwareNetwork {
                             a_block.clear();
                             a_block.reserve(bl * fan_in);
                             for pix in start..start + bl {
-                                a_block.extend((0..fan_in).map(|r| {
-                                    (cols.get(&[r, pix]) as f64 / input_scale).clamp(0.0, 1.0)
-                                }));
+                                gather_window(
+                                    &mut a_block,
+                                    &scaled,
+                                    (c_in, h, w),
+                                    k,
+                                    p,
+                                    (pix / w_out, pix % w_out),
+                                    pad,
+                                );
                             }
                             if let Err(e) = plan.forward_block(
                                 &a_block,
@@ -1162,6 +1222,7 @@ impl HardwareNetwork {
                             }
                         }
                         scratch.a_block = a_block;
+                        scratch.a_sample = scaled;
                         self.put_scratch(scratch);
                         result.map(|()| pix_out)
                     })
@@ -1171,11 +1232,13 @@ impl HardwareNetwork {
                     Ordering::Relaxed,
                 );
                 let mut out = Tensor::zeros(&[n, *out_channels, h_out, w_out]);
-                for (b, sample) in per_sample.into_iter().enumerate() {
+                let sample_out = *out_channels * n_pix;
+                for (dst, sample) in out.data_mut().chunks_exact_mut(sample_out).zip(per_sample) {
+                    // NCHW: output channel `oc` of pixel `pix` sits at
+                    // `oc · n_pix + pix` within the sample.
                     for (pix, y) in sample?.chunks_exact(n_cols).enumerate() {
-                        let (oi, oj) = (pix / w_out, pix % w_out);
                         for (oc, &yc) in y.iter().enumerate() {
-                            out.set(&[b, oc, oi, oj], (yc * input_scale + bias[oc]) as f32);
+                            dst[oc * n_pix + pix] = (yc * input_scale + bias[oc]) as f32;
                         }
                     }
                 }
@@ -1279,14 +1342,8 @@ impl HardwareNetwork {
                 Ok(out)
             }
             HwLayer::Relu => Ok(x.map(|v| v.max(0.0))),
-            HwLayer::MaxPool(size) => {
-                let mut pool = resipe_nn::layers::MaxPool2d::new(*size);
-                Ok(pool.forward(x)?)
-            }
-            HwLayer::AvgPool(size) => {
-                let mut pool = resipe_nn::layers::AvgPool2d::new(*size);
-                Ok(pool.forward(x)?)
-            }
+            HwLayer::MaxPool(size) => Ok(resipe_nn::layers::max_pool2d(x, *size)?),
+            HwLayer::AvgPool(size) => Ok(resipe_nn::layers::avg_pool2d(x, *size)?),
             HwLayer::Flatten => {
                 let mut fl = resipe_nn::layers::Flatten::new();
                 Ok(fl.forward(x)?)
@@ -1628,6 +1685,40 @@ mod tests {
             .forward(&x)
             .unwrap();
         assert_ne!(clean, drifted, "a full τ of drift must move the logits");
+    }
+
+    /// A panic while the scratch pool is locked poisons it; later runs
+    /// must recover the pool and still return the same bits.
+    #[test]
+    fn poisoned_scratch_pool_is_recovered() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let mut net = Network::new("conv-pool");
+        net.push(resipe_nn::layers::Conv2d::new(1, 2, 3, 1, &mut rng));
+        net.push(resipe_nn::layers::MaxPool2d::new(2));
+        net.push(resipe_nn::layers::Flatten::new());
+        net.push(resipe_nn::layers::Dense::new(18, 3, &mut rng));
+        let x = Tensor::from_vec(
+            (0..2 * 36).map(|i| (i as f32 * 0.37).sin().abs()).collect(),
+            &[2, 1, 6, 6],
+        )
+        .unwrap();
+        let hw = HardwareNetwork::compile(&net, &x, &CompileOptions::paper()).unwrap();
+        let before = hw.run(&x, &RunOptions::planned()).unwrap().outputs;
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _pool = hw.scratch_pool.lock().unwrap();
+                panic!("panic while holding the scratch pool");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(hw.scratch_pool.is_poisoned());
+        let after = hw.run(&x, &RunOptions::planned()).unwrap().outputs;
+        assert_eq!(before.shape(), after.shape());
+        for (a, b) in before.data().iter().zip(after.data()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        assert!(!hw.scratch_pool().is_empty(), "buffers still recycle");
     }
 
     #[test]

@@ -173,3 +173,78 @@ fn conv_layer_blocks_bit_identically() {
         assert_bit_identical(&reference.outputs, &blocked.outputs);
     }
 }
+
+/// Conv inputs with exact zeros, negatives and values up to 1.6× the
+/// `[0, 1)` calibration range, so the activation clamp fires at both
+/// ends.
+fn clamping_input(rng: &mut StdRng, shape: &[usize]) -> Tensor {
+    let len = shape.iter().product();
+    Tensor::from_vec(
+        (0..len)
+            .map(|_| match rng.gen_range(0..10u32) {
+                0..=2 => 0.0,
+                3 => -rng.gen_range(0.0..1.0f32),
+                _ => rng.gen_range(0.0..1.6f32),
+            })
+            .collect(),
+        shape,
+    )
+    .expect("shape")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The planned conv arm gathers each pixel's window straight from
+    /// the input; over random channel counts, kernels, paddings up to
+    /// the kernel size and non-square inputs down to the smallest valid
+    /// side, it must equal the im2col-based per-sample reference to the
+    /// bit for every block size and with a telemetry probe attached.
+    #[test]
+    fn conv_shapes_block_bit_identically(
+        c_in in 1usize..4,
+        c_out in 1usize..5,
+        k_idx in 0usize..4,
+        padding in 0usize..6,
+        dh in 0usize..3,
+        dw in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        let k = [1usize, 2, 3, 5][k_idx];
+        let padding = padding.min(k);
+        let min_side = k.saturating_sub(2 * padding).max(1);
+        let h = min_side + dh;
+        let mut w = min_side + dw;
+        if w == h {
+            w += 1;
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut net = Network::new("conv-shapes");
+        net.push(Conv2d::new(c_in, c_out, k, padding, &mut rng));
+        let calib = sparse_input(&mut rng, &[2, c_in, h, w]);
+        let x = clamping_input(&mut rng, &[3, c_in, h, w]);
+        let hw = HardwareNetwork::compile(&net, &calib, &nonideal_options(seed))
+            .expect("compile");
+        let reference = hw.run(&x, &RunOptions::per_sample()).expect("reference").outputs;
+        for options in [
+            RunOptions::planned().with_block_size(1),
+            RunOptions::planned().with_block_size(3),
+            RunOptions::planned(),
+        ] {
+            let planned = hw.run(&x, &options).expect("planned run").outputs;
+            prop_assert_eq!(reference.shape(), planned.shape());
+            for (a, b) in reference.data().iter().zip(planned.data()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+        let mut traced = hw.clone();
+        traced.set_telemetry(Telemetry::enabled());
+        let probed = traced
+            .run(&x, &RunOptions::planned().with_block_size(3))
+            .expect("probed run")
+            .outputs;
+        for (a, b) in reference.data().iter().zip(probed.data()) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+}

@@ -324,24 +324,30 @@ pub fn im2col(input: &Tensor, batch: usize, k: usize, padding: usize) -> Result<
     }
     let h_out = h + 2 * padding + 1 - k;
     let w_out = w + 2 * padding + 1 - k;
-    let mut cols = Tensor::zeros(&[c * k * k, h_out * w_out]);
+    let n_pix = h_out * w_out;
+    let mut cols = Tensor::zeros(&[c * k * k, n_pix]);
+    let sample = &input.data()[batch * c * h * w..(batch + 1) * c * h * w];
+    let dst = cols.data_mut();
     for ch in 0..c {
         for ki in 0..k {
             for kj in 0..k {
-                let row_idx = ch * k * k + ki * k + kj;
+                let row = &mut dst[(ch * k * k + ki * k + kj) * n_pix..][..n_pix];
+                // Output columns `oj_lo..oj_hi` read inside the input;
+                // the rest keep the zero fill.
+                let oj_lo = padding.saturating_sub(kj).min(w_out);
+                let oj_hi = (w + padding).saturating_sub(kj).min(w_out).max(oj_lo);
+                if oj_hi == oj_lo {
+                    continue;
+                }
                 for oi in 0..h_out {
                     let ii = oi + ki;
                     if ii < padding || ii - padding >= h {
                         continue;
                     }
-                    for oj in 0..w_out {
-                        let jj = oj + kj;
-                        if jj < padding || jj - padding >= w {
-                            continue;
-                        }
-                        let v = input.get(&[batch, ch, ii - padding, jj - padding]);
-                        cols.set(&[row_idx, oi * w_out + oj], v);
-                    }
+                    // Input column of output column `oj` is `oj + kj - padding`.
+                    let src = (ch * h + ii - padding) * w + kj;
+                    row[oi * w_out + oj_lo..oi * w_out + oj_hi]
+                        .copy_from_slice(&sample[src + oj_lo - padding..src + oj_hi - padding]);
                 }
             }
         }
@@ -352,8 +358,76 @@ pub fn im2col(input: &Tensor, batch: usize, k: usize, padding: usize) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The element-wise `get`/`set` im2col the slice version replaced,
+    /// kept as the oracle it must match bit for bit.
+    fn im2col_reference(input: &Tensor, batch: usize, k: usize, padding: usize) -> Tensor {
+        let s = input.shape();
+        let (c, h, w) = (s[1], s[2], s[3]);
+        let h_out = h + 2 * padding + 1 - k;
+        let w_out = w + 2 * padding + 1 - k;
+        let mut cols = Tensor::zeros(&[c * k * k, h_out * w_out]);
+        for ch in 0..c {
+            for ki in 0..k {
+                for kj in 0..k {
+                    let row_idx = ch * k * k + ki * k + kj;
+                    for oi in 0..h_out {
+                        let ii = oi + ki;
+                        if ii < padding || ii - padding >= h {
+                            continue;
+                        }
+                        for oj in 0..w_out {
+                            let jj = oj + kj;
+                            if jj < padding || jj - padding >= w {
+                                continue;
+                            }
+                            let v = input.get(&[batch, ch, ii - padding, jj - padding]);
+                            cols.set(&[row_idx, oi * w_out + oj], v);
+                        }
+                    }
+                }
+            }
+        }
+        cols
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Over random channel counts, kernels, paddings up to `k + 1`
+        /// (so whole window rows and columns fall in the padding) and
+        /// independent, non-square spatial sides down to the smallest
+        /// valid one, the slice im2col equals the element-wise oracle.
+        #[test]
+        fn im2col_matches_elementwise_oracle(
+            c in 1usize..4,
+            k in 1usize..6,
+            padding in 0usize..7,
+            dh in 0usize..5,
+            dw in 0usize..5,
+            batch in 0usize..2,
+            seed in any::<u64>(),
+        ) {
+            let padding = padding.min(k + 1);
+            let min_side = k.saturating_sub(2 * padding).max(1);
+            let (h, w) = (min_side + dh, min_side + dw);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let x = Tensor::from_vec(
+                (0..2 * c * h * w).map(|_| rng.gen_range(-1.0..1.0f32)).collect(),
+                &[2, c, h, w],
+            )
+            .unwrap();
+            let fast = im2col(&x, batch, k, padding).unwrap();
+            let slow = im2col_reference(&x, batch, k, padding);
+            prop_assert_eq!(fast.shape(), slow.shape());
+            for (a, b) in fast.data().iter().zip(slow.data()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+    }
 
     /// A 1-channel 3×3 input with a known 2×2 identity-corner kernel.
     fn fixed_conv() -> Conv2d {

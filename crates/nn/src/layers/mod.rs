@@ -12,7 +12,7 @@ mod pool;
 pub use activation::{Flatten, Relu};
 pub use conv::{im2col, Conv2d};
 pub use dense::Dense;
-pub use pool::{AvgPool2d, MaxPool2d};
+pub use pool::{avg_pool2d, max_pool2d, AvgPool2d, MaxPool2d};
 
 use serde::{Deserialize, Serialize};
 

@@ -43,14 +43,7 @@ impl MaxPool2d {
     /// Returns [`NnError::ShapeMismatch`] unless the input is rank 4 and
     /// both spatial dimensions are divisible by the pool size.
     pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        let s = input.shape();
-        if s.len() != 4 || !s[2].is_multiple_of(self.size) || !s[3].is_multiple_of(self.size) {
-            return Err(NnError::ShapeMismatch {
-                expected: format!("[N, C, H, W] with H, W divisible by {}", self.size),
-                got: s.to_vec(),
-            });
-        }
-        let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
+        let [n, c, h, w] = pool_shape(input, self.size)?;
         let (ho, wo) = (h / self.size, w / self.size);
         let mut out = Tensor::zeros(&[n, c, ho, wo]);
         let mut argmax = vec![0usize; n * c * ho * wo];
@@ -147,34 +140,9 @@ impl AvgPool2d {
     /// Returns [`NnError::ShapeMismatch`] unless the input is rank 4 and
     /// divisible by the pool size.
     pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        let s = input.shape();
-        if s.len() != 4 || !s[2].is_multiple_of(self.size) || !s[3].is_multiple_of(self.size) {
-            return Err(NnError::ShapeMismatch {
-                expected: format!("[N, C, H, W] with H, W divisible by {}", self.size),
-                got: s.to_vec(),
-            });
-        }
-        let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
-        let (ho, wo) = (h / self.size, w / self.size);
-        let norm = (self.size * self.size) as f32;
-        let mut out = Tensor::zeros(&[n, c, ho, wo]);
-        for b in 0..n {
-            for ch in 0..c {
-                for oi in 0..ho {
-                    for oj in 0..wo {
-                        let mut sum = 0.0;
-                        for ki in 0..self.size {
-                            for kj in 0..self.size {
-                                sum +=
-                                    input.get(&[b, ch, oi * self.size + ki, oj * self.size + kj]);
-                            }
-                        }
-                        out.set(&[b, ch, oi, oj], sum / norm);
-                    }
-                }
-            }
-        }
-        self.input_shape = Some([n, c, h, w]);
+        let shape = pool_shape(input, self.size)?;
+        let out = avg_pool2d(input, self.size)?;
+        self.input_shape = Some(shape);
         Ok(out)
     }
 
@@ -219,9 +187,169 @@ impl AvgPool2d {
     }
 }
 
+/// Validates a pooling input: rank 4 with both spatial sides divisible
+/// by `size`. Returns its `[N, C, H, W]`.
+fn pool_shape(input: &Tensor, size: usize) -> Result<[usize; 4], NnError> {
+    match *input.shape() {
+        [n, c, h, w] if h.is_multiple_of(size) && w.is_multiple_of(size) => Ok([n, c, h, w]),
+        ref s => Err(NnError::ShapeMismatch {
+            expected: format!("[N, C, H, W] with H, W divisible by {size}"),
+            got: s.to_vec(),
+        }),
+    }
+}
+
+/// Pools every `H × W` plane of a `[N, C, H, W]` tensor with `window`,
+/// which reduces the `size × size` window whose top-left element is at
+/// flat plane index `at` (plane row stride `w`).
+fn pool_planes(
+    input: &Tensor,
+    size: usize,
+    window: impl Fn(&[f32], usize, usize) -> f32,
+) -> Result<Tensor, NnError> {
+    let [n, c, h, w] = pool_shape(input, size)?;
+    let (ho, wo) = (h / size, w / size);
+    let mut out = Tensor::zeros(&[n, c, ho, wo]);
+    if ho * wo == 0 {
+        return Ok(out);
+    }
+    let planes = input.data().chunks_exact(h * w);
+    for (plane, dst) in planes.zip(out.data_mut().chunks_exact_mut(ho * wo)) {
+        for (o, d) in dst.iter_mut().enumerate() {
+            *d = window(plane, (o / wo * w + o % wo) * size, w);
+        }
+    }
+    Ok(out)
+}
+
+/// Inference-only max pooling: the output of [`MaxPool2d::forward`]
+/// without building a layer or caching the argmax for a backward pass.
+///
+/// # Errors
+///
+/// Returns [`NnError::ShapeMismatch`] unless the input is rank 4 and
+/// both spatial dimensions are divisible by `size`.
+pub fn max_pool2d(input: &Tensor, size: usize) -> Result<Tensor, NnError> {
+    pool_planes(input, size, |plane, at, w| {
+        let mut best = f32::NEG_INFINITY;
+        for ki in 0..size {
+            for &v in &plane[at + ki * w..][..size] {
+                if v > best {
+                    best = v;
+                }
+            }
+        }
+        best
+    })
+}
+
+/// Average pooling without building a layer: each window is summed in
+/// row-major order from `0.0`, then divided by `size²`.
+/// [`AvgPool2d::forward`] computes its output with this function.
+///
+/// # Errors
+///
+/// Returns [`NnError::ShapeMismatch`] unless the input is rank 4 and
+/// both spatial dimensions are divisible by `size`.
+pub fn avg_pool2d(input: &Tensor, size: usize) -> Result<Tensor, NnError> {
+    let norm = (size * size) as f32;
+    pool_planes(input, size, |plane, at, w| {
+        let mut sum = 0.0;
+        for ki in 0..size {
+            for &v in &plane[at + ki * w..][..size] {
+                sum += v;
+            }
+        }
+        sum / norm
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The element-wise average pool [`avg_pool2d`] replaced, kept as
+    /// its oracle.
+    fn avg_pool_reference(input: &Tensor, size: usize) -> Tensor {
+        let s = input.shape();
+        let (n, c, ho, wo) = (s[0], s[1], s[2] / size, s[3] / size);
+        let norm = (size * size) as f32;
+        let mut out = Tensor::zeros(&[n, c, ho, wo]);
+        for b in 0..n {
+            for ch in 0..c {
+                for oi in 0..ho {
+                    for oj in 0..wo {
+                        let mut sum = 0.0;
+                        for ki in 0..size {
+                            for kj in 0..size {
+                                sum += input.get(&[b, ch, oi * size + ki, oj * size + kj]);
+                            }
+                        }
+                        out.set(&[b, ch, oi, oj], sum / norm);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn assert_same_bits(a: &Tensor, b: &Tensor) {
+        assert_eq!(a.shape(), b.shape());
+        for (x, y) in a.data().iter().zip(b.data()) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The slice pools equal their element-wise oracles (the max
+        /// pool's is the training layer's forward pass) bit for bit, NaN
+        /// and infinite inputs included.
+        #[test]
+        fn inference_pools_match_layer_forward(
+            n in 1usize..3,
+            c in 1usize..4,
+            size in 1usize..4,
+            ho in 1usize..4,
+            wo in 1usize..4,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let shape = [n, c, ho * size, wo * size];
+            let x = Tensor::from_vec(
+                (0..shape.iter().product::<usize>())
+                    .map(|_| match rng.gen_range(0..12u32) {
+                        0 => f32::NAN,
+                        1 => f32::NEG_INFINITY,
+                        _ => rng.gen_range(-2.0..2.0f32),
+                    })
+                    .collect(),
+                &shape,
+            )
+            .unwrap();
+            assert_same_bits(&max_pool2d(&x, size).unwrap(), &MaxPool2d::new(size).forward(&x).unwrap());
+            assert_same_bits(&avg_pool2d(&x, size).unwrap(), &avg_pool_reference(&x, size));
+        }
+    }
+
+    #[test]
+    fn inference_pools_reject_like_layers() {
+        for bad in [vec![1, 1, 3, 4], vec![1, 4, 4], vec![1, 1, 4, 5]] {
+            let x = Tensor::zeros(&bad);
+            assert_eq!(
+                max_pool2d(&x, 2).unwrap_err(),
+                MaxPool2d::new(2).forward(&x).unwrap_err()
+            );
+            assert_eq!(
+                avg_pool2d(&x, 2).unwrap_err(),
+                AvgPool2d::new(2).forward(&x).unwrap_err()
+            );
+        }
+    }
 
     #[test]
     fn maxpool_forward_picks_max() {
