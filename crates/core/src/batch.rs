@@ -5,8 +5,9 @@
 //! *exact* per-sample floating-point operation sequence of
 //! [`MappedWeights::forward`] against those hoisted values:
 //!
-//! * a column-major copy of the effective conductances, routed through
-//!   the logical→physical column map;
+//! * a copy of the effective conductances, routed through the
+//!   logical→physical column map and laid out for the grouped walk (see
+//!   [One kernel](#one-kernel));
 //! * the per-column crossbar conductance sums and capacitor charge
 //!   factors;
 //! * the nominal decode constants `k_j`;
@@ -42,16 +43,25 @@
 //! [`BatchPlan::forward_block`] is the only entry point: it evaluates a
 //! block of `B` samples (one sample is a block of 1) in one pass over
 //! the tile data. Per tile it encodes every sample's wordlines, then
-//! loads each column's conductance pair once and sweeps it across the
-//! block with the sparse non-zero wordline walk. The optional
-//! [`LayerProbe`] selects the loop order around that walk:
+//! sweeps the conductances across the block with the sparse non-zero
+//! wordline walk, **four logical columns per pass**: each full group of
+//! four columns is stored interleaved `[group][row][4][±]`, so one
+//! non-zero wordline of a sample loads one 64-byte row holding both
+//! arrays' conductances of the four columns and feeds eight independent
+//! weighted sums (four columns × the ± arrays). The `cols % 4` tail
+//! columns stay column-major and take the same walk one column at a
+//! time. Each column's sum still adds its products in row order, so
+//! grouping only runs independent chains side by side and changes no
+//! bit. The optional [`LayerProbe`] selects the loop order around that
+//! walk:
 //!
 //! * without a probe, each `(column, sample)` is decoded as soon as its
 //!   weighted sums are formed (fused);
 //! * with a probe, the crossbar pass stages every `(column, sample)`
 //!   voltage pair first and a separate decode pass follows, so S1
-//!   encode, the crossbar and S2 decode can each be timed, and every
-//!   decode lands in the telemetry histograms.
+//!   encode, the crossbar and S2 decode can each be timed; every decode
+//!   is binned into block-local histograms that reach the shared
+//!   telemetry once per block.
 //!
 //! Columns and samples are independent and staging a value in memory
 //! does not change its bits, so both orders return the same outputs.
@@ -67,7 +77,15 @@ use resipe_analog::units::Seconds;
 use crate::engine::ResipeEngine;
 use crate::error::ResipeError;
 use crate::mapping::{MappedWeights, SpikeEncoding, Tile, VoltageCodec};
-use crate::telemetry::{LayerProbe, SampleStats};
+use crate::telemetry::{DecodeBins, LayerProbe, SampleStats};
+
+/// Logical columns one pass of the crossbar walk accumulates: each
+/// non-zero wordline of a sample feeds `GROUP` independent weighted-sum
+/// chains per array instead of one.
+const GROUP: usize = 4;
+
+/// Values per wordline of a column group: `GROUP` columns × the ± arrays.
+const LANES: usize = 2 * GROUP;
 
 /// Sample-independent constants of one crossbar tile pair.
 #[derive(Debug, Clone)]
@@ -80,10 +98,16 @@ struct TilePlan {
     cols: usize,
     /// Physical wordline → logical tile row driving it.
     row_source: Vec<usize>,
-    /// Effective conductances, column-major `[cols × rows]`, routed
-    /// through the logical→physical column map (spares dropped).
-    g_plus: Vec<f64>,
-    g_minus: Vec<f64>,
+    /// Effective conductances of the full column groups, routed through
+    /// the logical→physical column map (spares dropped) and interleaved
+    /// `[group][row][GROUP][±]`: entry `[q * rows + p][2 * l + s]` is
+    /// wordline `p` of logical column `q * GROUP + l` in the positive
+    /// (`s = 0`) or negative (`s = 1`) array, so one wordline of a group
+    /// is one 64-byte row.
+    g_group: Vec<[f64; LANES]>,
+    /// The `cols % GROUP` tail columns, column-major `[tail × rows]`.
+    g_plus_tail: Vec<f64>,
+    g_minus_tail: Vec<f64>,
     /// Actual per-logical-column conductance sums (row-order partial
     /// sums, exactly as `mvm_matrix` accumulates them).
     g_total_plus: Vec<f64>,
@@ -103,13 +127,16 @@ impl TilePlan {
     fn new(tile: &Tile, row_start: usize, dt_over_c: f64) -> TilePlan {
         let rows = tile.rows();
         let cols = tile.cols();
+        let groups = cols / GROUP;
+        let tail = cols % GROUP;
         let mut plan = TilePlan {
             row_start,
             rows,
             cols,
             row_source: tile.row_source.clone(),
-            g_plus: Vec::with_capacity(cols * rows),
-            g_minus: Vec::with_capacity(cols * rows),
+            g_group: vec![[0.0; LANES]; groups * rows],
+            g_plus_tail: Vec::with_capacity(tail * rows),
+            g_minus_tail: Vec::with_capacity(tail * rows),
             g_total_plus: Vec::with_capacity(cols),
             g_total_minus: Vec::with_capacity(cols),
             charge_plus: Vec::with_capacity(cols),
@@ -121,10 +148,10 @@ impl TilePlan {
         };
         for j in 0..cols {
             let pc = tile.col_map()[j];
-            for (eff_cm, g_col, g_total, charge, k, offs, gsum, offsets) in [
+            for (s, (eff_cm, g_tail, g_total, charge, k, offs, gsum, offsets)) in [
                 (
                     tile.eff_plus_cm(),
-                    &mut plan.g_plus,
+                    &mut plan.g_plus_tail,
                     &mut plan.g_total_plus,
                     &mut plan.charge_plus,
                     &mut plan.k_plus,
@@ -134,7 +161,7 @@ impl TilePlan {
                 ),
                 (
                     tile.eff_minus_cm(),
-                    &mut plan.g_minus,
+                    &mut plan.g_minus_tail,
                     &mut plan.g_total_minus,
                     &mut plan.charge_minus,
                     &mut plan.k_minus,
@@ -142,7 +169,10 @@ impl TilePlan {
                     &tile.gsum_minus,
                     &tile.offset_minus,
                 ),
-            ] {
+            ]
+            .into_iter()
+            .enumerate()
+            {
                 // Column sum in row order — the exact accumulation order
                 // of `mvm_matrix`, so the hoisted sum is bit-equal to the
                 // per-sample recomputation it replaces. The tile's SoA
@@ -152,7 +182,14 @@ impl TilePlan {
                 for &g in col {
                     total += g;
                 }
-                g_col.extend_from_slice(col);
+                if j < groups * GROUP {
+                    let group = &mut plan.g_group[j / GROUP * rows..(j / GROUP + 1) * rows];
+                    for (lanes, &g) in group.iter_mut().zip(col) {
+                        lanes[2 * (j % GROUP) + s] = g;
+                    }
+                } else {
+                    g_tail.extend_from_slice(col);
+                }
                 g_total.push(total);
                 charge.push(1.0 - (-dt_over_c * total).exp());
                 let gsum_nom = gsum[pc];
@@ -163,12 +200,49 @@ impl TilePlan {
         plan
     }
 
-    /// Column `j`'s conductances in both arrays, row order.
+    /// Full column groups; logical columns `groups() * GROUP..cols` are
+    /// the tail.
     #[inline(always)]
-    fn column(&self, j: usize) -> (&[f64], &[f64]) {
-        let col = j * self.rows..(j + 1) * self.rows;
-        (&self.g_plus[col.clone()], &self.g_minus[col])
+    fn groups(&self) -> usize {
+        self.cols / GROUP
     }
+
+    /// Group `q`'s interleaved conductances and its columns' hoisted
+    /// sums and charge factors.
+    #[inline(always)]
+    fn group(&self, q: usize) -> Group<'_> {
+        let lanes = |plus: &[f64], minus: &[f64]| -> [f64; LANES] {
+            std::array::from_fn(|i| [plus, minus][i % 2][q * GROUP + i / 2])
+        };
+        Group {
+            g: &self.g_group[q * self.rows..(q + 1) * self.rows],
+            total: lanes(&self.g_total_plus, &self.g_total_minus),
+            charge: lanes(&self.charge_plus, &self.charge_minus),
+        }
+    }
+
+    /// Tail column `j`'s conductances in both arrays, row order.
+    #[inline(always)]
+    fn tail_column(&self, j: usize) -> (&[f64], &[f64]) {
+        let t = j - self.groups() * GROUP;
+        let col = t * self.rows..(t + 1) * self.rows;
+        (&self.g_plus_tail[col.clone()], &self.g_minus_tail[col])
+    }
+
+    /// Conductance bytes one pass over this tile reads (both arrays).
+    fn stream_bytes(&self) -> u64 {
+        let values = self.g_group.len() * LANES + self.g_plus_tail.len() + self.g_minus_tail.len();
+        (values * std::mem::size_of::<f64>()) as u64
+    }
+}
+
+/// One full column group of a [`TilePlan`], ready for the grouped walk.
+struct Group<'a> {
+    /// Interleaved conductances, `[row][GROUP][±]`.
+    g: &'a [[f64; LANES]],
+    /// The group's conductance sums and charge factors, `[GROUP][±]`.
+    total: [f64; LANES],
+    charge: [f64; LANES],
 }
 
 /// Reusable per-worker buffers for [`BatchPlan::forward_block`].
@@ -249,10 +323,7 @@ impl BatchPlan {
             tiles.push(TilePlan::new(tile, row_start, dt_over_c));
             row_start += tile.rows();
         }
-        let tile_stream_bytes = tiles
-            .iter()
-            .map(|t| ((t.g_plus.len() + t.g_minus.len()) * std::mem::size_of::<f64>()) as u64)
-            .sum();
+        let tile_stream_bytes = tiles.iter().map(TilePlan::stream_bytes).sum();
         BatchPlan {
             rows: mapped.rows(),
             cols: mapped.cols(),
@@ -318,8 +389,17 @@ impl BatchPlan {
         self.codec.decode(v_out, offset).v_hat / k
     }
 
+    /// Logical column `j`'s differential contribution `d⁺ − d⁻` from its
+    /// sampled voltage pair.
+    #[inline(always)]
+    fn decode_pair(&self, tile: &TilePlan, j: usize, vp: f64, vm: f64) -> f64 {
+        self.decode_column(vp, tile.offset_plus[j], tile.k_plus[j])
+            - self.decode_column(vm, tile.offset_minus[j], tile.k_minus[j])
+    }
+
     /// [`BatchPlan::decode_column`] plus what telemetry observes of it,
-    /// recorded into `probe` and `stats`.
+    /// binned by `probe` into the block-local `bins` and counted in
+    /// `stats`.
     fn decode_column_probed(
         &self,
         v_out: f64,
@@ -327,9 +407,10 @@ impl BatchPlan {
         k: f64,
         probe: &LayerProbe,
         stats: &mut SampleStats,
+        bins: &mut DecodeBins,
     ) -> f64 {
         let d = self.codec.decode(v_out, offset);
-        probe.record_decode(d.v_eff, d.v_hat, d.t_obs);
+        probe.bin_decode(bins, d.v_eff, d.v_hat, d.t_obs);
         stats.comparator_offset_rejects += u64::from(d.offset_clamped);
         stats.saturated_decodes += u64::from(d.saturated);
         d.v_hat / k
@@ -374,14 +455,37 @@ impl BatchPlan {
         skips
     }
 
-    /// The crossbar stage of one `(column, sample)`: the sparse walk
-    /// over the sample's non-zero wordlines against column `j`'s
-    /// conductance pair, returning the sampled `(V_out⁺, V_out⁻)`. One
-    /// pass accumulates both arrays' weighted sums, each in row order,
-    /// so the bits match the reference; a zero-voltage wordline would
-    /// only add an exact `+0.0` product, so skipping it is bit-neutral.
+    /// The crossbar stage of one `(group, sample)`: the sparse walk over
+    /// the sample's non-zero wordlines against the `GROUP` columns of a
+    /// column group, returning the sampled bitline voltages in the
+    /// group's `[GROUP][±]` order. The pass carries `LANES` independent
+    /// weighted sums; each one still adds its products in row order, so
+    /// every column's bits match the reference. A zero-voltage wordline
+    /// would only add an exact `+0.0` product, so skipping it is
+    /// bit-neutral.
     #[inline(always)]
-    fn crossbar(
+    fn crossbar_group(g: &Group, (v_in, nz): (&[f64], &[u32])) -> [f64; LANES] {
+        // Equal lengths let one bounds check cover both loads.
+        let rows = &g.g[..v_in.len()];
+        let mut w = [0.0f64; LANES];
+        for &p in nz {
+            let v = v_in[p as usize];
+            let row = rows[p as usize];
+            for i in 0..LANES {
+                w[i] += v * row[i];
+            }
+        }
+        let mut v_out = [0.0f64; LANES];
+        for i in 0..LANES {
+            v_out[i] = Self::v_out(w[i], g.total[i], g.charge[i]);
+        }
+        v_out
+    }
+
+    /// The crossbar stage of one tail `(column, sample)`: the same walk
+    /// with one weighted sum per array.
+    #[inline(always)]
+    fn crossbar_tail(
         tile: &TilePlan,
         j: usize,
         (gp, gm): (&[f64], &[f64]),
@@ -465,13 +569,21 @@ impl BatchPlan {
     ) {
         for tile in &self.tiles {
             self.encode_block(tile, activations, samples, scratch);
-            for j in 0..tile.cols {
-                let g = tile.column(j);
+            for q in 0..tile.groups() {
+                let g = tile.group(q);
                 for b in 0..samples {
-                    let (vp, vm) = Self::crossbar(tile, j, g, scratch.held(b, tile.rows));
-                    let d_plus = self.decode_column(vp, tile.offset_plus[j], tile.k_plus[j]);
-                    let d_minus = self.decode_column(vm, tile.offset_minus[j], tile.k_minus[j]);
-                    out[b * self.cols + j] += d_plus - d_minus;
+                    let v = Self::crossbar_group(&g, scratch.held(b, tile.rows));
+                    for l in 0..GROUP {
+                        let j = q * GROUP + l;
+                        out[b * self.cols + j] += self.decode_pair(tile, j, v[2 * l], v[2 * l + 1]);
+                    }
+                }
+            }
+            for j in tile.groups() * GROUP..tile.cols {
+                let g = tile.tail_column(j);
+                for b in 0..samples {
+                    let (vp, vm) = Self::crossbar_tail(tile, j, g, scratch.held(b, tile.rows));
+                    out[b * self.cols + j] += self.decode_pair(tile, j, vp, vm);
                 }
             }
         }
@@ -494,18 +606,31 @@ impl BatchPlan {
             mvms: (samples * 2 * self.tiles.len()) as u64,
             ..SampleStats::default()
         };
+        let mut bins = DecodeBins::default();
         for tile in &self.tiles {
             let t0 = Instant::now();
             stats.zero_activation_skips += self.encode_block(tile, activations, samples, scratch);
             let t1 = Instant::now();
-            scratch.v_cols_block.clear();
-            for j in 0..tile.cols {
-                let g = tile.column(j);
+            let mut staged = std::mem::take(&mut scratch.v_cols_block);
+            staged.clear();
+            staged.resize(tile.cols * samples, (0.0, 0.0));
+            for q in 0..tile.groups() {
+                let g = tile.group(q);
                 for b in 0..samples {
-                    let pair = Self::crossbar(tile, j, g, scratch.held(b, tile.rows));
-                    scratch.v_cols_block.push(pair);
+                    let v = Self::crossbar_group(&g, scratch.held(b, tile.rows));
+                    for l in 0..GROUP {
+                        staged[(q * GROUP + l) * samples + b] = (v[2 * l], v[2 * l + 1]);
+                    }
                 }
             }
+            for j in tile.groups() * GROUP..tile.cols {
+                let g = tile.tail_column(j);
+                for b in 0..samples {
+                    staged[j * samples + b] =
+                        Self::crossbar_tail(tile, j, g, scratch.held(b, tile.rows));
+                }
+            }
+            scratch.v_cols_block = staged;
             let t2 = Instant::now();
             for j in 0..tile.cols {
                 for b in 0..samples {
@@ -516,6 +641,7 @@ impl BatchPlan {
                         tile.k_plus[j],
                         probe,
                         &mut stats,
+                        &mut bins,
                     );
                     let d_minus = self.decode_column_probed(
                         vm,
@@ -523,6 +649,7 @@ impl BatchPlan {
                         tile.k_minus[j],
                         probe,
                         &mut stats,
+                        &mut bins,
                     );
                     out[b * self.cols + j] += d_plus - d_minus;
                 }
@@ -538,6 +665,7 @@ impl BatchPlan {
         }
         stats.s2_decode_nanos += t_scale.elapsed().as_nanos() as u64;
         probe.record_block(stats, samples as u64);
+        probe.record_bins(&bins);
         probe.record_kernel(samples as u64, self.tile_stream_bytes);
     }
 }
@@ -831,6 +959,50 @@ mod tests {
                 }
                 exact_eq(&reference, &out);
             }
+        }
+    }
+
+    /// Every logical column reads back, through the group or the tail
+    /// accessor, as the tile's column-major conductances of the physical
+    /// bitline it is routed to, and the interleaved layout streams
+    /// exactly the bytes of the column-major one.
+    #[test]
+    fn grouped_layout_holds_every_routed_column() {
+        let mut rng = StdRng::seed_from_u64(37);
+        let e = engine();
+        for cols in 1..=13usize {
+            let rows = 45;
+            let weights: Vec<f64> = (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let mut mapped = TileMapper::paper()
+                .with_spare_cols(2)
+                .map(&weights, rows, cols)
+                .unwrap();
+            // Route the last logical column onto the second spare.
+            mapped.tiles_mut()[0].col_map[cols - 1] = cols + 1;
+            let plan = BatchPlan::new(&e, &mapped, SpikeEncoding::LinearTime);
+            let mut column_major_bytes = 0;
+            for (tp, tile) in plan.tiles.iter().zip(mapped.tiles()) {
+                assert_eq!(tp.groups(), cols / GROUP);
+                for j in 0..cols {
+                    let (plus, minus): (Vec<f64>, Vec<f64>) = if j < tp.groups() * GROUP {
+                        let lane = 2 * (j % GROUP);
+                        let group = tp.group(j / GROUP);
+                        (
+                            group.g.iter().map(|row| row[lane]).collect(),
+                            group.g.iter().map(|row| row[lane + 1]).collect(),
+                        )
+                    } else {
+                        let (gp, gm) = tp.tail_column(j);
+                        (gp.to_vec(), gm.to_vec())
+                    };
+                    let pc = tile.col_map()[j];
+                    let col = pc * tile.rows()..(pc + 1) * tile.rows();
+                    exact_eq(&plus, &tile.eff_plus_cm()[col.clone()]);
+                    exact_eq(&minus, &tile.eff_minus_cm()[col]);
+                }
+                column_major_bytes += 2 * tile.rows() * cols * std::mem::size_of::<f64>();
+            }
+            assert_eq!(plan.tile_stream_bytes(), column_major_bytes as u64);
         }
     }
 

@@ -29,9 +29,10 @@
 //! single `Option` branch — no allocation, no atomics, no locks — and
 //! the numeric path is untouched, so disabled-telemetry outputs are
 //! **bit-identical** to the pre-telemetry engine. When **enabled**, the
-//! hot per-sample path records through lock-free atomics (counters,
-//! per-layer stage accumulators, histogram bins); mutexes guard only the
-//! coarse span map, touched once per layer or tile, never per sample.
+//! kernel aggregates each sample block in plain locals (stage times,
+//! counters, and the `t_out`/`V_out` bins of every decode) and folds them
+//! into lock-free atomics once per block; mutexes guard only the coarse
+//! span map, touched once per layer or tile, never per sample.
 //! Enabling telemetry never changes a computed bit either — it only adds
 //! observation (and the wall-clock cost of taking it).
 //!
@@ -123,6 +124,18 @@ struct LayerStats {
     s2_decode_nanos: AtomicU64,
 }
 
+/// The bin of a value normalized to `[0, 1]`: NaN and values `≤ 0`
+/// land in bin 0, values `≥ 1` in the top bin.
+fn bin_of(v: f64) -> usize {
+    if !(v > 0.0) {
+        0
+    } else if v >= 1.0 {
+        HISTOGRAM_BINS - 1
+    } else {
+        ((v * HISTOGRAM_BINS as f64) as usize).min(HISTOGRAM_BINS - 1)
+    }
+}
+
 /// A fixed-bin histogram over the normalized range `[0, 1]`.
 #[derive(Debug)]
 struct Histogram {
@@ -136,19 +149,18 @@ impl Histogram {
         }
     }
 
+    #[cfg(test)]
     fn record(&self, v: f64) {
-        let i = if !(v > 0.0) {
-            0
-        } else if v >= 1.0 {
-            HISTOGRAM_BINS - 1
-        } else {
-            ((v * HISTOGRAM_BINS as f64) as usize).min(HISTOGRAM_BINS - 1)
-        };
-        self.record_bin(i);
+        self.bins[bin_of(v)].fetch_add(1, Ordering::Relaxed);
     }
 
-    fn record_bin(&self, i: usize) {
-        self.bins[i].fetch_add(1, Ordering::Relaxed);
+    /// Adds block-local bin counts, skipping empty bins.
+    fn add_bins(&self, counts: &[u64; HISTOGRAM_BINS]) {
+        for (bin, &n) in self.bins.iter().zip(counts) {
+            if n > 0 {
+                bin.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
@@ -243,9 +255,11 @@ impl Telemetry {
     }
 
     /// A recording probe for one network layer, or `None` on a disabled
-    /// handle. The engine configuration's slice and supply voltage
-    /// normalize the histogram inputs.
-    pub(crate) fn layer_probe(&self, layer: usize, config: &ResipeConfig) -> Option<LayerProbe> {
+    /// handle — what [`crate::batch::BatchPlan::forward_block`] takes to
+    /// time its stages and fill the histograms. The engine
+    /// configuration's slice and supply voltage normalize the histogram
+    /// inputs.
+    pub fn layer_probe(&self, layer: usize, config: &ResipeConfig) -> Option<LayerProbe> {
         let sink = self.sink.as_ref()?;
         let stats = {
             let mut layers = sink.layers.lock().expect("telemetry layer map poisoned");
@@ -400,10 +414,20 @@ pub(crate) struct SampleStats {
     pub(crate) saturated_decodes: u64,
 }
 
+/// Block-local `t_out` / `V_out` histogram counts: the kernel bins every
+/// probed decode of a block into plain integers and
+/// [`LayerProbe::record_bins`] adds them to the shared histograms once,
+/// so no decode touches a shared atomic.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct DecodeBins {
+    t_out: [u64; HISTOGRAM_BINS],
+    v_out: [u64; HISTOGRAM_BINS],
+}
+
 /// A hot-path recording probe bound to one network layer.
 ///
-/// Constructed internally (per layer, per forward call) from an enabled
-/// [`Telemetry`] handle; safe to share across the rayon workers of a
+/// Built by [`Telemetry::layer_probe`] from an enabled handle (per layer,
+/// per forward call); safe to share across the rayon workers of a
 /// batched forward — all recording is atomic.
 #[derive(Debug, Clone)]
 pub struct LayerProbe {
@@ -463,22 +487,43 @@ impl LayerProbe {
         self.sink.counters[Counter::Mvms as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records one column decode into the normalized histograms:
-    /// `v_eff` against the `C_cog`/comparator voltage range `[0, V_s]`,
-    /// and the output spike time against the S2 slice. A decode that
-    /// evaluated its spike time (`t_obs`, quantized timing) is binned by
-    /// it; otherwise the read-back voltage `v_hat` is binned against the
+    /// Bins one column decode into the block-local `bins`: `v_eff`
+    /// against the `C_cog`/comparator voltage range `[0, V_s]`, and the
+    /// output spike time against the S2 slice. A decode that evaluated
+    /// its spike time (`t_obs`, quantized timing) is binned by it;
+    /// otherwise the read-back voltage `v_hat` is binned against the
     /// voltage images of the time-bin edges, which places it in the bin
     /// of `f⁻¹(v_hat)` without evaluating a logarithm.
+    #[inline]
+    pub(crate) fn bin_decode(
+        &self,
+        bins: &mut DecodeBins,
+        v_eff: f64,
+        v_hat: f64,
+        t_obs: Option<f64>,
+    ) {
+        bins.v_out[bin_of(v_eff * self.inv_vs)] += 1;
+        let t_bin = match t_obs {
+            Some(t) => bin_of(t * self.inv_slice),
+            None => self.t_edges.partition_point(|&e| e <= v_hat),
+        };
+        bins.t_out[t_bin] += 1;
+    }
+
+    /// Adds one block's [`LayerProbe::bin_decode`] counts to the shared
+    /// histograms.
+    pub(crate) fn record_bins(&self, bins: &DecodeBins) {
+        self.sink.t_out.add_bins(&bins.t_out);
+        self.sink.v_out.add_bins(&bins.v_out);
+    }
+
+    /// Records one column decode straight into the shared histograms
+    /// (see [`LayerProbe::bin_decode`]).
+    #[cfg(test)]
     pub(crate) fn record_decode(&self, v_eff: f64, v_hat: f64, t_obs: Option<f64>) {
-        self.sink.v_out.record(v_eff * self.inv_vs);
-        match t_obs {
-            Some(t) => self.sink.t_out.record(t * self.inv_slice),
-            None => self
-                .sink
-                .t_out
-                .record_bin(self.t_edges.partition_point(|&e| e <= v_hat)),
-        }
+        let mut bins = DecodeBins::default();
+        self.bin_decode(&mut bins, v_eff, v_hat, t_obs);
+        self.record_bins(&bins);
     }
 }
 

@@ -14,13 +14,17 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use resipe::batch::BatchPlan;
 use resipe::inference::{CompileOptions, FaultInjection, HardwareNetwork, RunOptions};
-use resipe::mapping::TileMapper;
+use resipe::mapping::{MappedWeights, SpikeEncoding, TileMapper};
+use resipe::repair::{repair_layer, RepairPolicy};
 use resipe::telemetry::Telemetry;
+use resipe::{ResipeConfig, ResipeEngine};
 use resipe_analog::units::Seconds;
 use resipe_nn::layers::{Conv2d, Dense};
 use resipe_nn::network::Network;
 use resipe_nn::tensor::Tensor;
+use resipe_reram::faults::{CellFault, FaultMap};
 use resipe_reram::variation::VariationModel;
 
 fn assert_bit_identical(a: &Tensor, b: &Tensor) {
@@ -245,6 +249,136 @@ proptest! {
             .outputs;
         for (a, b) in reference.data().iter().zip(probed.data()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+}
+
+/// A `rows × cols` layer (`rows > 64`, paper 32-row tiles) whose repair
+/// ladder, run on targeted faults, both permuted tile 0's wordlines and
+/// remapped a column of tile 1 onto its spare bitline:
+///
+/// * tile 0's wordline 31 is stuck at HRS on every bitline, under a row
+///   of full-scale weights, so every column fails and no spare helps;
+///   logical row 0 is all zeros, so the permutation moves it onto the
+///   dead wordline, where HRS is its target;
+/// * one cell of tile 1 is stuck at LRS where its column's positive
+///   target is HRS, which only the healthy spare can recover.
+fn remapped_and_permuted(
+    engine: &ResipeEngine,
+    rows: usize,
+    cols: usize,
+    rng: &mut StdRng,
+) -> MappedWeights {
+    let dead_col = rng.gen_range(0..cols);
+    let weights: Vec<f64> = (0..rows * cols)
+        .map(|i| match (i / cols, i % cols) {
+            (0, _) => 0.0,
+            (31, _) => {
+                if rng.gen_range(0.0..1.0) < 0.5 {
+                    -1.0
+                } else {
+                    1.0
+                }
+            }
+            (32, c) if c == dead_col => -0.5,
+            _ => rng.gen_range(-0.5..0.5),
+        })
+        .collect();
+    let phys = cols + 1;
+    let mut dead_row = FaultMap::healthy(32, phys);
+    for c in 0..phys {
+        dead_row.set(31, c, CellFault::StuckHrs);
+    }
+    let mut dead_cell = FaultMap::healthy(32, phys);
+    dead_cell.set(0, dead_col, CellFault::StuckLrs);
+    let mut mapped = TileMapper::paper()
+        .with_spare_cols(1)
+        .map(&weights, rows, cols)
+        .expect("map")
+        .with_fault_maps(0, dead_row.clone(), dead_row)
+        .expect("tile 0 faults")
+        .with_fault_maps(1, dead_cell, FaultMap::healthy(32, phys))
+        .expect("tile 1 faults");
+    repair_layer(engine, &mut mapped, 0, &RepairPolicy::full(), rng.gen()).expect("repair");
+    assert!(mapped.tiles()[0].is_permuted(), "tile 0 must be permuted");
+    assert!(
+        mapped.tiles()[1]
+            .col_map()
+            .iter()
+            .enumerate()
+            .any(|(j, &pc)| j != pc),
+        "tile 1 must route a column onto its spare"
+    );
+    mapped
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The kernel walks four columns per pass over a sample's non-zero
+    /// wordlines and the `cols % 4` tail one at a time. For every tail
+    /// length, several tiles, a spare-column remap and a wordline
+    /// permutation, `BatchPlan::forward_block` must equal
+    /// `MappedWeights::forward` to the bit — at blocks of 1, 3 and the
+    /// plan's preferred size, with and without a probe.
+    #[test]
+    fn grouped_walk_is_bit_identical_to_mapped_forward(
+        cols in 1usize..=13,
+        rows in 65usize..=110,
+        batch in 1usize..=10,
+        pass_through in any::<bool>(),
+        quantized in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        let engine = ResipeEngine::new(ResipeConfig::paper());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut mapped = remapped_and_permuted(&engine, rows, cols, &mut rng)
+            .with_comparator_offsets(0.01, seed);
+        if quantized {
+            mapped = mapped.with_time_quantization(Seconds(1e-9));
+        }
+        let encoding = if pass_through {
+            SpikeEncoding::PassThrough
+        } else {
+            SpikeEncoding::LinearTime
+        };
+        let a: Vec<f64> = (0..batch * rows)
+            .map(|_| {
+                if rng.gen_range(0.0..1.0) < 0.3 {
+                    0.0
+                } else {
+                    rng.gen_range(0.0..1.0)
+                }
+            })
+            .collect();
+        let mut reference = Vec::with_capacity(batch * cols);
+        for x in a.chunks_exact(rows) {
+            reference.extend(mapped.forward(&engine, x, encoding).expect("reference"));
+        }
+        let plan = BatchPlan::new(&engine, &mapped, encoding);
+        let telemetry = Telemetry::enabled();
+        let probe = telemetry
+            .layer_probe(0, engine.config())
+            .expect("enabled probe");
+        let mut scratch = plan.scratch();
+        for block in [1, 3, plan.preferred_block()] {
+            for probe in [None, Some(&probe)] {
+                let mut out = vec![f64::NAN; batch * cols];
+                for start in (0..batch).step_by(block) {
+                    let n = block.min(batch - start);
+                    plan.forward_block(
+                        &a[start * rows..(start + n) * rows],
+                        n,
+                        &mut out[start * cols..(start + n) * cols],
+                        &mut scratch,
+                        probe,
+                    )
+                    .expect("forward_block");
+                }
+                for (x, y) in reference.iter().zip(&out) {
+                    prop_assert_eq!(x.to_bits(), y.to_bits());
+                }
+            }
         }
     }
 }

@@ -39,7 +39,8 @@ pub trait BatchExecutor: Send + Sync + 'static {
     /// # Errors
     ///
     /// Propagates engine failures; the worker answers every request in
-    /// the batch with [`Status::EngineError`].
+    /// the batch with [`Status::EngineError`], as it does when the
+    /// outputs do not have one row per input row.
     fn execute(&self, batch: &Tensor) -> Result<Tensor, ResipeError>;
 }
 
@@ -257,14 +258,22 @@ fn execute_group(ctx: &WorkerContext, replica: &Replica, group: Vec<PendingReque
     shape.push(total);
     shape.extend_from_slice(&ctx.entry.sample_shape);
     let input = Tensor::from_vec(data, &shape).expect("admission validated sample shapes");
-    match replica.executor.execute(&input) {
+    // An executor that breaks its one-row-per-input contract is answered
+    // like one that failed, so the group still gets its replies.
+    let result = replica.executor.execute(&input).and_then(|outputs| {
+        let rows = outputs.shape().first().copied().unwrap_or(0);
+        if rows == total {
+            Ok(outputs)
+        } else {
+            Err(ResipeError::DimensionMismatch {
+                expected: total,
+                got: rows,
+            })
+        }
+    });
+    match result {
         Ok(outputs) => {
             let out_shape = outputs.shape().to_vec();
-            assert_eq!(
-                out_shape.first().copied(),
-                Some(total),
-                "executor must return one output row per input row"
-            );
             let row_len = outputs.len() / total;
             ctx.bump(|c| &c.batches, 1);
             ctx.bump(|c| &c.batched_samples, total as u64);
@@ -321,6 +330,16 @@ mod tests {
     impl BatchExecutor for EchoExecutor {
         fn execute(&self, batch: &Tensor) -> Result<Tensor, ResipeError> {
             Ok(batch.clone())
+        }
+    }
+
+    /// Returns one output row fewer than it was given.
+    struct ShortExecutor;
+
+    impl BatchExecutor for ShortExecutor {
+        fn execute(&self, batch: &Tensor) -> Result<Tensor, ResipeError> {
+            let (n, width) = (batch.shape()[0], batch.shape()[1]);
+            Ok(Tensor::from_vec(batch.data()[width..].to_vec(), &[n - 1, width]).unwrap())
         }
     }
 
@@ -454,6 +473,36 @@ mod tests {
         assert!(replies.iter().all(|r| r.status == Status::EngineError));
         assert_eq!(ServerCounters::get(&ctx.entry.counters.engine_errors), 2);
         assert_eq!(ctx.entry.in_flight.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn short_executor_output_answers_every_request_once() {
+        let ctx = context(Arc::new(ShortExecutor), 8, 1);
+        let (tx, rx) = mpsc::channel();
+        ctx.entry.in_flight.store(3, Ordering::Relaxed);
+        for (id, samples) in [(1, vec![0.0; 2]), (2, vec![0.0; 4]), (3, vec![0.0; 2])] {
+            ctx.entry
+                .queue
+                .try_push(request(id, samples, None, &tx))
+                .unwrap();
+        }
+        ctx.entry.queue.close();
+        worker_loop(ctx.clone());
+        drop(tx);
+        let mut replies: Vec<Reply> = rx.iter().collect();
+        replies.sort_by_key(|r| r.id);
+        assert_eq!(
+            replies.iter().map(|r| r.id).collect::<Vec<_>>(),
+            [1, 2, 3],
+            "exactly one reply per request"
+        );
+        assert!(replies.iter().all(|r| r.status == Status::EngineError));
+        assert_eq!(ServerCounters::get(&ctx.entry.counters.engine_errors), 3);
+        assert_eq!(ServerCounters::get(&ctx.entry.counters.completed), 0);
+        assert_eq!(ctx.entry.in_flight.load(Ordering::Relaxed), 0);
+        let replicas = ctx.entry.replicas().unwrap();
+        assert_eq!(replicas[0].outstanding.load(Ordering::Relaxed), 0);
+        assert_eq!(replicas[0].completed.load(Ordering::Relaxed), 0);
     }
 
     #[test]

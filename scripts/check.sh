@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo gate: formatting, lints, the full test suite (the workspace and
-# the separate perfbench package), and the fault-injection smoke check. Run from anywhere; exits non-zero on the
-# first failure.
+# the separate perfbench package, both formatted, linted and tested), and
+# the fault-injection smoke check. Run from anywhere; exits non-zero on
+# the first failure.
 #
 # With --perf-smoke, additionally runs the throughput bench in gate
 # mode: it fails unless the batched path is bit-identical AND the
@@ -55,6 +56,14 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# perfbench is a workspace of its own, so neither `fmt --all` nor
+# `clippy --workspace` above reaches it.
+echo "==> cargo fmt (perfbench) -- --check"
+cargo fmt --manifest-path perfbench/Cargo.toml -- --check
+
+echo "==> cargo clippy (perfbench) --all-targets -- -D warnings"
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "==> cargo doc --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
