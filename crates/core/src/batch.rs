@@ -27,11 +27,14 @@
 //! * the S1 held voltages are shared between the positive and negative
 //!   arrays of the differential pair instead of being recomputed per
 //!   array;
-//! * a **zero activation holds exactly `+0.0`** in both encodings, so it
-//!   is skipped before the codec is asked;
+//! * **each input is encoded once**: the kernel takes held wordline
+//!   voltages, and [`BatchPlan::encode_into`] is the planned path's only
+//!   S1 encode, so a conv input pixel read by k² windows is encoded
+//!   once, not once per window copy (encoding the same value again
+//!   would give the same bits);
 //! * wordlines held at `V = 0` are skipped inside the weighted
 //!   accumulation (their products are exactly `+0.0`, so skipping them
-//!   cannot change the sum's bits).
+//!   cannot change the sum's bits) and counted as zero-activation skips.
 //!
 //! Neither path evaluates a spike time it does not need: with continuous
 //! timing the S2 decode is `min(V_eff, V_sat) / k_j` and a pass-through
@@ -40,15 +43,18 @@
 //!
 //! # One kernel
 //!
-//! [`BatchPlan::forward_block`] is the only entry point: it evaluates a
-//! block of `B` samples (one sample is a block of 1) in one pass over
-//! the tile data. Per tile it encodes every sample's wordlines, then
-//! sweeps the conductances across the block with the sparse non-zero
-//! wordline walk, **four logical columns per pass**: each full group of
-//! four columns is stored interleaved `[group][row][4][±]`, so one
-//! non-zero wordline of a sample loads one 64-byte row holding both
-//! arrays' conductances of the four columns and feeds eight independent
-//! weighted sums (four columns × the ± arrays). The `cols % 4` tail
+//! [`BatchPlan::forward_held`] is the kernel: it evaluates a block of
+//! `B` samples (one sample is a block of 1) from their held wordline
+//! voltages in one pass over the tile data;
+//! [`BatchPlan::forward_block`] is [`BatchPlan::encode_into`] followed
+//! by it. Per tile the kernel gathers every sample's wordline voltages
+//! through the tile's wordline routing, then sweeps the conductances
+//! across the block with the sparse non-zero wordline walk, **four
+//! logical columns per pass**: each full group of four columns is stored
+//! interleaved `[group][row][4][±]`, so one non-zero wordline of a
+//! sample loads one 64-byte row holding both arrays' conductances of
+//! the four columns and feeds eight independent weighted sums (four
+//! columns × the ± arrays). The `cols % 4` tail
 //! columns stay column-major and take the same walk one column at a
 //! time. Each column's sum still adds its products in row order, so
 //! grouping only runs independent chains side by side and changes no
@@ -58,8 +64,8 @@
 //! * without a probe, each `(column, sample)` is decoded as soon as its
 //!   weighted sums are formed (fused);
 //! * with a probe, the crossbar pass stages every `(column, sample)`
-//!   voltage pair first and a separate decode pass follows, so S1
-//!   encode, the crossbar and S2 decode can each be timed; every decode
+//!   voltage pair first and a separate decode pass follows, so the S1
+//!   gather, the crossbar and S2 decode can each be timed; every decode
 //!   is binned into block-local histograms that reach the shared
 //!   telemetry once per block.
 //!
@@ -245,7 +251,8 @@ struct Group<'a> {
     charge: [f64; LANES],
 }
 
-/// Reusable per-worker buffers for [`BatchPlan::forward_block`].
+/// Reusable per-worker buffers for [`BatchPlan::forward_held`] and
+/// [`BatchPlan::forward_block`].
 ///
 /// Create one per thread with [`BatchPlan::scratch`] and reuse it across
 /// calls to keep the hot loop allocation-free.
@@ -262,12 +269,14 @@ pub struct BatchScratch {
     /// Staged `(V_out⁺, V_out⁻)` per (column, sample) of the probed
     /// loop order, indexed `j * samples + b`.
     v_cols_block: Vec<(f64, f64)>,
-    /// Normalized-activation staging for a block of samples — borrowed
-    /// by `HardwareNetwork` between kernel invocations so the per-block
-    /// input copy reuses one allocation.
+    /// Held voltages of a block of samples in logical row order, the
+    /// input of [`BatchPlan::forward_held`] — staged here by
+    /// [`BatchPlan::forward_block`] and by `HardwareNetwork`, so the
+    /// per-block encode reuses one allocation.
     pub(crate) a_block: Vec<f64>,
-    /// One conv sample's normalized `[C, H, W]` activations, which the
-    /// conv arm gathers each pixel's window from into `a_block`.
+    /// One conv sample's `[C, H, W]` inputs, normalized and encoded once
+    /// into held voltages by [`BatchPlan::encode_into`]; the conv arm
+    /// gathers each pixel's window of voltages from here into `a_block`.
     pub(crate) a_sample: Vec<f64>,
 }
 
@@ -287,8 +296,10 @@ impl BatchScratch {
 ///
 /// See the [module docs](crate::batch) for the amortization/determinism
 /// contract. Build once per layer with [`BatchPlan::new`], then call
-/// [`BatchPlan::forward_block`] per block of samples (from any number of
-/// threads, each with its own [`BatchScratch`]).
+/// [`BatchPlan::forward_block`] per block of samples, or
+/// [`BatchPlan::encode_into`] and [`BatchPlan::forward_held`] to encode
+/// and evaluate separately (from any number of threads, each with its
+/// own [`BatchScratch`]).
 #[derive(Debug, Clone)]
 pub struct BatchPlan {
     rows: usize,
@@ -359,7 +370,7 @@ impl BatchPlan {
         self.tile_stream_bytes
     }
 
-    /// Deterministic sample-block size for [`BatchPlan::forward_block`]:
+    /// Deterministic sample-block size for [`BatchPlan::forward_held`]:
     /// as many samples as keep one block's per-sample working set
     /// (held wordline voltages, non-zero index list, output row) inside
     /// a 32 KiB L1 budget, clamped to `[1, 64]`. A pure function of the
@@ -416,43 +427,57 @@ impl BatchPlan {
         d.v_hat / k
     }
 
-    /// S1: encodes one tile's wordlines for every sample of a block into
-    /// the scratch staging buffers — held voltages at stride
-    /// `tile.rows`, and the per-sample non-zero index lists behind a
-    /// shared prefix-bounds array. Returns the number of zero-activation
-    /// skips taken.
-    fn encode_block(
+    /// S1: the held wordline voltage of every activation in `src`
+    /// (the layer's [`VoltageCodec::held_voltage`] under its encoding),
+    /// appended to `dst` in order — the only place the planned path
+    /// evaluates the S1 ramp. With a probe its wall time is added to
+    /// the layer's `s1_encode_nanos`.
+    pub fn encode_into(
+        &self,
+        src: impl IntoIterator<Item = f64>,
+        dst: &mut Vec<f64>,
+        probe: Option<&LayerProbe>,
+    ) {
+        let t0 = probe.map(|_| Instant::now());
+        dst.extend(
+            src.into_iter()
+                .map(|a| self.codec.held_voltage(self.encoding, a)),
+        );
+        if let (Some(probe), Some(t0)) = (probe, t0) {
+            probe.record_encode(t0.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// S1, per tile: gathers one tile's held wordline voltages for every
+    /// sample of a block into the scratch staging buffers — physical
+    /// wordline order through `row_source`, at stride `tile.rows` — and
+    /// the per-sample non-zero index lists behind a shared prefix-bounds
+    /// array. Returns the number of wordlines held at exactly 0 V.
+    fn gather_block(
         &self,
         tile: &TilePlan,
-        activations: &[f64],
+        voltages: &[f64],
         samples: usize,
         scratch: &mut BatchScratch,
     ) -> u64 {
-        let mut skips = 0u64;
         scratch.v_in_block.clear();
         scratch.nz_idx.clear();
         scratch.nz_bounds.clear();
         scratch.nz_bounds.push(0);
         for b in 0..samples {
-            let base = b * self.rows + tile.row_start;
-            for (p, &l) in tile.row_source.iter().enumerate() {
-                let a = activations[base + l].clamp(0.0, 1.0);
-                if a == 0.0 {
-                    // A zero activation holds exactly +0.0 in both
-                    // encodings (`VoltageCodec::held_voltage`).
-                    scratch.v_in_block.push(0.0);
-                    skips += 1;
-                    continue;
-                }
-                let v = self.codec.held_voltage(self.encoding, a);
-                scratch.v_in_block.push(v);
+            let held = &voltages[b * self.rows + tile.row_start..][..tile.rows];
+            let start = scratch.v_in_block.len();
+            scratch
+                .v_in_block
+                .extend(tile.row_source.iter().map(|&l| held[l]));
+            for (p, &v) in scratch.v_in_block[start..].iter().enumerate() {
                 if v != 0.0 {
                     scratch.nz_idx.push(p as u32);
                 }
             }
             scratch.nz_bounds.push(scratch.nz_idx.len());
         }
-        skips
+        (samples * tile.rows - scratch.nz_idx.len()) as u64
     }
 
     /// The crossbar stage of one `(group, sample)`: the sparse walk over
@@ -504,26 +529,16 @@ impl BatchPlan {
         )
     }
 
-    /// Executes `samples` logical MVMs in one pass over the tile data —
+    /// Executes `samples` logical MVMs from raw activations —
     /// bit-identical to calling [`MappedWeights::forward`] on each
     /// sample, for any block size and with or without a probe.
     /// `activations` holds the samples back-to-back (`samples × rows`),
     /// `out` receives the outputs back-to-back (`samples × cols`).
     ///
-    /// For every sample the per-(tile, column) contributions accumulate
-    /// in tile order with row-order weighted sums, exactly as the
-    /// reference does; the block only changes how often the tile data is
-    /// streamed (once per block instead of once per sample).
-    ///
-    /// With `probe: None` each `(column, sample)` is decoded as soon as
-    /// its weighted sums are formed. With a probe the crossbar pass
-    /// stages every voltage pair first and a decode pass follows, so
-    /// the probe can time S1 encode, crossbar and S2 decode separately
-    /// and record the `t_out`/`V_out` histograms, zero-activation skips,
-    /// comparator-offset rejects and slice-end saturations. The probe's
-    /// layer counters advance by the whole block (`calls += samples`),
-    /// and the global kernel counters record one block of `samples`
-    /// samples streaming [`BatchPlan::tile_stream_bytes`] bytes.
+    /// This is [`BatchPlan::encode_into`] into the scratch followed by
+    /// [`BatchPlan::forward_held`]; callers that already hold the
+    /// voltages (or can share one encode across several wordlines, as
+    /// the conv arm does) call those two directly.
     ///
     /// # Errors
     ///
@@ -538,10 +553,53 @@ impl BatchPlan {
         scratch: &mut BatchScratch,
         probe: Option<&LayerProbe>,
     ) -> Result<(), ResipeError> {
-        if activations.len() != samples * self.rows {
+        let mut held = std::mem::take(&mut scratch.a_block);
+        held.clear();
+        self.encode_into(activations.iter().copied(), &mut held, probe);
+        let r = self.forward_held(&held, samples, out, scratch, probe);
+        scratch.a_block = held;
+        r
+    }
+
+    /// Executes `samples` logical MVMs from held S1 wordline voltages in
+    /// one pass over the tile data. `voltages` holds the samples
+    /// back-to-back in logical row order (`samples × rows`), as
+    /// [`BatchPlan::encode_into`] produces them; `out` receives the
+    /// outputs back-to-back (`samples × cols`).
+    ///
+    /// For every sample the per-(tile, column) contributions accumulate
+    /// in tile order with row-order weighted sums, exactly as the
+    /// reference does; the block only changes how often the tile data is
+    /// streamed (once per block instead of once per sample).
+    ///
+    /// With `probe: None` each `(column, sample)` is decoded as soon as
+    /// its weighted sums are formed. With a probe the crossbar pass
+    /// stages every voltage pair first and a decode pass follows, so
+    /// the probe can time the S1 gather, crossbar and S2 decode
+    /// separately and record the `t_out`/`V_out` histograms,
+    /// zero-voltage wordline skips, comparator-offset rejects and
+    /// slice-end saturations. The probe's layer counters advance by the
+    /// whole block (`calls += samples`), and the global kernel counters
+    /// record one block of `samples` samples streaming
+    /// [`BatchPlan::tile_stream_bytes`] bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ResipeError::DimensionMismatch`] unless
+    /// `voltages.len() == samples * rows` and
+    /// `out.len() == samples * cols`.
+    pub fn forward_held(
+        &self,
+        voltages: &[f64],
+        samples: usize,
+        out: &mut [f64],
+        scratch: &mut BatchScratch,
+        probe: Option<&LayerProbe>,
+    ) -> Result<(), ResipeError> {
+        if voltages.len() != samples * self.rows {
             return Err(ResipeError::DimensionMismatch {
                 expected: samples * self.rows,
-                got: activations.len(),
+                got: voltages.len(),
             });
         }
         if out.len() != samples * self.cols {
@@ -552,8 +610,8 @@ impl BatchPlan {
         }
         out.fill(0.0);
         match probe {
-            None => self.block_fused(activations, samples, out, scratch),
-            Some(probe) => self.block_staged(activations, samples, out, scratch, probe),
+            None => self.block_fused(voltages, samples, out, scratch),
+            Some(probe) => self.block_staged(voltages, samples, out, scratch, probe),
         }
         Ok(())
     }
@@ -562,13 +620,13 @@ impl BatchPlan {
     /// from the crossbar walk.
     fn block_fused(
         &self,
-        activations: &[f64],
+        voltages: &[f64],
         samples: usize,
         out: &mut [f64],
         scratch: &mut BatchScratch,
     ) {
         for tile in &self.tiles {
-            self.encode_block(tile, activations, samples, scratch);
+            self.gather_block(tile, voltages, samples, scratch);
             for q in 0..tile.groups() {
                 let g = tile.group(q);
                 for b in 0..samples {
@@ -592,11 +650,11 @@ impl BatchPlan {
         }
     }
 
-    /// The probed loop order: encode pass, crossbar pass staging every
+    /// The probed loop order: gather pass, crossbar pass staging every
     /// voltage pair, decode pass — each timed into `probe`.
     fn block_staged(
         &self,
-        activations: &[f64],
+        voltages: &[f64],
         samples: usize,
         out: &mut [f64],
         scratch: &mut BatchScratch,
@@ -609,7 +667,7 @@ impl BatchPlan {
         let mut bins = DecodeBins::default();
         for tile in &self.tiles {
             let t0 = Instant::now();
-            stats.zero_activation_skips += self.encode_block(tile, activations, samples, scratch);
+            stats.zero_activation_skips += self.gather_block(tile, voltages, samples, scratch);
             let t1 = Instant::now();
             let mut staged = std::mem::take(&mut scratch.v_cols_block);
             staged.clear();

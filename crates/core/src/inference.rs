@@ -18,7 +18,7 @@
 //! This is the machinery behind the paper's Fig. 7 accuracy study.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 use resipe_analog::units::Seconds;
 use resipe_nn::data::Dataset;
@@ -419,6 +419,9 @@ pub(crate) struct NetworkEpoch {
 /// write lock is held only for the pointer replacement (readers clone
 /// the `Arc` under the read lock and drop it immediately), so swaps
 /// never stall in-flight inference and readers never block each other.
+/// A swap builds the next epoch before it replaces the `Arc`, so a
+/// holder that panics leaves either epoch in place, never a torn one: a
+/// poisoned lock is recovered rather than propagated.
 #[derive(Debug)]
 struct EpochCell {
     current: RwLock<Arc<NetworkEpoch>>,
@@ -436,12 +439,12 @@ impl EpochCell {
     /// The currently-published epoch. In-flight holders of a previous
     /// epoch keep it alive through their `Arc` until they finish.
     fn load(&self) -> Arc<NetworkEpoch> {
-        Arc::clone(&self.current.read().expect("epoch cell poisoned"))
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Publishes `layers` as the next epoch and returns its number.
     fn swap(&self, layers: Vec<Arc<LayerState>>) -> u64 {
-        let mut guard = self.current.write().expect("epoch cell poisoned");
+        let mut guard = self.current.write().unwrap_or_else(PoisonError::into_inner);
         let next = guard.epoch + 1;
         *guard = Arc::new(NetworkEpoch {
             epoch: next,
@@ -457,7 +460,7 @@ impl EpochCell {
     /// lock, so a concurrent full swap is never silently clobbered on
     /// layers this update does not touch.
     fn swap_layers(&self, updates: Vec<(usize, Arc<LayerState>)>) -> u64 {
-        let mut guard = self.current.write().expect("epoch cell poisoned");
+        let mut guard = self.current.write().unwrap_or_else(PoisonError::into_inner);
         let mut layers = guard.layers.clone();
         for (index, state) in updates {
             layers[index] = state;
@@ -502,12 +505,12 @@ fn conv_output_hw(
 
 /// Appends the receptive field of output pixel `(oi, oj)` to `dst` in
 /// im2col row order `(ch, ki, kj)` — the planned conv arm's replacement
-/// for building an im2col tensor. `scaled` is one sample's `[C, H, W]`
-/// activations, already normalized; window positions in the zero
-/// padding take `pad`.
+/// for building an im2col tensor. `held` is one sample's `[C, H, W]`
+/// held wordline voltages, already encoded; window positions in the
+/// zero padding take the padding's voltage `pad`.
 fn gather_window(
     dst: &mut Vec<f64>,
-    scaled: &[f64],
+    held: &[f64],
     (c, h, w): (usize, usize, usize),
     k: usize,
     padding: usize,
@@ -527,7 +530,7 @@ fn gather_window(
             dst.extend(std::iter::repeat_n(pad, lead));
             if end > lead {
                 let row = (ch * h + ii - padding) * w;
-                dst.extend_from_slice(&scaled[row + oj + lead - padding..row + oj + end - padding]);
+                dst.extend_from_slice(&held[row + oj + lead - padding..row + oj + end - padding]);
             }
             dst.extend(std::iter::repeat_n(pad, k - end));
         }
@@ -1059,7 +1062,7 @@ impl HardwareNetwork {
     fn scratch_pool(&self) -> std::sync::MutexGuard<'_, Vec<BatchScratch>> {
         self.scratch_pool
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     fn forward_layer_batched(
@@ -1111,17 +1114,16 @@ impl HardwareNetwork {
                         let mut scratch = self.take_scratch();
                         let mut a_block = std::mem::take(&mut scratch.a_block);
                         a_block.clear();
-                        a_block.reserve(b * rows);
-                        for i in start..start + b {
-                            a_block.extend(
-                                x.row(i)
-                                    .iter()
-                                    .map(|&v| (v as f64 / input_scale).clamp(0.0, 1.0)),
-                            );
-                        }
+                        plan.encode_into(
+                            x.data()[start * rows..(start + b) * rows]
+                                .iter()
+                                .map(|&v| (v as f64 / input_scale).clamp(0.0, 1.0)),
+                            &mut a_block,
+                            probe.as_ref(),
+                        );
                         let mut ys = vec![0.0f64; b * cols];
                         let r =
-                            plan.forward_block(&a_block, b, &mut ys, &mut scratch, probe.as_ref());
+                            plan.forward_held(&a_block, b, &mut ys, &mut scratch, probe.as_ref());
                         scratch.a_block = a_block;
                         self.put_scratch(scratch);
                         r.map(|()| ys)
@@ -1173,25 +1175,34 @@ impl HardwareNetwork {
                     .block
                     .unwrap_or_else(|| plan.preferred_block())
                     .max(1);
-                // The activation the reference derives from im2col's
-                // zero fill, so padded window positions match it bit
-                // for bit.
-                let pad = (0.0f32 as f64 / input_scale).clamp(0.0, 1.0);
+                // The held voltage of the activation the reference
+                // derives from im2col's zero fill, so padded window
+                // positions match it bit for bit.
+                let mut pad = Vec::with_capacity(1);
+                plan.encode_into(
+                    [(0.0f32 as f64 / input_scale).clamp(0.0, 1.0)],
+                    &mut pad,
+                    None,
+                );
+                let pad = pad[0];
                 let sample_len = c_in * h * w;
                 let per_sample: Vec<Result<Vec<f64>, ResipeError>> = (0..n)
                     .into_par_iter()
                     .map(|b| {
                         let mut scratch = self.take_scratch();
                         let mut a_block = std::mem::take(&mut scratch.a_block);
-                        // Normalize the sample once; every window below
-                        // copies from this `[C, H, W]` buffer instead of
-                        // re-scaling each of its k² appearances.
-                        let mut scaled = std::mem::take(&mut scratch.a_sample);
-                        scaled.clear();
-                        scaled.extend(
+                        // Normalize and encode the sample once; every
+                        // window below copies held voltages from this
+                        // `[C, H, W]` buffer instead of encoding each of
+                        // an input's k² appearances.
+                        let mut held = std::mem::take(&mut scratch.a_sample);
+                        held.clear();
+                        plan.encode_into(
                             x.data()[b * sample_len..(b + 1) * sample_len]
                                 .iter()
                                 .map(|&v| (v as f64 / input_scale).clamp(0.0, 1.0)),
+                            &mut held,
+                            probe.as_ref(),
                         );
                         let mut pix_out = vec![0.0f64; n_pix * n_cols];
                         let mut result = Ok(());
@@ -1202,7 +1213,7 @@ impl HardwareNetwork {
                             for pix in start..start + bl {
                                 gather_window(
                                     &mut a_block,
-                                    &scaled,
+                                    &held,
                                     (c_in, h, w),
                                     k,
                                     p,
@@ -1210,7 +1221,7 @@ impl HardwareNetwork {
                                     pad,
                                 );
                             }
-                            if let Err(e) = plan.forward_block(
+                            if let Err(e) = plan.forward_held(
                                 &a_block,
                                 bl,
                                 &mut pix_out[start * n_cols..(start + bl) * n_cols],
@@ -1222,7 +1233,7 @@ impl HardwareNetwork {
                             }
                         }
                         scratch.a_block = a_block;
-                        scratch.a_sample = scaled;
+                        scratch.a_sample = held;
                         self.put_scratch(scratch);
                         result.map(|()| pix_out)
                     })
@@ -1719,6 +1730,38 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert!(!hw.scratch_pool().is_empty(), "buffers still recycle");
+    }
+
+    /// A panic while the epoch cell's lock is held poisons it; later
+    /// loads (`run`), full swaps (`age`) and per-layer swaps (the
+    /// scrubber's publish) must recover the lock and keep publishing.
+    #[test]
+    fn poisoned_epoch_cell_is_recovered() {
+        use resipe_reram::aging::{AgingClock, AgingConfig};
+        let (net, train, _) = trained_mlp();
+        let (x, _) = train.batch(&[0, 1]).unwrap();
+        let hw = HardwareNetwork::compile(&net, &x, &CompileOptions::paper()).unwrap();
+        let before = hw.run(&x, &RunOptions::planned()).unwrap().outputs;
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _epoch = hw.weights.current.write().unwrap();
+                panic!("panic while holding the epoch cell");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(hw.weights.current.is_poisoned());
+        let after = hw.run(&x, &RunOptions::planned()).unwrap().outputs;
+        for (a, b) in before.data().iter().zip(after.data()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        let drift = RetentionDrift::new(Seconds(1e6)).unwrap();
+        let mut clock = AgingClock::new(AgingConfig::new(Seconds(100.0), drift).unwrap());
+        hw.age(&clock.advance(1000).unwrap()).unwrap();
+        assert_eq!(hw.epoch(), 1);
+        let layer = Arc::clone(&hw.current_epoch().layers[0]);
+        assert_eq!(hw.publish_layer_updates(vec![(0, layer)]), 2);
+        assert_eq!(hw.plan_swaps(), 2);
+        hw.run(&x, &RunOptions::planned()).unwrap();
     }
 
     #[test]

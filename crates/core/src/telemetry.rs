@@ -47,7 +47,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use resipe_analog::units::Joules;
@@ -64,7 +64,8 @@ pub const HISTOGRAM_BINS: usize = 32;
 pub(crate) enum Counter {
     /// Physical crossbar MVMs issued.
     Mvms,
-    /// Wordlines skipped because their activation encoded to exactly 0.
+    /// Gathered wordlines skipped because they are held at exactly 0 V
+    /// (per window wordline for a conv layer).
     ZeroActivationSkips,
     /// Failing columns remapped onto spare bitlines by the repair ladder.
     SpareRemaps,
@@ -181,6 +182,10 @@ impl Histogram {
 }
 
 /// The shared recorder behind enabled [`Telemetry`] handles.
+///
+/// Every critical section on the two maps is a single insert, update or
+/// clear, so a holder that panics cannot leave a map half-written: a
+/// poisoned lock is recovered rather than propagated.
 #[derive(Debug)]
 struct Sink {
     counters: [AtomicU64; COUNTER_COUNT],
@@ -255,14 +260,15 @@ impl Telemetry {
     }
 
     /// A recording probe for one network layer, or `None` on a disabled
-    /// handle — what [`crate::batch::BatchPlan::forward_block`] takes to
-    /// time its stages and fill the histograms. The engine
+    /// handle — what [`crate::batch::BatchPlan::encode_into`] and
+    /// [`crate::batch::BatchPlan::forward_held`] take to time their
+    /// stages and fill the histograms. The engine
     /// configuration's slice and supply voltage normalize the histogram
     /// inputs.
     pub fn layer_probe(&self, layer: usize, config: &ResipeConfig) -> Option<LayerProbe> {
         let sink = self.sink.as_ref()?;
         let stats = {
-            let mut layers = sink.layers.lock().expect("telemetry layer map poisoned");
+            let mut layers = sink.layers.lock().unwrap_or_else(PoisonError::into_inner);
             Arc::clone(layers.entry(layer).or_default())
         };
         let slice = config.slice().0;
@@ -315,7 +321,7 @@ impl Telemetry {
         let mut spans: Vec<SpanSnapshot> = sink
             .spans
             .lock()
-            .expect("telemetry span map poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(path, agg)| SpanSnapshot {
                 path: path.clone(),
@@ -326,7 +332,7 @@ impl Telemetry {
         let layers: Vec<LayerSnapshot> = sink
             .layers
             .lock()
-            .expect("telemetry layer map poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(&layer, s)| LayerSnapshot {
                 layer,
@@ -370,11 +376,11 @@ impl Telemetry {
         }
         sink.spans
             .lock()
-            .expect("telemetry span map poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .clear();
         sink.layers
             .lock()
-            .expect("telemetry layer map poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .clear();
         sink.t_out.reset();
         sink.v_out.reset();
@@ -393,7 +399,7 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some((sink, path, start)) = self.inner.take() {
             let nanos = start.elapsed().as_nanos() as u64;
-            let mut spans = sink.spans.lock().expect("telemetry span map poisoned");
+            let mut spans = sink.spans.lock().unwrap_or_else(PoisonError::into_inner);
             let agg = spans.entry(path).or_default();
             agg.count += 1;
             agg.nanos += nanos;
@@ -469,6 +475,15 @@ impl LayerProbe {
         c[Counter::SaturatedDecodes as usize].fetch_add(s.saturated_decodes, Ordering::Relaxed);
     }
 
+    /// Adds the wall time of one S1 encode
+    /// ([`crate::batch::BatchPlan::encode_into`]) to the layer's
+    /// `s1_encode_nanos`.
+    pub(crate) fn record_encode(&self, nanos: u64) {
+        self.stats
+            .s1_encode_nanos
+            .fetch_add(nanos, Ordering::Relaxed);
+    }
+
     /// Records one kernel invocation against the global kernel
     /// counters: a block of `samples` samples that streamed `bytes` of
     /// tile conductance data.
@@ -532,7 +547,8 @@ impl LayerProbe {
 pub struct CounterSnapshot {
     /// Physical crossbar MVMs issued.
     pub mvms: u64,
-    /// Wordlines skipped because their activation encoded to exactly 0.
+    /// Gathered wordlines skipped because they are held at exactly 0 V
+    /// (per window wordline for a conv layer).
     pub zero_activation_skips: u64,
     /// Failing columns remapped onto spare bitlines.
     pub spare_remaps: u64,
@@ -588,9 +604,12 @@ pub struct LayerSnapshot {
     pub calls: u64,
     /// Physical crossbar MVMs issued by this layer.
     pub mvms: u64,
-    /// Zero-activation skips in this layer's S1 encode.
+    /// Wordlines of this layer held at exactly 0 V and skipped by the
+    /// kernel (per window wordline for a conv layer).
     pub zero_activation_skips: u64,
-    /// Wall-clock nanoseconds in S1 encode.
+    /// Wall-clock nanoseconds in S1: the caller's encode of each input
+    /// (`BatchPlan::encode_into`) plus the kernel's per-tile gather of
+    /// held voltages onto the wordlines.
     pub s1_encode_nanos: u64,
     /// Wall-clock nanoseconds in the Δt computation stage.
     pub crossbar_nanos: u64,
@@ -927,6 +946,39 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+    }
+
+    /// A thread that panics while holding the span or the layer map
+    /// poisons it; every later probe, span, snapshot and reset must
+    /// recover the lock and keep recording.
+    #[test]
+    fn poisoned_maps_are_recovered() {
+        let t = Telemetry::enabled();
+        let sink = t.sink.as_ref().expect("enabled sink");
+        std::thread::scope(|s| {
+            let spans = s.spawn(|| {
+                let _spans = sink.spans.lock().unwrap();
+                panic!("panic while holding the span map");
+            });
+            assert!(spans.join().is_err());
+            let layers = s.spawn(|| {
+                let _layers = sink.layers.lock().unwrap();
+                panic!("panic while holding the layer map");
+            });
+            assert!(layers.join().is_err());
+        });
+        assert!(sink.spans.is_poisoned() && sink.layers.is_poisoned());
+        let probe = t.layer_probe(2, &ResipeConfig::paper()).unwrap();
+        probe.record_encode(5);
+        {
+            let _g = t.span("forward");
+        }
+        let snap = t.snapshot();
+        assert_eq!(snap.layers[0].s1_encode_nanos, 5);
+        assert_eq!(snap.span("forward").expect("span recorded").count, 1);
+        t.reset();
+        let snap = t.snapshot();
+        assert!(snap.spans.is_empty() && snap.layers.is_empty());
     }
 
     #[test]

@@ -382,3 +382,111 @@ proptest! {
         }
     }
 }
+
+/// An activation from the edge cases of the S1 encode: signed zeros,
+/// the clamp's ends, subnormals, a tiny positive whose `LinearTime`
+/// voltage rounds to exactly 0 V, and ordinary values.
+fn edge_activation(rng: &mut StdRng) -> f64 {
+    match rng.gen_range(0..10u32) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => 1.0,
+        3 => 1.0 + rng.gen_range(0.0..2.0),
+        4 => f64::MIN_POSITIVE * rng.gen_range(0.0..1.0),
+        5 => 1e-18,
+        6 => -rng.gen_range(0.0..1.0),
+        _ => rng.gen_range(0.0..1.0),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The kernel takes held voltages: `forward_held` on
+    /// `encode_into`'s voltages, `forward_block` on the raw activations
+    /// and `MappedWeights::forward` must agree to the bit over the
+    /// encode's edge cases, a wordline permutation and a spare-column
+    /// remap, at blocks of 1, 3 and the preferred size, with and
+    /// without a probe. A probed call counts exactly the gathered
+    /// wordlines held at 0 V as zero-activation skips.
+    #[test]
+    fn held_entry_is_bit_identical_to_block_and_mapped_forward(
+        cols in 1usize..=9,
+        rows in 65usize..=100,
+        batch in 1usize..=7,
+        pass_through in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        let engine = ResipeEngine::new(ResipeConfig::paper());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mapped = remapped_and_permuted(&engine, rows, cols, &mut rng)
+            .with_comparator_offsets(0.01, seed);
+        let encoding = if pass_through {
+            SpikeEncoding::PassThrough
+        } else {
+            SpikeEncoding::LinearTime
+        };
+        let a: Vec<f64> = (0..batch * rows).map(|_| edge_activation(&mut rng)).collect();
+        let mut reference = Vec::with_capacity(batch * cols);
+        for x in a.chunks_exact(rows) {
+            reference.extend(mapped.forward(&engine, x, encoding).expect("reference"));
+        }
+        let plan = BatchPlan::new(&engine, &mapped, encoding);
+        let mut held = Vec::new();
+        plan.encode_into(a.iter().copied(), &mut held, None);
+        prop_assert_eq!(held.len(), a.len());
+        if !pass_through {
+            let mut tiny = Vec::new();
+            plan.encode_into([1e-18], &mut tiny, None);
+            prop_assert_eq!(tiny[0].to_bits(), 0.0f64.to_bits());
+        }
+        // Every tile's wordline routing is a permutation of its rows, so
+        // the gathered 0 V wordlines are the 0 V entries of `held`.
+        let zero_volt = held.iter().filter(|&&v| v == 0.0).count() as u64;
+        let mut scratch = plan.scratch();
+        for block in [1, 3, plan.preferred_block()] {
+            for probed in [false, true] {
+                let telemetry = Telemetry::enabled();
+                let probe = telemetry
+                    .layer_probe(0, engine.config())
+                    .expect("enabled probe");
+                let probe = probed.then_some(&probe);
+                let mut from_held = vec![f64::NAN; batch * cols];
+                let mut from_block = vec![f64::NAN; batch * cols];
+                for start in (0..batch).step_by(block) {
+                    let n = block.min(batch - start);
+                    let out = start * cols..(start + n) * cols;
+                    let mut encoded = Vec::new();
+                    plan.encode_into(
+                        a[start * rows..(start + n) * rows].iter().copied(),
+                        &mut encoded,
+                        probe,
+                    );
+                    plan.forward_held(&encoded, n, &mut from_held[out.clone()], &mut scratch, probe)
+                        .expect("forward_held");
+                    plan.forward_block(
+                        &a[start * rows..(start + n) * rows],
+                        n,
+                        &mut from_block[out],
+                        &mut scratch,
+                        None,
+                    )
+                    .expect("forward_block");
+                }
+                for ((x, y), z) in reference.iter().zip(&from_held).zip(&from_block) {
+                    prop_assert_eq!(x.to_bits(), y.to_bits());
+                    prop_assert_eq!(x.to_bits(), z.to_bits());
+                }
+                let snap = telemetry.snapshot();
+                if probed {
+                    let l = snap.layers[0];
+                    prop_assert_eq!(l.calls, batch as u64);
+                    prop_assert_eq!(l.zero_activation_skips, zero_volt);
+                    prop_assert_eq!(snap.counters.zero_activation_skips, zero_volt);
+                } else {
+                    prop_assert_eq!(snap.layers[0].calls, 0);
+                }
+            }
+        }
+    }
+}

@@ -18,7 +18,7 @@ use resipe::telemetry::Telemetry;
 use resipe::ResipeError;
 use resipe_analog::units::Seconds;
 use resipe_nn::data::synth_digits;
-use resipe_nn::layers::Dense;
+use resipe_nn::layers::{im2col, Conv2d, Dense};
 use resipe_nn::models;
 use resipe_nn::network::Network;
 use resipe_nn::tensor::Tensor;
@@ -162,6 +162,61 @@ fn run_snapshot_carries_spans_and_compile_counters() {
     );
     let (s1, xb, s2) = snap.stage_nanos();
     assert!(s1 > 0 && xb > 0 && s2 > 0, "stage timings must be nonzero");
+}
+
+/// The planned conv arm encodes each input pixel once and gathers held
+/// voltages into every window that reads it; its counters must still be
+/// the per-window figures: one call per output pixel, the per-sample
+/// run's MVMs, and one zero-activation skip per window wordline held at
+/// 0 V — the zero entries of im2col's windows, padding included — with
+/// the encode timed into S1.
+#[test]
+fn planned_conv_counters_are_per_window() {
+    let (c_in, k, padding) = (2usize, 3usize, 1usize);
+    let (n, h, w) = (3usize, 5usize, 6usize);
+    let mut rng = StdRng::seed_from_u64(27);
+    let mut net = Network::new("conv-counters");
+    net.push(Conv2d::new(c_in, 4, k, padding, &mut rng));
+    let mut input = |batch: usize| {
+        let data = (0..batch * c_in * h * w)
+            .map(|_| {
+                if rng.gen_range(0.0..1.0) < 0.35 {
+                    0.0
+                } else {
+                    rng.gen_range(0.2..1.0f32)
+                }
+            })
+            .collect();
+        Tensor::from_vec(data, &[batch, c_in, h, w]).unwrap()
+    };
+    let calib = input(2);
+    let x = input(n);
+    let hw = HardwareNetwork::compile(&net, &calib, &CompileOptions::paper()).unwrap();
+    let run = |options: &RunOptions| {
+        let mut traced = hw.clone();
+        traced.set_telemetry(Telemetry::enabled());
+        traced.run(&x, options).unwrap().telemetry.layers[0]
+    };
+    let planned = run(&RunOptions::planned().with_block_size(7));
+    let per_sample = run(&RunOptions::per_sample());
+
+    let n_pix = h * w; // padding 1 keeps a 3 × 3 conv's output size
+    assert_eq!(planned.calls, (n * n_pix) as u64);
+    assert_eq!(planned.mvms, per_sample.mvms);
+    let window_zeros: usize = (0..n)
+        .map(|b| {
+            let cols = im2col(&x, b, k, padding).unwrap();
+            assert_eq!(cols.shape(), &[c_in * k * k, n_pix]);
+            cols.data().iter().filter(|&&v| v == 0.0).count()
+        })
+        .sum();
+    let pixel_zeros = x.data().iter().filter(|&&v| v == 0.0).count();
+    assert_ne!(window_zeros, pixel_zeros);
+    assert_eq!(planned.zero_activation_skips, window_zeros as u64);
+    assert!(
+        planned.s1_encode_nanos > 0,
+        "the encode must be timed into S1"
+    );
 }
 
 #[test]

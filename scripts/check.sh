@@ -32,6 +32,10 @@
 # Single-threaded circuit solves, so it runs fine on `host_parallelism: 1`
 # CI hosts.
 #
+# Two release-mode perfbench runs (infer_conv, infer_dense: one second
+# each, traced) fail the gate if a planned output differs from the
+# per-sample reference.
+#
 # Every stage, flag, gate, and output field is documented in
 # docs/BENCHMARKS.md.
 set -euo pipefail
@@ -75,6 +79,18 @@ cargo test -q --workspace
 # reaches its unit tests.
 echo "==> cargo test (perfbench)"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
+# Release-mode correctness smoke: perfbench exits non-zero when a
+# planned output differs from the per-sample reference. Both inference
+# workloads run with the probe on (`--trace 1`) through the command
+# line BENCHMARK.json uses, so LeNet, VGG16-S and MLP-2 are checked
+# under release codegen, traced and untraced, which the opt-level-1
+# test profile above does not cover.
+for workload in infer_conv infer_dense; do
+    echo "==> perfbench --workload $workload --seed 1 --seconds 1 --trace 1"
+    cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1 >/dev/null
+done
 
 echo "==> fault_sweep --smoke"
 cargo run --release -q -p resipe-bench --bin fault_sweep -- --smoke
