@@ -35,9 +35,7 @@
 //! MLP-1 instances served simultaneously, two replicas each, with one
 //! replica of the loaded model drained mid-traffic — the gate is again
 //! zero rejects, with per-model p99 latency and per-replica load
-//! recorded in the report. A hand-rolled byte-level v1 client (exactly
-//! what a binary compiled before protocol v2 would send) is also
-//! checked bit-identical against the oracle.
+//! recorded in the report.
 //!
 //! ```text
 //! cargo run --release --bin serve_bench              # full measurement
@@ -45,8 +43,6 @@
 //! cargo run --release --bin serve_bench -- --clients 8 --requests 200
 //! ```
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -185,52 +181,6 @@ fn main() {
         }
     }
     assert!(bit_identical, "served outputs diverged from the oracle");
-
-    // ---- v1 wire compatibility: hand-rolled legacy frames (exactly
-    // what a pre-registry binary emits) against the v2 server. Checked
-    // on the pristine network, before the aging scenario mutates it
-    // (hot repair restores function, not the exact conductance bits).
-    eprintln!("checking hand-rolled v1 frames against the oracle...");
-    let v1_n = 8usize.min(total);
-    let v1_compat = {
-        let mut stream = TcpStream::connect(addr).expect("raw v1 connect");
-        let mut ok = true;
-        for idx in 0..v1_n {
-            let mut payload = vec![1u8]; // verb Infer
-            payload.extend_from_slice(&((idx + 1) as u64).to_le_bytes());
-            payload.extend_from_slice(&0u32.to_le_bytes());
-            payload.push(sample_shape.len() as u8);
-            for &d in &sample_shape {
-                payload.extend_from_slice(&(d as u32).to_le_bytes());
-            }
-            for &v in &corpus.data()[idx * width..(idx + 1) * width] {
-                payload.extend_from_slice(&v.to_le_bytes());
-            }
-            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
-            frame.extend_from_slice(&payload);
-            stream.write_all(&frame).expect("raw v1 write");
-
-            let mut len = [0u8; 4];
-            stream.read_exact(&mut len).expect("raw v1 len");
-            let mut resp = vec![0u8; u32::from_le_bytes(len) as usize];
-            stream.read_exact(&mut resp).expect("raw v1 body");
-            ok &= resp[0] == 0; // status Ok, legacy framing (no preamble)
-            let ndim = resp[9] as usize;
-            let data_at = 10 + 4 * ndim;
-            let served: Vec<f32> = resp[data_at..]
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                .collect();
-            let expected = &reference.data()[idx * out_width..(idx + 1) * out_width];
-            ok &= served.len() == expected.len()
-                && served
-                    .iter()
-                    .zip(expected)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-        }
-        ok
-    };
-    assert!(v1_compat, "legacy v1 bytes no longer bit-identical");
 
     let baseline = server.stats();
 
@@ -555,7 +505,7 @@ fn main() {
         .expect("restore replica");
 
     let stats = server.stats();
-    let expected_total = (verify_n + 3 * total + 1 + s4_total + v1_n + mc_total) as u64;
+    let expected_total = (verify_n + 3 * total + 1 + s4_total + mc_total) as u64;
     let lossless = stats.accepted == expected_total
         && stats.completed == expected_total
         && stats.rejected_busy == 0
@@ -598,7 +548,6 @@ fn main() {
         bat.largest_batch
     ));
     json.push_str(&format!("  \"speedup\": {},\n", json_num(speedup)));
-    json.push_str(&format!("  \"v1_compat\": {v1_compat},\n"));
     json.push_str(&format!(
         "  \"many_connections\": {{\"connections\": {mc_conns}, \
          \"requests_per_connection\": {mc_per_conn}, \"requests\": {mc_total}, \
@@ -700,7 +649,7 @@ fn main() {
     );
     println!(
         "registry  : {} models x 2 replicas, {s4_total} requests, replica drained mid-load, \
-         0 rejects, v1 bytes bit-identical",
+         0 rejects",
         stats.models.len()
     );
     println!(

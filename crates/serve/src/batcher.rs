@@ -92,8 +92,6 @@ impl BatchExecutor for NetworkExecutor {
 /// One admitted inference request, queued for a worker.
 #[derive(Debug)]
 pub(crate) struct PendingRequest {
-    /// Wire version the request arrived in; the reply mirrors it.
-    pub version: u8,
     /// Client-chosen correlation id, echoed in the reply.
     pub id: u64,
     /// Row-major sample data, `n × width` values.
@@ -113,8 +111,6 @@ pub(crate) struct PendingRequest {
 /// A response routed back to the issuing connection.
 #[derive(Debug)]
 pub(crate) struct Reply {
-    /// Wire version to frame the response in.
-    pub version: u8,
     pub status: Status,
     pub id: u64,
     pub payload: Vec<u8>,
@@ -171,7 +167,6 @@ impl WorkerContext {
     fn finish(&self, req: &PendingRequest, status: Status, payload: Vec<u8>) {
         // The client may have disconnected; routing failures are benign.
         req.reply.send(Reply {
-            version: req.version,
             status,
             id: req.id,
             payload,
@@ -321,7 +316,6 @@ mod tests {
 
     use resipe::cache::CompileCache;
 
-    use crate::protocol::PROTOCOL_V1;
     use crate::registry::{ModelSpec, ReplicaHealth};
 
     /// Echoes its input: output row `i` = input row `i`.
@@ -383,7 +377,6 @@ mod tests {
     ) -> PendingRequest {
         let n = samples.len() / 2;
         PendingRequest {
-            version: PROTOCOL_V1,
             id,
             samples,
             n,

@@ -1,11 +1,8 @@
 //! A blocking TCP client for the serving protocol.
 //!
-//! [`Client`] speaks both protocol versions: the legacy single-model
-//! verbs (`infer`, `infer_batch`, `ping`) stay on the v1 wire —
-//! byte-identical to the pre-registry client, routed to the server's
-//! default model — while [`Client::model`] returns a [`ModelHandle`]
-//! that addresses a named model (and optionally a pinned replica) over
-//! protocol v2.
+//! [`Client`]'s own inference verbs (`infer`, `infer_batch`) address the
+//! server's default model; [`Client::model`] returns a [`ModelHandle`]
+//! that addresses a named model (and optionally a pinned replica).
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -93,9 +90,9 @@ impl Client {
         self
     }
 
-    /// Addresses the named model over protocol v2. The handle borrows
-    /// this client's connection; requests through it interleave with
-    /// direct calls.
+    /// Addresses the named model (empty = the server's default model).
+    /// The handle borrows this client's connection; requests through it
+    /// interleave with direct calls.
     pub fn model<'c>(&'c mut self, name: &str) -> ModelHandle<'c> {
         ModelHandle {
             client: self,
@@ -105,33 +102,46 @@ impl Client {
     }
 
     /// Lists the models the server registers, with replica counts and
-    /// health (protocol v2).
+    /// health.
     ///
     /// # Errors
     ///
     /// Propagates socket and protocol failures.
     pub fn list_models(&mut self) -> Result<Vec<ModelInfo>, ServeError> {
-        let id = self.take_id();
-        let resp = self.round_trip(Request::v2(Verb::ListModels, id, 0, "", None))?;
+        let resp = self.request(Verb::ListModels, "", None, None)?;
         decode_model_list(&resp.payload)
     }
 
-    /// Fetches one model's stats block (protocol v2).
+    /// Fetches one model's stats block.
     ///
     /// # Errors
     ///
     /// [`ServeError::NoSuchModel`] when the model is unknown; socket
     /// and protocol failures propagate.
     pub fn model_stats(&mut self, name: &str) -> Result<ModelStatsBlock, ServeError> {
-        let id = self.take_id();
-        let resp = self.round_trip(Request::v2(Verb::ModelStats, id, 0, name, None))?;
+        let resp = self.request(Verb::ModelStats, name, None, None)?;
         ModelStatsBlock::decode(&resp.payload)
     }
 
-    fn take_id(&mut self) -> u64 {
+    /// Sends one request under a fresh id — the inference verbs carry
+    /// the client's deadline — and waits for its reply.
+    fn request(
+        &mut self,
+        verb: Verb,
+        model: &str,
+        replica_hint: Option<u32>,
+        tensor: Option<Tensor>,
+    ) -> Result<Response, ServeError> {
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);
-        id
+        let deadline_us = if verb.carries_tensor() {
+            self.deadline_us
+        } else {
+            0
+        };
+        let mut req = Request::v2(verb, id, deadline_us, model, tensor);
+        req.replica_hint = replica_hint;
+        self.round_trip(req)
     }
 
     fn round_trip(&mut self, req: Request) -> Result<Response, ServeError> {
@@ -168,31 +178,16 @@ impl Client {
         }
     }
 
-    fn legacy_round_trip(
-        &mut self,
-        verb: Verb,
-        tensor: Option<Tensor>,
-    ) -> Result<Response, ServeError> {
-        let id = self.take_id();
-        let deadline_us = match verb {
-            Verb::Infer | Verb::InferBatch => self.deadline_us,
-            _ => 0,
-        };
-        self.round_trip(Request::v1(verb, id, deadline_us, tensor))
-    }
-
     /// Runs one sample (shape = the default model's per-sample shape)
     /// and returns its output with the leading batch dimension
-    /// stripped. Stays on the v1 wire, routed to the server's default
-    /// model.
+    /// stripped, routed to the server's default model.
     ///
     /// # Errors
     ///
     /// Admission-control statuses map to their [`ServeError`] variants;
     /// socket and protocol failures propagate.
     pub fn infer(&mut self, sample: &Tensor) -> Result<Tensor, ServeError> {
-        let resp = self.legacy_round_trip(Verb::Infer, Some(sample.clone()))?;
-        strip_batch_dim(&resp.payload)
+        self.model("").infer(sample)
     }
 
     /// Runs a batch (first dimension = sample count) against the
@@ -202,8 +197,7 @@ impl Client {
     ///
     /// As [`Client::infer`].
     pub fn infer_batch(&mut self, batch: &Tensor) -> Result<Tensor, ServeError> {
-        let resp = self.legacy_round_trip(Verb::InferBatch, Some(batch.clone()))?;
-        decode_tensor(&resp.payload)
+        self.model("").infer_batch(batch)
     }
 
     /// Liveness probe; returns the measured round-trip time.
@@ -213,19 +207,18 @@ impl Client {
     /// Propagates socket and protocol failures.
     pub fn ping(&mut self) -> Result<Duration, ServeError> {
         let start = Instant::now();
-        self.legacy_round_trip(Verb::Ping, None)?;
+        self.request(Verb::Ping, "", None, None)?;
         Ok(start.elapsed())
     }
 
     /// Fetches the server's health/metrics snapshot, including the
-    /// per-model blocks (protocol v2).
+    /// per-model blocks.
     ///
     /// # Errors
     ///
     /// Propagates socket and protocol failures.
     pub fn stats(&mut self) -> Result<ServerStats, ServeError> {
-        let id = self.take_id();
-        let resp = self.round_trip(Request::v2(Verb::Stats, id, 0, "", None))?;
+        let resp = self.request(Verb::Stats, "", None, None)?;
         ServerStats::decode(&resp.payload)
     }
 }
@@ -243,8 +236,8 @@ fn strip_batch_dim(payload: &[u8]) -> Result<Tensor, ServeError> {
     Tensor::from_vec(out.data().to_vec(), &inner).map_err(ServeError::from)
 }
 
-/// Addresses one named model over protocol v2, borrowing a [`Client`]'s
-/// connection. Obtained from [`Client::model`].
+/// Addresses one named model, borrowing a [`Client`]'s connection.
+/// Obtained from [`Client::model`].
 ///
 /// ```no_run
 /// # use resipe_serve::Client;
@@ -270,17 +263,9 @@ impl ModelHandle<'_> {
         self
     }
 
-    fn request(&mut self, verb: Verb, tensor: Option<Tensor>) -> Request {
-        let id = self.client.take_id();
-        let deadline_us = match verb {
-            Verb::Infer | Verb::InferBatch => self.client.deadline_us,
-            _ => 0,
-        };
-        let mut req = Request::v2(verb, id, deadline_us, &self.model, tensor);
-        if let Some(hint) = self.replica_hint {
-            req = req.with_replica_hint(hint);
-        }
-        req
+    fn request(&mut self, verb: Verb, tensor: Option<Tensor>) -> Result<Response, ServeError> {
+        self.client
+            .request(verb, &self.model, self.replica_hint, tensor)
     }
 
     /// Runs one sample against this model; the leading batch dimension
@@ -291,8 +276,7 @@ impl ModelHandle<'_> {
     /// [`ServeError::NoSuchModel`] when the model is unknown; otherwise
     /// as [`Client::infer`].
     pub fn infer(&mut self, sample: &Tensor) -> Result<Tensor, ServeError> {
-        let req = self.request(Verb::Infer, Some(sample.clone()));
-        let resp = self.client.round_trip(req)?;
+        let resp = self.request(Verb::Infer, Some(sample.clone()))?;
         strip_batch_dim(&resp.payload)
     }
 
@@ -303,8 +287,7 @@ impl ModelHandle<'_> {
     ///
     /// As [`ModelHandle::infer`].
     pub fn infer_batch(&mut self, batch: &Tensor) -> Result<Tensor, ServeError> {
-        let req = self.request(Verb::InferBatch, Some(batch.clone()));
-        let resp = self.client.round_trip(req)?;
+        let resp = self.request(Verb::InferBatch, Some(batch.clone()))?;
         decode_tensor(&resp.payload)
     }
 
@@ -315,8 +298,7 @@ impl ModelHandle<'_> {
     ///
     /// As [`Client::model_stats`].
     pub fn stats(&mut self) -> Result<ModelStatsBlock, ServeError> {
-        let req = self.request(Verb::ModelStats, None);
-        let resp = self.client.round_trip(req)?;
+        let resp = self.request(Verb::ModelStats, None)?;
         ModelStatsBlock::decode(&resp.payload)
     }
 }

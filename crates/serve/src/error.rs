@@ -33,8 +33,8 @@ pub enum ServeError {
     /// The hardware engine failed while executing the batch
     /// (server-side [`ResipeError`], carried as text over the wire).
     Engine(String),
-    /// The frame's preamble was garbage: neither a valid protocol-v1
-    /// verb byte nor the v2 magic+version pair. Unlike
+    /// The frame's preamble was not the magic+version pair (or named an
+    /// unknown verb). Unlike
     /// [`ServeError::Protocol`] (a recognizable frame with invalid
     /// content), a malformed preamble is answered without any attempt
     /// to decode the rest of the payload.

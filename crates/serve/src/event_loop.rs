@@ -33,13 +33,13 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::batcher::{Reply, ReplySink};
 use crate::error::ServeError;
 use crate::metrics::ServerCounters;
-use crate::protocol::{encode_response_frame, parse_request, FrameAccum, Status, PROTOCOL_V1};
+use crate::protocol::{encode_response_frame, parse_request, FrameAccum, Status};
 use crate::server::{handle_request, Shared};
 use crate::sys::{self, PollFd, RawFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 
@@ -100,6 +100,10 @@ impl Waker {
 /// One connection's reply queue. Batcher workers (and the loop itself,
 /// for inline answers) push; the owning loop drains into the
 /// connection's outbound buffer. Pushing wakes the loop.
+///
+/// A panic while the lock is held cannot leave the queue half-updated
+/// (every critical section is one `VecDeque` call), so a poisoned lock
+/// is recovered rather than propagated to every later reply.
 #[derive(Debug)]
 pub(crate) struct ConnMailbox {
     replies: Mutex<VecDeque<Reply>>,
@@ -116,19 +120,20 @@ impl ConnMailbox {
 
     /// Queues a reply and wakes the owning loop.
     pub fn push(&self, reply: Reply) {
-        self.replies
-            .lock()
-            .expect("mailbox poisoned")
-            .push_back(reply);
+        self.replies().push_back(reply);
         self.waker.wake();
     }
 
     fn take_all(&self, into: &mut Vec<Reply>) {
-        into.extend(self.replies.lock().expect("mailbox poisoned").drain(..));
+        into.extend(self.replies().drain(..));
     }
 
     fn is_empty(&self) -> bool {
-        self.replies.lock().expect("mailbox poisoned").is_empty()
+        self.replies().is_empty()
+    }
+
+    fn replies(&self) -> MutexGuard<'_, VecDeque<Reply>> {
+        self.replies.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -151,10 +156,7 @@ impl EventLoopHandle {
 
     /// Hands an accepted (already non-blocking) socket to the loop.
     pub fn adopt(&self, stream: TcpStream) {
-        self.incoming
-            .lock()
-            .expect("incoming poisoned")
-            .push(stream);
+        self.incoming().push(stream);
         self.waker.wake();
     }
 
@@ -164,7 +166,13 @@ impl EventLoopHandle {
     }
 
     fn take_incoming(&self) -> Vec<TcpStream> {
-        std::mem::take(&mut *self.incoming.lock().expect("incoming poisoned"))
+        std::mem::take(&mut *self.incoming())
+    }
+
+    /// Recovered from poisoning like the mailbox: each critical section
+    /// is one `Vec` call.
+    fn incoming(&self) -> MutexGuard<'_, Vec<TcpStream>> {
+        self.incoming.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -247,16 +255,15 @@ impl Conn {
             }
             Err(e) => {
                 // A garbage preamble earns Malformed, recognizable-but-
-                // invalid content BadRequest; both answer in v1 framing
-                // (there is no version to mirror when the preamble
-                // itself failed) and the connection keeps reading.
+                // invalid content BadRequest; both answer under id 0
+                // (the request's id may not have parsed) and the
+                // connection keeps reading.
                 let status = match &e {
                     ServeError::Malformed(_) => Status::Malformed,
                     _ => Status::BadRequest,
                 };
                 ServerCounters::add(&shared.global_counters.bad_requests, 1);
                 self.mailbox.push(Reply {
-                    version: PROTOCOL_V1,
                     status,
                     id: 0,
                     payload: e.to_string().into_bytes(),
@@ -274,7 +281,6 @@ impl Conn {
         self.mailbox.take_all(scratch);
         for reply in scratch.drain(..) {
             self.out.extend_from_slice(&encode_response_frame(
-                reply.version,
                 reply.status,
                 reply.id,
                 &reply.payload,
@@ -464,7 +470,6 @@ mod tests {
         let mailbox = ConnMailbox::new(Arc::clone(&waker));
         for id in [4u64, 7, 9] {
             mailbox.push(Reply {
-                version: PROTOCOL_V1,
                 status: Status::Ok,
                 id,
                 payload: Vec::new(),
@@ -476,5 +481,38 @@ mod tests {
         mailbox.take_all(&mut out);
         assert_eq!(out.iter().map(|r| r.id).collect::<Vec<_>>(), vec![4, 7, 9]);
         assert!(mailbox.is_empty());
+    }
+
+    #[test]
+    fn poisoned_mailbox_and_incoming_are_recovered() {
+        let handle = Arc::new(EventLoopHandle::new().unwrap());
+        let mailbox = Arc::new(ConnMailbox::new(Arc::clone(&handle.waker)));
+        let (m, h) = (Arc::clone(&mailbox), Arc::clone(&handle));
+        let poisoner = std::thread::spawn(move || {
+            let _replies = m.replies.lock().unwrap();
+            let _incoming = h.incoming.lock().unwrap();
+            panic!("poison both locks");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(mailbox.replies.is_poisoned() && handle.incoming.is_poisoned());
+
+        for id in [1u64, 2] {
+            mailbox.push(Reply {
+                status: Status::Ok,
+                id,
+                payload: Vec::new(),
+            });
+        }
+        assert!(!mailbox.is_empty());
+        let mut out = Vec::new();
+        mailbox.take_all(&mut out);
+        assert_eq!(out.iter().map(|r| r.id).collect::<Vec<_>>(), vec![1, 2]);
+        assert!(mailbox.is_empty());
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        handle.adopt(client);
+        assert_eq!(handle.take_incoming().len(), 1);
+        assert!(handle.take_incoming().is_empty());
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! The crate turns a set of [`HardwareNetwork`](resipe::inference::HardwareNetwork)s
 //! into a network service without any external dependencies: plain
-//! `std::net` sockets, `std::thread` workers, and a versioned
-//! length-prefixed binary protocol ([`protocol`]).
+//! `std::net` sockets, `std::thread` workers, and a length-prefixed
+//! binary protocol ([`protocol`]).
 //!
 //! # Architecture
 //!
@@ -21,13 +21,11 @@
 //!   starts failing can be set [`Draining`](ReplicaHealth::Draining) or
 //!   [`Sick`](ReplicaHealth::Sick) via [`Server::set_replica_health`]
 //!   without dropping traffic.
-//! - **Versioned protocol** — v2 frames carry a magic+version preamble,
-//!   a model name, and an optional replica hint, and add the
-//!   `ListModels`/`ModelStats` verbs. Pre-registry **v1 frames keep
-//!   working bit-identically** (they route to the default model), and
-//!   garbage preambles are rejected with
-//!   [`Status::Malformed`] before any
-//!   tensor decode.
+//! - **One wire version** — every frame carries a magic+version
+//!   preamble, a model name (empty = the default model), and an
+//!   optional replica hint. A payload without that preamble — garbage,
+//!   or a frame of the retired single-model v1 layout — is rejected
+//!   with [`Status::Malformed`] before any tensor decode.
 //! - **Admission control** — per-model bounded queues answer
 //!   [`Status::Busy`] when full instead of
 //!   queueing unboundedly; requests whose deadline passes while queued

@@ -10,15 +10,11 @@
 //! which carries the compile-cache hit/miss/eviction pressure counters
 //! among others).
 //!
-//! Two wire encodings exist:
-//!
-//! - the **count-prefixed** v2 layout ([`ServerStats::encode`]): every
-//!   counter block opens with a `u32` count of the `u64`s that follow,
-//!   so adding a counter is no longer wire-breaking — an old decoder
-//!   skips the extras, a new decoder zero-fills the missing tail;
-//! - the **legacy** fixed layout ([`ServerStats::encode_legacy`]): the
-//!   exact 22-`u64` format the pre-registry protocol used, still sent
-//!   in answer to v1 `Stats` frames so old client binaries keep parsing.
+//! The snapshot travels in one **count-prefixed** layout
+//! ([`ServerStats::encode`]): every counter block opens with a `u32`
+//! count of the `u64`s that follow, so adding a counter is not
+//! wire-breaking — an older decoder skips the extras, a newer decoder
+//! zero-fills the missing tail.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -507,8 +503,8 @@ pub struct ServerStats {
     pub plan_swaps: u64,
     /// Name of the MVM kernel the server executes batches with. The
     /// engine has one kernel, so a server always reports `"scalar"`;
-    /// the string slot stays in both wire layouts so existing decoders
-    /// keep working.
+    /// the string slot stays on the wire so existing decoders keep
+    /// working.
     pub kernel_backend: String,
     /// Request-latency percentiles (admission → response enqueued),
     /// across all models.
@@ -518,10 +514,7 @@ pub struct ServerStats {
     /// MVM/skip counters, compile-cache hit/miss/eviction pressure, and
     /// the spike-time saturation histograms.
     pub telemetry_json: String,
-    /// Connections accepted, lifetime. The connection-lifecycle
-    /// counters travel only in the count-prefixed v2 layout (appended
-    /// after the original 22) — the legacy layout stays frozen, so
-    /// v1-decoded snapshots report them as 0.
+    /// Connections accepted, lifetime.
     pub conns_accepted: u64,
     /// Connections currently registered with an event loop.
     pub conns_open: u64,
@@ -531,7 +524,7 @@ pub struct ServerStats {
     pub conns_evicted_slow: u64,
     /// Connections refused at accept (`max_connections` reached).
     pub conns_rejected: u64,
-    /// Per-model breakdown (empty in legacy-decoded snapshots).
+    /// Per-model breakdown.
     pub models: Vec<ModelStatsBlock>,
 }
 
@@ -550,9 +543,8 @@ impl ServerStats {
         self.models.iter().find(|m| m.name == name)
     }
 
-    // The first 22 entries are the frozen legacy layout; new counters
-    // append strictly at the end so the count prefix keeps old and new
-    // decoders interoperable.
+    // New counters append strictly at the end so the count prefix keeps
+    // old and new decoders interoperable.
     fn global_counters(&self) -> [u64; 27] {
         [
             self.queue_depth,
@@ -585,7 +577,7 @@ impl ServerStats {
         ]
     }
 
-    /// Serializes the snapshot in the count-prefixed v2 layout:
+    /// Serializes the snapshot in the count-prefixed layout:
     /// `[u32 n_u64][u64×n]` global counters, the two length-prefixed
     /// strings, then `[u32 n_models]` × model block.
     pub fn encode(&self) -> Vec<u8> {
@@ -602,7 +594,7 @@ impl ServerStats {
         buf
     }
 
-    /// Deserializes a count-prefixed v2 snapshot.
+    /// Deserializes a count-prefixed snapshot.
     ///
     /// # Errors
     ///
@@ -673,56 +665,6 @@ impl ServerStats {
             conns_rejected: c[26],
             models: Vec::new(),
         }
-    }
-
-    /// Serializes the snapshot in the legacy fixed 22-`u64` layout the
-    /// pre-registry protocol used — no count prefix, no model blocks.
-    /// Sent in answer to v1 `Stats` frames so old clients keep parsing.
-    pub fn encode_legacy(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(22 * 8 + self.telemetry_json.len());
-        // Exactly the first 22 counters — the connection counters exist
-        // only in the count-prefixed layout; a fixed-layout decoder
-        // counts bytes, so appending here would break old clients.
-        for &v in &self.global_counters()[..22] {
-            put_u64(&mut buf, v);
-        }
-        put_u32(&mut buf, self.kernel_backend.len() as u32);
-        buf.extend_from_slice(self.kernel_backend.as_bytes());
-        put_u32(&mut buf, self.telemetry_json.len() as u32);
-        buf.extend_from_slice(self.telemetry_json.as_bytes());
-        buf
-    }
-
-    /// Deserializes a legacy fixed-layout snapshot (what a pre-registry
-    /// server sends). `models` comes back empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Protocol`] for truncation or invalid UTF-8.
-    pub fn decode_legacy(bytes: &[u8]) -> Result<ServerStats, ServeError> {
-        let mut at = 0usize;
-        let mut c = [0u64; 27];
-        for slot in c.iter_mut().take(22) {
-            *slot = take_u64(bytes, &mut at)?;
-        }
-        let mut stats = Self::from_globals(&c);
-        let mut take_str = |what: &str| -> Result<String, ServeError> {
-            let len = take_u32(bytes, &mut at)? as usize;
-            let end = at
-                .checked_add(len)
-                .filter(|&e| e <= bytes.len())
-                .ok_or_else(|| ServeError::Protocol(format!("truncated stats {what}")))?;
-            let s = String::from_utf8(bytes[at..end].to_vec())
-                .map_err(|e| ServeError::Protocol(format!("stats {what} not UTF-8: {e}")))?;
-            at = end;
-            Ok(s)
-        };
-        stats.kernel_backend = take_str("backend name")?;
-        stats.telemetry_json = take_str("telemetry")?;
-        if at != bytes.len() {
-            return Err(ServeError::Protocol("trailing bytes after stats".into()));
-        }
-        Ok(stats)
     }
 
     /// Stable-key JSON rendering (the `BENCH_serve.json` `"stats"`
@@ -905,41 +847,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_wire_round_trip_drops_models() {
-        let stats = sample_stats();
-        let back = ServerStats::decode_legacy(&stats.encode_legacy()).unwrap();
-        assert!(back.models.is_empty());
-        assert_eq!(back.accepted, stats.accepted);
-        assert_eq!(back.latency, stats.latency);
-        assert_eq!(back.kernel_backend, stats.kernel_backend);
-        assert_eq!(back.telemetry_json, stats.telemetry_json);
-        // Connection counters live only in the v2 layout.
-        assert_eq!(back.conns_accepted, 0);
-        assert_eq!(back.conns_peak, 0);
-    }
-
-    #[test]
-    fn legacy_layout_is_the_pre_registry_bytes() {
-        // The legacy encoder must write exactly the fixed 22-u64 layout:
-        // no count prefix, counters in declaration order.
-        let stats = sample_stats();
-        let wire = stats.encode_legacy();
-        assert_eq!(
-            u64::from_le_bytes(wire[..8].try_into().unwrap()),
-            stats.queue_depth
-        );
-        assert_eq!(
-            u64::from_le_bytes(wire[8..16].try_into().unwrap()),
-            stats.queue_capacity
-        );
-        let str_section = 22 * 8;
-        assert_eq!(
-            u32::from_le_bytes(wire[str_section..str_section + 4].try_into().unwrap()),
-            stats.kernel_backend.len() as u32
-        );
-    }
-
-    #[test]
     fn count_prefix_tolerates_counter_evolution() {
         // An "older" sender with fewer counters: the tail zero-fills.
         let mut wire = Vec::new();
@@ -966,19 +873,11 @@ mod tests {
 
     #[test]
     fn stats_decode_rejects_truncation() {
-        for (encode, decode) in [
-            (
-                ServerStats::encode as fn(&ServerStats) -> Vec<u8>,
-                ServerStats::decode as fn(&[u8]) -> Result<ServerStats, ServeError>,
-            ),
-            (ServerStats::encode_legacy, ServerStats::decode_legacy),
-        ] {
-            let wire = encode(&sample_stats());
-            assert!(decode(&wire[..wire.len() - 1]).is_err());
-            let mut extra = wire.clone();
-            extra.push(0);
-            assert!(decode(&extra).is_err());
-        }
+        let wire = sample_stats().encode();
+        assert!(ServerStats::decode(&wire[..wire.len() - 1]).is_err());
+        let mut extra = wire.clone();
+        extra.push(0);
+        assert!(ServerStats::decode(&extra).is_err());
     }
 
     #[test]

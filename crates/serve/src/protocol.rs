@@ -1,5 +1,4 @@
-//! The wire protocol: length-prefixed binary frames over TCP, in two
-//! versions.
+//! The wire protocol: length-prefixed binary frames over TCP.
 //!
 //! Every message is one **frame**:
 //!
@@ -7,23 +6,12 @@
 //! [u32 LE payload_len][payload bytes]
 //! ```
 //!
-//! The payload's first byte disambiguates the protocol version:
-//!
-//! - a byte in `1..=4` is a **protocol v1** request verb (the original
-//!   single-model wire format, kept bit-identical so pre-registry client
-//!   binaries keep working),
-//! - [`MAGIC`] (`0xA5`) opens a **protocol v2** preamble
-//!   (`[MAGIC][version]`),
-//! - anything else is a **malformed preamble**, answered with
-//!   [`Status::Malformed`] *without* attempting a tensor decode.
-//!
-//! A v1 request payload is
-//!
-//! ```text
-//! [u8 verb][u64 LE id][u32 LE deadline_us][tensor?]
-//! ```
-//!
-//! and routes to the server's *default model*. A v2 request payload is
+//! Every payload opens with the preamble `[MAGIC][version]`
+//! ([`MAGIC`] = `0xA5`, version = [`PROTOCOL_V2`]). A payload whose
+//! first byte is not [`MAGIC`], or whose version byte is not
+//! [`PROTOCOL_V2`], is a **malformed preamble**, answered with
+//! [`Status::Malformed`] *without* attempting a tensor decode. A request
+//! payload is
 //!
 //! ```text
 //! [u8 MAGIC][u8 version=2][u8 verb][u64 LE id][u32 LE deadline_us]
@@ -37,13 +25,7 @@
 //! relative deadline in microseconds (`0` = none) measured from server
 //! admission, and the tensor is present for the inference verbs only.
 //!
-//! Responses mirror the request's version. A v1 response payload is
-//!
-//! ```text
-//! [u8 status][u64 LE id][body]
-//! ```
-//!
-//! and a v2 response payload is
+//! A response payload is
 //!
 //! ```text
 //! [u8 MAGIC][u8 version=2][u8 status][u64 LE id][body]
@@ -51,11 +33,10 @@
 //!
 //! with the body depending on `(verb, status)`: an encoded tensor for a
 //! successful inference, an encoded [`crate::metrics::ServerStats`] blob
-//! for a successful `Stats` (the *legacy* fixed layout for v1 requests,
-//! the count-prefixed v2 layout otherwise), a [`ModelInfo`] list for
-//! `ListModels`, a [`crate::metrics::ModelStatsBlock`] for `ModelStats`,
-//! empty for `Ping`, and a UTF-8 diagnostic message for every
-//! non-[`Status::Ok`] status.
+//! for a successful `Stats`, a [`ModelInfo`] list for `ListModels`, a
+//! [`crate::metrics::ModelStatsBlock`] for `ModelStats`, empty for
+//! `Ping`, and a UTF-8 diagnostic message for every non-[`Status::Ok`]
+//! status.
 //!
 //! Tensors travel as
 //!
@@ -82,23 +63,16 @@ pub const MAX_FRAME_BYTES: u32 = 1 << 26;
 /// Maximum tensor rank accepted on the wire.
 pub const MAX_TENSOR_RANK: usize = 8;
 
-/// First payload byte of every v2 frame. Deliberately outside the v1
-/// verb range (`1..=4`) and the v1 status range (`0..=5`), so one byte
-/// tells the two protocol generations apart.
+/// First payload byte of every frame, requests and responses alike.
 pub const MAGIC: u8 = 0xA5;
 
-/// Version byte of the original single-model protocol (implicit on the
-/// wire — v1 frames carry no preamble).
-pub const PROTOCOL_V1: u8 = 1;
-
-/// Version byte of the model-addressed protocol.
+/// The protocol version byte that follows [`MAGIC`].
 pub const PROTOCOL_V2: u8 = 2;
 
 /// Longest model name accepted on the wire (its length is a `u8`).
 pub const MAX_MODEL_NAME: usize = 255;
 
-/// Request verbs. `ListModels` and `ModelStats` exist only in protocol
-/// v2; a v1 frame carrying their byte is rejected as an unknown verb.
+/// Request verbs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Verb {
@@ -113,22 +87,22 @@ pub enum Verb {
     /// reject/expiry counters, latency percentiles, per-model and
     /// per-replica blocks, and the engine's telemetry snapshot).
     Stats = 4,
-    /// v2 only: enumerate the registered models ([`ModelInfo`] list).
+    /// Enumerate the registered models ([`ModelInfo`] list).
     ListModels = 5,
-    /// v2 only: one model's [`crate::metrics::ModelStatsBlock`]; the
+    /// One model's [`crate::metrics::ModelStatsBlock`]; the
     /// request's `model` field names the model.
     ModelStats = 6,
 }
 
 impl Verb {
-    fn from_u8(v: u8, version: u8) -> Option<Verb> {
+    fn from_u8(v: u8) -> Option<Verb> {
         match v {
             1 => Some(Verb::Infer),
             2 => Some(Verb::InferBatch),
             3 => Some(Verb::Ping),
             4 => Some(Verb::Stats),
-            5 if version >= PROTOCOL_V2 => Some(Verb::ListModels),
-            6 if version >= PROTOCOL_V2 => Some(Verb::ModelStats),
+            5 => Some(Verb::ListModels),
+            6 => Some(Verb::ModelStats),
             _ => None,
         }
     }
@@ -139,9 +113,7 @@ impl Verb {
     }
 }
 
-/// Response status codes. `Malformed` and `NoSuchModel` are only ever
-/// sent in v2 framing (a peer that sends garbage or addresses models is
-/// by definition not a v1 binary).
+/// Response status codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Status {
@@ -157,8 +129,9 @@ pub enum Status {
     ShuttingDown = 4,
     /// The engine failed while executing the batch.
     EngineError = 5,
-    /// The frame's preamble was garbage — neither a v1 verb nor the v2
-    /// magic — and was rejected before any tensor decode was attempted.
+    /// The frame's preamble was not `[MAGIC][PROTOCOL_V2][known verb]`
+    /// and was rejected before any tensor decode was attempted. The
+    /// reply carries id 0: the request's id was never parsed.
     Malformed = 6,
     /// The request addressed a model name the server does not serve.
     NoSuchModel = 7,
@@ -183,17 +156,13 @@ impl Status {
 /// A parsed request frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
-    /// Wire version this request travels in ([`PROTOCOL_V1`] or
-    /// [`PROTOCOL_V2`]); responses mirror it.
-    pub version: u8,
     /// What the client asked for.
     pub verb: Verb,
     /// Client-chosen correlation id, echoed in the response.
     pub id: u64,
     /// Relative deadline in microseconds from admission; `0` = none.
     pub deadline_us: u32,
-    /// Addressed model name; empty = the server's default model (always
-    /// empty for v1 requests).
+    /// Addressed model name; empty = the server's default model.
     pub model: String,
     /// Preferred engine replica, honored when that replica is healthy.
     pub replica_hint: Option<u32>,
@@ -202,20 +171,7 @@ pub struct Request {
 }
 
 impl Request {
-    /// A v1 request (default-model routing, no replica hint).
-    pub fn v1(verb: Verb, id: u64, deadline_us: u32, tensor: Option<Tensor>) -> Request {
-        Request {
-            version: PROTOCOL_V1,
-            verb,
-            id,
-            deadline_us,
-            model: String::new(),
-            replica_hint: None,
-            tensor,
-        }
-    }
-
-    /// A v2 request addressing `model` (empty = default model).
+    /// A request addressing `model` (empty = default model).
     pub fn v2(
         verb: Verb,
         id: u64,
@@ -224,7 +180,6 @@ impl Request {
         tensor: Option<Tensor>,
     ) -> Request {
         Request {
-            version: PROTOCOL_V2,
             verb,
             id,
             deadline_us,
@@ -234,7 +189,7 @@ impl Request {
         }
     }
 
-    /// Sets the replica hint (v2 only; ignored by v1 encoding).
+    /// Sets the replica hint.
     pub fn with_replica_hint(mut self, replica: u32) -> Request {
         self.replica_hint = Some(replica);
         self
@@ -245,8 +200,6 @@ impl Request {
 /// interpretation depends on the verb the client sent.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
-    /// Wire version the response traveled in.
-    pub version: u8,
     /// Outcome code.
     pub status: Status,
     /// The request's correlation id, echoed.
@@ -493,59 +446,33 @@ impl FrameAccum {
     }
 }
 
-/// Encodes a request payload in the request's own wire version.
+/// Encodes a request payload.
 ///
 /// # Errors
 ///
-/// Returns [`ServeError::Protocol`] for a request not representable in
-/// its version: a v1 request carrying a model name, replica hint, or a
-/// v2-only verb; or a model name longer than [`MAX_MODEL_NAME`].
+/// Returns [`ServeError::Protocol`] for a model name longer than
+/// [`MAX_MODEL_NAME`].
 pub fn encode_request(req: &Request) -> Result<Vec<u8>, ServeError> {
+    if req.model.len() > MAX_MODEL_NAME {
+        return Err(ServeError::Protocol(format!(
+            "model name of {} bytes exceeds the {MAX_MODEL_NAME}-byte limit",
+            req.model.len()
+        )));
+    }
     let mut payload = Vec::with_capacity(24 + req.model.len());
-    match req.version {
-        PROTOCOL_V1 => {
-            if !req.model.is_empty() || req.replica_hint.is_some() {
-                return Err(ServeError::Protocol(
-                    "protocol v1 cannot carry a model name or replica hint".into(),
-                ));
-            }
-            if matches!(req.verb, Verb::ListModels | Verb::ModelStats) {
-                return Err(ServeError::Protocol(format!(
-                    "verb {:?} requires protocol v2",
-                    req.verb
-                )));
-            }
-            payload.push(req.verb as u8);
-            put_u64(&mut payload, req.id);
-            put_u32(&mut payload, req.deadline_us);
+    payload.push(MAGIC);
+    payload.push(PROTOCOL_V2);
+    payload.push(req.verb as u8);
+    put_u64(&mut payload, req.id);
+    put_u32(&mut payload, req.deadline_us);
+    payload.push(req.model.len() as u8);
+    payload.extend_from_slice(req.model.as_bytes());
+    match req.replica_hint {
+        Some(r) => {
+            payload.push(1);
+            put_u32(&mut payload, r);
         }
-        PROTOCOL_V2 => {
-            if req.model.len() > MAX_MODEL_NAME {
-                return Err(ServeError::Protocol(format!(
-                    "model name of {} bytes exceeds the {MAX_MODEL_NAME}-byte limit",
-                    req.model.len()
-                )));
-            }
-            payload.push(MAGIC);
-            payload.push(PROTOCOL_V2);
-            payload.push(req.verb as u8);
-            put_u64(&mut payload, req.id);
-            put_u32(&mut payload, req.deadline_us);
-            payload.push(req.model.len() as u8);
-            payload.extend_from_slice(req.model.as_bytes());
-            match req.replica_hint {
-                Some(r) => {
-                    payload.push(1);
-                    put_u32(&mut payload, r);
-                }
-                None => payload.push(0),
-            }
-        }
-        v => {
-            return Err(ServeError::Protocol(format!(
-                "unsupported protocol version {v}"
-            )))
-        }
+        None => payload.push(0),
     }
     if let Some(t) = &req.tensor {
         encode_tensor_into(&mut payload, t);
@@ -553,7 +480,7 @@ pub fn encode_request(req: &Request) -> Result<Vec<u8>, ServeError> {
     Ok(payload)
 }
 
-/// Writes one request frame in the request's own wire version.
+/// Writes one request frame.
 ///
 /// # Errors
 ///
@@ -563,81 +490,67 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> Result<(), ServeError
     write_frame(w, &payload).map_err(ServeError::Io)
 }
 
-/// Parses a request payload (one frame, already read), accepting both
-/// protocol versions.
+/// Parses a request payload (one frame, already read).
 ///
 /// # Errors
 ///
-/// Returns [`ServeError::Malformed`] when the preamble is garbage —
-/// neither a v1 verb byte nor `[MAGIC][supported version]` — **before**
-/// any tensor decode is attempted, and [`ServeError::Protocol`] for a
-/// recognizable frame with invalid content (truncation, malformed
-/// tensor, trailing bytes).
+/// Returns [`ServeError::Malformed`] when the preamble is not
+/// `[MAGIC][PROTOCOL_V2][known verb]` — **before** any tensor decode is
+/// attempted — and [`ServeError::Protocol`] for a recognizable frame
+/// with invalid content (truncation, malformed tensor, trailing bytes).
 pub fn parse_request(payload: &[u8]) -> Result<Request, ServeError> {
     let first = *payload
         .first()
         .ok_or_else(|| ServeError::Malformed("empty request frame".into()))?;
-    let mut at: usize;
-    let (version, verb) = if first == MAGIC {
-        let ver = *payload
-            .get(1)
-            .ok_or_else(|| ServeError::Malformed("magic byte without version".into()))?;
-        if ver != PROTOCOL_V2 {
-            return Err(ServeError::Malformed(format!(
-                "unsupported protocol version {ver}"
-            )));
-        }
-        let verb_byte = *payload
-            .get(2)
-            .ok_or_else(|| ServeError::Malformed("v2 preamble without verb".into()))?;
-        let verb = Verb::from_u8(verb_byte, ver)
-            .ok_or_else(|| ServeError::Malformed(format!("unknown v2 verb {verb_byte}")))?;
-        at = 3;
-        (ver, verb)
-    } else {
-        let verb = Verb::from_u8(first, PROTOCOL_V1).ok_or_else(|| {
-            ServeError::Malformed(format!(
-                "preamble byte {first:#04x} is neither a v1 verb nor the v2 magic {MAGIC:#04x}"
-            ))
-        })?;
-        at = 1;
-        (PROTOCOL_V1, verb)
-    };
+    if first != MAGIC {
+        return Err(ServeError::Malformed(format!(
+            "preamble byte {first:#04x} is not the magic {MAGIC:#04x}"
+        )));
+    }
+    let ver = *payload
+        .get(1)
+        .ok_or_else(|| ServeError::Malformed("magic byte without version".into()))?;
+    if ver != PROTOCOL_V2 {
+        return Err(ServeError::Malformed(format!(
+            "unsupported protocol version {ver}"
+        )));
+    }
+    let verb_byte = *payload
+        .get(2)
+        .ok_or_else(|| ServeError::Malformed("preamble without verb".into()))?;
+    let verb = Verb::from_u8(verb_byte)
+        .ok_or_else(|| ServeError::Malformed(format!("unknown verb {verb_byte}")))?;
+    let mut at = 3usize;
     let id = take_u64(payload, &mut at)?;
     let deadline_us = take_u32(payload, &mut at)?;
-    let (model, replica_hint) = if version >= PROTOCOL_V2 {
-        let name_len = *payload
-            .get(at)
-            .ok_or_else(|| ServeError::Protocol("truncated model name length".into()))?
-            as usize;
-        at += 1;
-        let end = at
-            .checked_add(name_len)
-            .filter(|&e| e <= payload.len())
-            .ok_or_else(|| ServeError::Protocol("truncated model name".into()))?;
-        let model = String::from_utf8(payload[at..end].to_vec())
-            .map_err(|e| ServeError::Protocol(format!("model name not UTF-8: {e}")))?;
-        at = end;
-        let flag = *payload
-            .get(at)
-            .ok_or_else(|| ServeError::Protocol("truncated replica hint flag".into()))?;
-        at += 1;
-        let hint = match flag {
-            0 => None,
-            1 => Some(take_u32(payload, &mut at)?),
-            f => {
-                return Err(ServeError::Protocol(format!(
-                    "replica hint flag must be 0 or 1, got {f}"
-                )))
-            }
-        };
-        (model, hint)
-    } else {
-        (String::new(), None)
+    let name_len = *payload
+        .get(at)
+        .ok_or_else(|| ServeError::Protocol("truncated model name length".into()))?
+        as usize;
+    at += 1;
+    let end = at
+        .checked_add(name_len)
+        .filter(|&e| e <= payload.len())
+        .ok_or_else(|| ServeError::Protocol("truncated model name".into()))?;
+    let model = String::from_utf8(payload[at..end].to_vec())
+        .map_err(|e| ServeError::Protocol(format!("model name not UTF-8: {e}")))?;
+    at = end;
+    let flag = *payload
+        .get(at)
+        .ok_or_else(|| ServeError::Protocol("truncated replica hint flag".into()))?;
+    at += 1;
+    let replica_hint = match flag {
+        0 => None,
+        1 => Some(take_u32(payload, &mut at)?),
+        f => {
+            return Err(ServeError::Protocol(format!(
+                "replica hint flag must be 0 or 1, got {f}"
+            )))
+        }
     };
     // A tensor-carrying verb without payload bytes parses as
     // tensor-less; admission answers it BadRequest under the request's
-    // own id, exactly as the pre-registry server did.
+    // own id.
     let tensor = if verb.carries_tensor() && at < payload.len() {
         Some(decode_tensor_from(payload, &mut at)?)
     } else {
@@ -650,7 +563,6 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, ServeError> {
         )));
     }
     Ok(Request {
-        version,
         verb,
         id,
         deadline_us,
@@ -672,33 +584,23 @@ pub fn read_request(r: &mut impl Read) -> Result<Option<Request>, ServeError> {
     }
 }
 
-/// Writes one response frame in `version`'s framing (responses mirror
-/// the request's version).
+/// Writes one response frame.
 ///
 /// # Errors
 ///
 /// Propagates socket errors.
-pub fn write_response(
-    w: &mut impl Write,
-    version: u8,
-    status: Status,
-    id: u64,
-    body: &[u8],
-) -> io::Result<()> {
-    let payload = encode_response(version, status, id, body);
+pub fn write_response(w: &mut impl Write, status: Status, id: u64, body: &[u8]) -> io::Result<()> {
+    let payload = encode_response(status, id, body);
     write_frame(w, &payload)
 }
 
-/// Encodes a response *payload* (no frame header) in `version`'s
-/// framing — the single source of the response byte layout, shared by
-/// the blocking [`write_response`] and the event loop's outbound
-/// buffers.
-pub fn encode_response(version: u8, status: Status, id: u64, body: &[u8]) -> Vec<u8> {
+/// Encodes a response *payload* (no frame header) — the single source of
+/// the response byte layout, shared by the blocking [`write_response`]
+/// and the event loop's outbound buffers.
+pub fn encode_response(status: Status, id: u64, body: &[u8]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(11 + body.len());
-    if version >= PROTOCOL_V2 {
-        payload.push(MAGIC);
-        payload.push(PROTOCOL_V2);
-    }
+    payload.push(MAGIC);
+    payload.push(PROTOCOL_V2);
     payload.push(status as u8);
     put_u64(&mut payload, id);
     payload.extend_from_slice(body);
@@ -707,8 +609,8 @@ pub fn encode_response(version: u8, status: Status, id: u64, body: &[u8]) -> Vec
 
 /// Encodes a complete response frame (`[u32 LE len][payload]`) ready to
 /// append to a connection's outbound buffer.
-pub fn encode_response_frame(version: u8, status: Status, id: u64, body: &[u8]) -> Vec<u8> {
-    let payload = encode_response(version, status, id, body);
+pub fn encode_response_frame(status: Status, id: u64, body: &[u8]) -> Vec<u8> {
+    let payload = encode_response(status, id, body);
     debug_assert!(payload.len() <= MAX_FRAME_BYTES as usize, "frame too big");
     let mut frame = Vec::with_capacity(4 + payload.len());
     put_u32(&mut frame, payload.len() as u32);
@@ -716,33 +618,31 @@ pub fn encode_response_frame(version: u8, status: Status, id: u64, body: &[u8]) 
     frame
 }
 
-/// Reads and parses one response, accepting both framings. `Ok(None)` on
-/// clean EOF.
+/// Reads and parses one response. `Ok(None)` on clean EOF.
 ///
 /// # Errors
 ///
-/// As [`read_frame`], plus [`ServeError::Protocol`] for an unknown
-/// status byte, an unsupported version, or a truncated header.
+/// As [`read_frame`], plus [`ServeError::Protocol`] for a missing magic
+/// byte, an unsupported version, an unknown status byte, or a truncated
+/// header.
 pub fn read_response(r: &mut impl Read) -> Result<Option<Response>, ServeError> {
     let Some(payload) = read_frame(r)? else {
         return Ok(None);
     };
-    let first = *payload
-        .first()
-        .ok_or_else(|| ServeError::Protocol("empty response frame".into()))?;
-    let (version, mut at) = if first == MAGIC {
-        let ver = *payload
-            .get(1)
-            .ok_or_else(|| ServeError::Protocol("magic byte without version".into()))?;
-        if ver != PROTOCOL_V2 {
+    match payload.get(..2) {
+        Some(&[MAGIC, PROTOCOL_V2]) => {}
+        Some(&[MAGIC, ver]) => {
             return Err(ServeError::Protocol(format!(
                 "unsupported response version {ver}"
-            )));
+            )))
         }
-        (ver, 2usize)
-    } else {
-        (PROTOCOL_V1, 0usize)
-    };
+        _ => {
+            return Err(ServeError::Protocol(
+                "response frame does not open with the magic preamble".into(),
+            ))
+        }
+    }
+    let mut at = 2usize;
     let status_byte = *payload
         .get(at)
         .ok_or_else(|| ServeError::Protocol("truncated response status".into()))?;
@@ -751,7 +651,6 @@ pub fn read_response(r: &mut impl Read) -> Result<Option<Response>, ServeError> 
         .ok_or_else(|| ServeError::Protocol(format!("unknown status {status_byte}")))?;
     let id = take_u64(&payload, &mut at)?;
     Ok(Some(Response {
-        version,
         status,
         id,
         payload: payload[at..].to_vec(),
@@ -852,44 +751,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_request_round_trip() {
-        let req = Request::v1(
-            Verb::InferBatch,
-            0xdead_beef_0042,
-            1500,
-            Some(tensor(&[2, 4])),
-        );
-        let mut wire = Vec::new();
-        write_request(&mut wire, &req).unwrap();
-        let back = read_request(&mut wire.as_slice()).unwrap().unwrap();
-        assert_eq!(back, req);
-        // Verbs without a body round-trip too.
-        for verb in [Verb::Ping, Verb::Stats] {
-            let req = Request::v1(verb, 7, 0, None);
-            let mut wire = Vec::new();
-            write_request(&mut wire, &req).unwrap();
-            assert_eq!(read_request(&mut wire.as_slice()).unwrap().unwrap(), req);
-        }
-    }
-
-    #[test]
-    fn v1_wire_layout_is_the_legacy_bytes() {
-        // The exact byte layout the pre-registry protocol wrote; a v1
-        // client binary produces these frames verbatim.
-        let t = tensor(&[2]);
-        let req = Request::v1(Verb::Infer, 3, 250, Some(t.clone()));
-        let mut wire = Vec::new();
-        write_request(&mut wire, &req).unwrap();
-        let mut expected_payload = vec![1u8]; // Verb::Infer
-        expected_payload.extend_from_slice(&3u64.to_le_bytes());
-        expected_payload.extend_from_slice(&250u32.to_le_bytes());
-        encode_tensor_into(&mut expected_payload, &t);
-        let mut expected = (expected_payload.len() as u32).to_le_bytes().to_vec();
-        expected.extend_from_slice(&expected_payload);
-        assert_eq!(wire, expected, "v1 framing drifted from the legacy bytes");
-    }
-
-    #[test]
     fn v2_request_round_trip() {
         let req =
             Request::v2(Verb::Infer, 99, 777, "vgg16-s", Some(tensor(&[3]))).with_replica_hint(2);
@@ -907,37 +768,20 @@ mod tests {
     }
 
     #[test]
-    fn v1_cannot_carry_v2_fields() {
-        let mut sink = Vec::new();
-        let with_model = Request {
-            model: "mlp1".into(),
-            ..Request::v1(Verb::Ping, 1, 0, None)
-        };
-        assert!(write_request(&mut sink, &with_model).is_err());
-        let with_hint = Request::v1(Verb::Ping, 1, 0, None).with_replica_hint(0);
-        assert!(write_request(&mut sink, &with_hint).is_err());
-        let v2_verb = Request::v1(Verb::ListModels, 1, 0, None);
-        assert!(write_request(&mut sink, &v2_verb).is_err());
-    }
-
-    #[test]
     fn response_round_trip_both_versions() {
-        for version in [PROTOCOL_V1, PROTOCOL_V2] {
-            let mut wire = Vec::new();
-            write_response(&mut wire, version, Status::Busy, 9, b"queue full").unwrap();
-            let back = read_response(&mut wire.as_slice()).unwrap().unwrap();
-            assert_eq!(back.version, version);
-            assert_eq!(back.status, Status::Busy);
-            assert_eq!(back.id, 9);
-            assert_eq!(back.payload, b"queue full");
-        }
+        let mut wire = Vec::new();
+        write_response(&mut wire, Status::Busy, 9, b"queue full").unwrap();
+        let back = read_response(&mut wire.as_slice()).unwrap().unwrap();
+        assert_eq!(back.status, Status::Busy);
+        assert_eq!(back.id, 9);
+        assert_eq!(back.payload, b"queue full");
     }
 
     #[test]
     fn clean_eof_is_none_mid_frame_is_error() {
         assert!(read_frame(&mut [].as_slice()).unwrap().is_none());
         let mut wire = Vec::new();
-        write_response(&mut wire, PROTOCOL_V1, Status::Ok, 1, b"xyz").unwrap();
+        write_response(&mut wire, Status::Ok, 1, b"xyz").unwrap();
         let truncated = &wire[..wire.len() - 1];
         assert!(matches!(
             read_response(&mut &truncated[..]),
@@ -961,7 +805,7 @@ mod tests {
 
     #[test]
     fn garbage_preambles_are_malformed_not_decoded() {
-        // Neither a v1 verb (1..=4) nor the MAGIC byte: Malformed.
+        // Not the MAGIC byte: Malformed.
         assert!(matches!(parse_request(&[]), Err(ServeError::Malformed(_))));
         assert!(matches!(
             parse_request(&[0x7f, 1, 2, 3]),
@@ -981,11 +825,14 @@ mod tests {
             parse_request(&[MAGIC, PROTOCOL_V2, 200]),
             Err(ServeError::Malformed(_))
         ));
-        // A v2-only verb byte in a v1 frame: Malformed (v1 doesn't know it).
-        assert!(matches!(
-            parse_request(&[5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
-            Err(ServeError::Malformed(_))
-        ));
+        // A verb byte with no preamble — the former single-model frame
+        // layout `[verb][u64 id][u32 deadline]` — is Malformed too.
+        for verb in 1..=6u8 {
+            assert!(matches!(
+                parse_request(&[verb, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+                Err(ServeError::Malformed(_))
+            ));
+        }
     }
 
     #[test]
@@ -1033,9 +880,9 @@ mod tests {
         let mut ok = encode_tensor(&tensor(&[2]));
         ok.push(0);
         assert!(decode_tensor(&ok).is_err());
-        // A valid v1 preamble with trailing garbage is Protocol, not
+        // A valid preamble with trailing garbage is Protocol, not
         // Malformed — the frame was recognizable.
-        let mut wire = encode_request(&Request::v1(Verb::Ping, 1, 0, None)).unwrap();
+        let mut wire = encode_request(&Request::v2(Verb::Ping, 1, 0, "", None)).unwrap();
         wire.push(0xee);
         assert!(matches!(parse_request(&wire), Err(ServeError::Protocol(_))));
     }
@@ -1046,7 +893,7 @@ mod tests {
         let mut wire = Vec::new();
         write_request(&mut wire, &req).unwrap();
         // Two back-to-back frames in one stream.
-        let second = Request::v1(Verb::Ping, 7, 0, None);
+        let second = Request::v2(Verb::Ping, 7, 0, "", None);
         write_request(&mut wire, &second).unwrap();
         let blocking_first = read_frame(&mut wire.as_slice()).unwrap().unwrap();
 
@@ -1069,8 +916,8 @@ mod tests {
     #[test]
     fn frame_accum_drains_multi_frame_buffer() {
         let mut wire = Vec::new();
-        write_response(&mut wire, PROTOCOL_V1, Status::Ok, 1, b"ab").unwrap();
-        write_response(&mut wire, PROTOCOL_V2, Status::Busy, 2, b"").unwrap();
+        write_response(&mut wire, Status::Ok, 1, b"ab").unwrap();
+        write_response(&mut wire, Status::Busy, 2, b"").unwrap();
         let mut accum = FrameAccum::new();
         let mut at = 0usize;
         let mut frames = Vec::new();
@@ -1082,14 +929,8 @@ mod tests {
             }
         }
         assert_eq!(frames.len(), 2);
-        assert_eq!(
-            frames[0],
-            encode_response(PROTOCOL_V1, Status::Ok, 1, b"ab")
-        );
-        assert_eq!(
-            frames[1],
-            encode_response(PROTOCOL_V2, Status::Busy, 2, b"")
-        );
+        assert_eq!(frames[0], encode_response(Status::Ok, 1, b"ab"));
+        assert_eq!(frames[1], encode_response(Status::Busy, 2, b""));
     }
 
     #[test]
@@ -1119,14 +960,9 @@ mod tests {
 
     #[test]
     fn encode_response_frame_matches_write_response() {
-        for version in [PROTOCOL_V1, PROTOCOL_V2] {
-            let mut wire = Vec::new();
-            write_response(&mut wire, version, Status::Expired, 88, b"late").unwrap();
-            assert_eq!(
-                wire,
-                encode_response_frame(version, Status::Expired, 88, b"late")
-            );
-        }
+        let mut wire = Vec::new();
+        write_response(&mut wire, Status::Expired, 88, b"late").unwrap();
+        assert_eq!(wire, encode_response_frame(Status::Expired, 88, b"late"));
     }
 
     #[test]

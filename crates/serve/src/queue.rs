@@ -19,9 +19,15 @@
 //! lets consumers **drain** what was already admitted: `pop_batch`
 //! returns the remaining items batch by batch and only then reports
 //! exhaustion with `None` — the graceful-shutdown contract.
+//!
+//! A panic while the lock is held (a caller's `weight` closure, say)
+//! cannot leave the state half-updated: it is a `VecDeque` plus a
+//! `closed` flag, and every critical section changes it through whole
+//! `VecDeque` calls. So a poisoned lock is recovered, not propagated to
+//! every later producer and consumer.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Why a [`BoundedQueue::try_push`] was refused; the item is returned so
@@ -73,7 +79,7 @@ impl<T> BoundedQueue<T> {
     /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
     /// [`BoundedQueue::close`]; both return the item.
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut st = self.state.lock().expect("queue mutex poisoned");
+        let mut st = self.lock();
         if st.closed {
             return Err(PushError::Closed(item));
         }
@@ -97,7 +103,7 @@ impl<T> BoundedQueue<T> {
         max_wait: Duration,
         weight: W,
     ) -> Option<Vec<T>> {
-        let mut st = self.state.lock().expect("queue mutex poisoned");
+        let mut st = self.lock();
         loop {
             if !st.items.is_empty() {
                 break;
@@ -105,7 +111,10 @@ impl<T> BoundedQueue<T> {
             if st.closed {
                 return None;
             }
-            st = self.available.wait(st).expect("queue mutex poisoned");
+            st = self
+                .available
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         let first = st.items.pop_front().expect("non-empty");
         let mut total = weight(&first);
@@ -135,7 +144,7 @@ impl<T> BoundedQueue<T> {
             let (guard, timeout) = self
                 .available
                 .wait_timeout(st, deadline - now)
-                .expect("queue mutex poisoned");
+                .unwrap_or_else(PoisonError::into_inner);
             st = guard;
             if timeout.timed_out() && st.items.is_empty() {
                 return Some(batch);
@@ -146,14 +155,14 @@ impl<T> BoundedQueue<T> {
     /// Closes the queue: further pushes fail, consumers drain the
     /// remainder and then observe exhaustion.
     pub fn close(&self) {
-        let mut st = self.state.lock().expect("queue mutex poisoned");
+        let mut st = self.lock();
         st.closed = true;
         self.available.notify_all();
     }
 
     /// Items currently queued (a snapshot; concurrent pops move it).
     pub fn len(&self) -> usize {
-        self.state.lock().expect("queue mutex poisoned").items.len()
+        self.lock().items.len()
     }
 
     /// `true` when nothing is queued.
@@ -164,6 +173,10 @@ impl<T> BoundedQueue<T> {
     /// Admission capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -248,5 +261,29 @@ mod tests {
         thread::sleep(Duration::from_millis(20));
         q.close();
         assert!(popper.join().unwrap().is_none());
+    }
+
+    #[test]
+    fn poisoned_lock_is_recovered() {
+        let q = Arc::new(BoundedQueue::new(4));
+        q.try_push(1usize).unwrap();
+        let q2 = Arc::clone(&q);
+        // A weight closure that panics mid-pop poisons the lock.
+        let poisoner = thread::spawn(move || q2.pop_batch(4, NO_WAIT, |_| panic!("bad weight")));
+        assert!(poisoner.join().is_err());
+        assert!(q.state.is_poisoned());
+
+        q.try_push(2).unwrap();
+        q.try_push(3).unwrap();
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop_batch(4, NO_WAIT, |_| 1).unwrap(), vec![2, 3]);
+        // The condvar waits recover too: a blocked pop sees a later push.
+        let q3 = Arc::clone(&q);
+        let popper = thread::spawn(move || q3.pop_batch(4, Duration::from_millis(5), |_| 1));
+        thread::sleep(Duration::from_millis(20));
+        q.try_push(4).unwrap();
+        assert_eq!(popper.join().unwrap().unwrap(), vec![4]);
+        q.close();
+        assert!(q.pop_batch(4, NO_WAIT, |_| 1).is_none());
     }
 }

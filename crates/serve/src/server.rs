@@ -1,5 +1,6 @@
-//! The TCP inference server: a model registry behind a versioned
-//! protocol, served by a fixed-thread readiness event loop.
+//! The TCP inference server: a model registry behind a
+//! model-addressed wire protocol, served by a fixed-thread readiness
+//! event loop.
 //!
 //! Thread anatomy (all plain `std::thread`, no async runtime):
 //!
@@ -18,7 +19,7 @@
 //! budget of event-loop threads ([`ServerConfig::event_threads`]) puts
 //! every accepted socket into non-blocking mode and multiplexes them
 //! over `poll(2)` (see the private `event_loop` module). Each loop incrementally
-//! decodes frames — both protocol versions — resolves the addressed
+//! decodes frames, resolves the addressed
 //! model, performs admission control, answers
 //! `PING`/`STATS`/`LIST_MODELS`/`MODEL_STATS` inline, and drains each
 //! connection's reply mailbox into a **bounded** outbound buffer
@@ -53,9 +54,7 @@ use crate::batcher::{worker_loop, PendingRequest, Reply, ReplySink, WorkerContex
 use crate::error::ServeError;
 use crate::event_loop::{run_event_loop, EventLoopHandle};
 use crate::metrics::{ConnCounters, LatencyHistogram, ServerCounters, ServerStats};
-use crate::protocol::{
-    encode_model_list, ModelInfo, Request, Status, Verb, MAX_MODEL_NAME, PROTOCOL_V1,
-};
+use crate::protocol::{encode_model_list, ModelInfo, Request, Status, Verb, MAX_MODEL_NAME};
 use crate::queue::PushError;
 use crate::registry::{ModelEntry, ModelRegistry, ModelSpec, ReplicaHealth};
 
@@ -233,7 +232,7 @@ impl ServerBuilder {
     }
 
     /// Registers a model under `name`. The first registered model is
-    /// the default (what v1 clients and empty v2 model names route to)
+    /// the default (what empty model names route to)
     /// unless [`ServerBuilder::default_model`] overrides it.
     pub fn register_model(mut self, name: &str, spec: ModelSpec) -> ServerBuilder {
         self.models.push((name.to_owned(), spec));
@@ -255,7 +254,7 @@ impl ServerBuilder {
         self
     }
 
-    /// Names the model v1 frames and empty v2 model names route to
+    /// Names the model empty model names route to
     /// (default: the first registered model).
     pub fn default_model(mut self, name: &str) -> ServerBuilder {
         self.default_model = Some(name.to_owned());
@@ -664,25 +663,13 @@ fn bump(
 /// sink with them so the batch worker answers it later.
 pub(crate) fn handle_request(req: Request, shared: &Arc<Shared>, sink: &ReplySink) {
     let reply = |status: Status, payload: Vec<u8>| Reply {
-        version: req.version,
         status,
         id: req.id,
         payload,
     };
     match req.verb {
         Verb::Ping => sink.send(reply(Status::Ok, Vec::new())),
-        Verb::Stats => {
-            // v1 clients get the legacy fixed layout, bit-identical to
-            // the pre-registry server; v2 clients get the
-            // count-prefixed layout with per-model blocks.
-            let stats = shared.stats();
-            let payload = if req.version == PROTOCOL_V1 {
-                stats.encode_legacy()
-            } else {
-                stats.encode()
-            };
-            sink.send(reply(Status::Ok, payload))
-        }
+        Verb::Stats => sink.send(reply(Status::Ok, shared.stats().encode())),
         Verb::ListModels => sink.send(reply(
             Status::Ok,
             encode_model_list(&shared.registry.infos()),
@@ -736,7 +723,6 @@ pub(crate) fn handle_request(req: Request, shared: &Arc<Shared>, sink: &ReplySin
                 Some(now + Duration::from_micros(u64::from(req.deadline_us)))
             };
             let pending = PendingRequest {
-                version: req.version,
                 id: req.id,
                 samples: tensor.data().to_vec(),
                 n,

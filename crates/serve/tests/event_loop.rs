@@ -56,13 +56,13 @@ fn slow_client_is_evicted_without_stalling_others() {
     );
     let addr = server.local_addr();
 
-    // The slow client: pipeline valid v1 inference requests and never
+    // The slow client: pipeline valid inference requests and never
     // read a byte back. Once evicted mid-stream, its socket closes and
     // the pipelining write fails — which is the expected end state.
     let mut slow = TcpStream::connect(addr).unwrap();
     let sample = Tensor::from_vec(vec![0.25f32; 16384], &[16384]).unwrap();
     for id in 0..512u64 {
-        let req = Request::v1(Verb::Infer, id + 1, 0, Some(sample.clone()));
+        let req = Request::v2(Verb::Infer, id + 1, 0, "", Some(sample.clone()));
         if write_request(&mut slow, &req).is_err() {
             break; // already evicted — even better
         }

@@ -1,9 +1,10 @@
 //! The registry contract end to end: two models served simultaneously
 //! from one server, each replicated, each bit-identical to its own
 //! local oracle under concurrent load; a replica drained mid-load
-//! without a single reject; and a byte-level v1 client — frames built
-//! by hand, exactly what a binary compiled before the registry existed
-//! would send — still getting bit-identical answers.
+//! without a single reject; and a byte-level client — frames built by
+//! hand from the documented wire layout, with no resipe-serve client
+//! code — getting bit-identical answers from both the default and a
+//! named model.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -152,12 +153,16 @@ fn two_models_with_replicas_serve_concurrently_bit_identical() {
     assert!(probe.ping().is_ok(), "connection survives NoSuchModel");
 }
 
-/// Encodes a v1 Infer frame exactly as the pre-registry client did:
-/// `[u32 len][verb=1][u64 id][u32 deadline=0][tensor]`.
-fn legacy_infer_frame(id: u64, sample: &Tensor) -> Vec<u8> {
-    let mut payload = vec![1u8];
+/// Encodes an Infer frame byte by byte from the documented layout:
+/// `[u32 len][0xA5][version=2][verb=1][u64 id][u32 deadline=0]
+/// [u8 model_len][model][hint_flag=0][tensor]`.
+fn hand_rolled_infer_frame(id: u64, model: &str, sample: &Tensor) -> Vec<u8> {
+    let mut payload = vec![0xA5u8, 2, 1];
     payload.extend_from_slice(&id.to_le_bytes());
     payload.extend_from_slice(&0u32.to_le_bytes());
+    payload.push(model.len() as u8);
+    payload.extend_from_slice(model.as_bytes());
+    payload.push(0);
     payload.push(sample.shape().len() as u8);
     for &d in sample.shape() {
         payload.extend_from_slice(&(d as u32).to_le_bytes());
@@ -171,9 +176,10 @@ fn legacy_infer_frame(id: u64, sample: &Tensor) -> Vec<u8> {
 }
 
 #[test]
-fn hand_rolled_v1_frames_talk_to_the_v2_server_bit_identically() {
-    // A stand-in for a client binary built before protocol v2 existed:
-    // raw bytes on a TcpStream, no resipe-serve client code at all.
+fn hand_rolled_frames_talk_to_the_server_bit_identically() {
+    // Raw bytes on a TcpStream, no resipe-serve client code at all: the
+    // request and reply layouts are pinned byte for byte, for both
+    // default routing (empty model name) and a named model.
     let (net, calib, shape) = trained_mlp1(7);
     let opts = CompileOptions::paper();
     let oracle = HardwareNetwork::compile(&net, &calib, &opts).unwrap();
@@ -194,23 +200,26 @@ fn hand_rolled_v1_frames_talk_to_the_v2_server_bit_identically() {
     for idx in 0..4u64 {
         let data = samples.data()[idx as usize * width..(idx as usize + 1) * width].to_vec();
         let sample = Tensor::from_vec(data, &shape).unwrap();
+        let model = if idx % 2 == 0 { "" } else { "mlp1" };
         stream
-            .write_all(&legacy_infer_frame(idx + 1, &sample))
+            .write_all(&hand_rolled_infer_frame(idx + 1, model, &sample))
             .unwrap();
 
-        // Read the response frame by hand: [u32 len][status][u64 id][body].
+        // Read the response frame by hand:
+        // [u32 len][0xA5][version=2][status][u64 id][body].
         let mut len = [0u8; 4];
         stream.read_exact(&mut len).unwrap();
         let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
         stream.read_exact(&mut payload).unwrap();
-        assert_eq!(payload[0], 0, "status Ok");
+        assert_eq!(payload[..2], [0xA5, 2], "magic + version preamble");
+        assert_eq!(payload[2], 0, "status Ok");
         assert_eq!(
-            u64::from_le_bytes(payload[1..9].try_into().unwrap()),
+            u64::from_le_bytes(payload[3..11].try_into().unwrap()),
             idx + 1
         );
 
         // Body: tensor [ndim][dims...][f32 data]; batch dim must be 1.
-        let body = &payload[9..];
+        let body = &payload[11..];
         let ndim = body[0] as usize;
         let mut dims = Vec::new();
         for d in 0..ndim {
@@ -222,7 +231,12 @@ fn hand_rolled_v1_frames_talk_to_the_v2_server_bit_identically() {
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
             .collect();
+        assert_eq!(served.len() * 4, body.len() - data_at, "no trailing bytes");
         let expected = &reference.data()[idx as usize * out_width..(idx as usize + 1) * out_width];
-        assert_bits(&served, expected, "legacy v1 bytes");
+        assert_bits(
+            &served,
+            expected,
+            &format!("hand-rolled bytes, model {model:?}"),
+        );
     }
 }

@@ -1,21 +1,19 @@
-//! Property tests of the wire protocol: every well-formed request —
-//! in both protocol versions — survives an encode → parse round trip
-//! bit-identically (including NaN/infinity/denormal payload bits), the
-//! v1 encoding is byte-for-byte the legacy layout, arbitrary garbage
-//! never panics the parser, and the incremental [`FrameAccum`] decoder
-//! recovers exactly the frames the blocking reader sees no matter how
-//! the byte stream is sliced.
+//! Property tests of the wire protocol: every well-formed request
+//! survives an encode → parse round trip bit-identically (including
+//! NaN/infinity/denormal payload bits), arbitrary garbage never panics
+//! the parser, and the incremental [`FrameAccum`] decoder recovers
+//! exactly the frames the blocking reader sees no matter how the byte
+//! stream is sliced.
 
 use proptest::prelude::*;
 
 use resipe_nn::tensor::Tensor;
 use resipe_serve::protocol::{
-    encode_request, encode_tensor, parse_request, read_frame, write_request, write_response,
-    FrameAccum, Request, Status, Verb, MAX_MODEL_NAME, PROTOCOL_V1, PROTOCOL_V2,
+    encode_request, parse_request, read_frame, write_request, write_response, FrameAccum, Request,
+    Status, Verb, MAGIC, MAX_MODEL_NAME,
 };
 
-const V1_VERBS: [Verb; 4] = [Verb::Infer, Verb::InferBatch, Verb::Ping, Verb::Stats];
-const V2_VERBS: [Verb; 6] = [
+const VERBS: [Verb; 6] = [
     Verb::Infer,
     Verb::InferBatch,
     Verb::Ping,
@@ -117,44 +115,6 @@ fn assert_tensor_bits(a: &Option<Tensor>, b: &Option<Tensor>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// v1 requests round-trip bit-identically through the v1 wire, and
-    /// the encoding is byte-for-byte the pre-registry layout:
-    /// `[verb][u64 id][u32 deadline][tensor?]`, all little-endian.
-    #[test]
-    fn v1_requests_round_trip_on_the_legacy_bytes(
-        verb_sel in 0usize..4,
-        id in any::<u64>(),
-        deadline_us in 0u32..=u32::MAX,
-        rank in 1usize..4,
-        dim in 1usize..5,
-        bits in proptest::collection::vec(any::<u32>(), 0..128),
-        has_tensor in any::<bool>(),
-    ) {
-        let verb = V1_VERBS[verb_sel];
-        let tensor = (verb.carries_tensor() && has_tensor)
-            .then(|| tensor_from(rank, dim, &bits));
-        let req = Request::v1(verb, id, deadline_us, tensor.clone());
-        let bytes = encode_request(&req).unwrap();
-
-        // Golden layout: no preamble, raw verb first.
-        let mut legacy = vec![verb as u8];
-        legacy.extend_from_slice(&id.to_le_bytes());
-        legacy.extend_from_slice(&deadline_us.to_le_bytes());
-        if let Some(t) = &tensor {
-            legacy.extend_from_slice(&encode_tensor(t));
-        }
-        prop_assert_eq!(&bytes, &legacy);
-
-        let back = parse_request(&bytes).unwrap();
-        prop_assert_eq!(back.version, PROTOCOL_V1);
-        prop_assert_eq!(back.verb, verb);
-        prop_assert_eq!(back.id, id);
-        prop_assert_eq!(back.deadline_us, deadline_us);
-        prop_assert_eq!(&back.model, "");
-        prop_assert_eq!(back.replica_hint, None);
-        assert_tensor_bits(&back.tensor, &req.tensor);
-    }
-
     /// v2 requests — model names, replica hints, the new verbs —
     /// round-trip bit-identically through the v2 wire.
     #[test]
@@ -171,7 +131,7 @@ proptest! {
         bits in proptest::collection::vec(any::<u32>(), 0..128),
         has_tensor in any::<bool>(),
     ) {
-        let verb = V2_VERBS[verb_sel];
+        let verb = VERBS[verb_sel];
         let model = model_name(name_len, name_seed);
         let tensor = (verb.carries_tensor() && has_tensor)
             .then(|| tensor_from(rank, dim, &bits));
@@ -181,7 +141,6 @@ proptest! {
         }
         let bytes = encode_request(&req).unwrap();
         let back = parse_request(&bytes).unwrap();
-        prop_assert_eq!(back.version, PROTOCOL_V2);
         prop_assert_eq!(back.verb, verb);
         prop_assert_eq!(back.id, id);
         prop_assert_eq!(back.deadline_us, deadline_us);
@@ -192,7 +151,7 @@ proptest! {
 
     /// Arbitrary bytes never panic the parser; anything that fails to
     /// parse yields a clean error, and a payload whose first byte is
-    /// neither a v1 verb nor the v2 magic is *always* rejected.
+    /// not the magic is *always* rejected.
     #[test]
     fn arbitrary_bytes_never_panic(
         payload in proptest::collection::vec(0u8..=255, 0..512),
@@ -200,7 +159,7 @@ proptest! {
         let parsed = parse_request(&payload);
         let first = payload.first().copied();
         if let Some(b) = first {
-            if !(1..=4).contains(&b) && b != 0xA5 {
+            if b != MAGIC {
                 prop_assert!(parsed.is_err(), "junk preamble {b:#04x} accepted");
             }
         } else {
@@ -217,7 +176,7 @@ proptest! {
         prop_assert!(encode_request(&req).is_err());
     }
 
-    /// A stream of mixed v1/v2 request frames fed to [`FrameAccum`]
+    /// A stream of request frames fed to [`FrameAccum`]
     /// one byte at a time AND in random-sized chunks yields exactly the
     /// frames the blocking reader sees, and each parses to the original
     /// request bit-identically.
@@ -227,24 +186,21 @@ proptest! {
             ((0usize..4, any::<u64>(), any::<u32>(), 0usize..20, any::<u64>()),
              (1usize..3, 1usize..4,
               proptest::collection::vec(any::<u32>(), 0..32),
-              any::<bool>(), any::<bool>())),
+              any::<bool>())),
             1..6,
         ),
         chunk_sizes in proptest::collection::vec(1usize..64, 1..16),
     ) {
         let mut stream = Vec::new();
         let mut originals = Vec::new();
-        for ((verb_sel, id, deadline_us, name_len, name_seed), (rank, dim, bits, has_tensor, v2))
+        for ((verb_sel, id, deadline_us, name_len, name_seed), (rank, dim, bits, has_tensor))
             in &specs
         {
-            let verb = V1_VERBS[*verb_sel];
+            let verb = VERBS[*verb_sel];
             let tensor = (verb.carries_tensor() && *has_tensor)
                 .then(|| tensor_from(*rank, *dim, bits));
-            let req = if *v2 {
-                Request::v2(verb, *id, *deadline_us, &model_name(*name_len, *name_seed), tensor)
-            } else {
-                Request::v1(verb, *id, *deadline_us, tensor)
-            };
+            let req =
+                Request::v2(verb, *id, *deadline_us, &model_name(*name_len, *name_seed), tensor);
             write_request(&mut stream, &req).unwrap();
             originals.push(req);
         }
@@ -256,7 +212,6 @@ proptest! {
             prop_assert_eq!(&frames, &golden, "frame bytes diverged ({})", label);
             for (frame, original) in frames.iter().zip(&originals) {
                 let back = parse_request(frame).unwrap();
-                prop_assert_eq!(back.version, original.version);
                 prop_assert_eq!(back.verb, original.verb);
                 prop_assert_eq!(back.id, original.id);
                 prop_assert_eq!(back.deadline_us, original.deadline_us);
@@ -267,23 +222,21 @@ proptest! {
         }
     }
 
-    /// A stream of mixed v1/v2 *response* frames — every status code,
+    /// A stream of *response* frames — every status code,
     /// arbitrary bodies — fed to [`FrameAccum`] under arbitrary slicing
     /// yields byte-identical frames to the blocking reader.
     #[test]
     fn frame_accum_recovers_reply_streams_under_any_slicing(
         specs in proptest::collection::vec(
             (0usize..8, any::<u64>(),
-             proptest::collection::vec(any::<u8>(), 0..200),
-             any::<bool>()),
+             proptest::collection::vec(any::<u8>(), 0..200)),
             1..8,
         ),
         chunk_sizes in proptest::collection::vec(1usize..48, 1..16),
     ) {
         let mut stream = Vec::new();
-        for (status_sel, id, body, v2) in &specs {
-            let version = if *v2 { PROTOCOL_V2 } else { PROTOCOL_V1 };
-            write_response(&mut stream, version, STATUSES[*status_sel], *id, body).unwrap();
+        for (status_sel, id, body) in &specs {
+            write_response(&mut stream, STATUSES[*status_sel], *id, body).unwrap();
         }
 
         let golden = blocking_frames(&stream);

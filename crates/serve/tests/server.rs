@@ -2,6 +2,8 @@
 //! input, and graceful shutdown — all against mock executors on
 //! loopback, so the tests are fast and deterministic.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -10,7 +12,8 @@ use std::time::Duration;
 use resipe::ResipeError;
 use resipe_nn::tensor::Tensor;
 use resipe_serve::batcher::BatchExecutor;
-use resipe_serve::{Client, ModelSpec, ServeError, Server, ServerConfig};
+use resipe_serve::protocol::{encode_tensor, read_response, write_request};
+use resipe_serve::{Client, ModelSpec, Request, ServeError, Server, ServerConfig, Status, Verb};
 
 /// Binds a single executor-backed model `"echo"` behind the builder.
 fn bind_executor(
@@ -211,6 +214,36 @@ fn bad_shape_is_rejected_not_executed() {
     let stats = server.stats();
     assert_eq!(stats.bad_requests, 1);
     assert_eq!(stats.completed, 1);
+}
+
+/// The retired single-model v1 frame — `[u32 len][verb=1][u64 id]
+/// [u32 deadline][tensor]`, no preamble — earns a `Malformed` reply in
+/// the one wire framing, under id 0, with nothing executed; the
+/// connection stays usable.
+#[test]
+fn v1_frames_are_malformed_and_the_connection_survives() {
+    let server = spawn_echo(ServerConfig::default());
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let sample = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap();
+    let mut payload = vec![1u8];
+    payload.extend_from_slice(&42u64.to_le_bytes());
+    payload.extend_from_slice(&0u32.to_le_bytes());
+    payload.extend_from_slice(&encode_tensor(&sample));
+    stream
+        .write_all(&(payload.len() as u32).to_le_bytes())
+        .unwrap();
+    stream.write_all(&payload).unwrap();
+
+    let reply = read_response(&mut stream).unwrap().unwrap();
+    assert_eq!(reply.status, Status::Malformed);
+    assert_eq!(reply.id, 0, "the id of a malformed frame is never parsed");
+
+    write_request(&mut stream, &Request::v2(Verb::Ping, 7, 0, "", None)).unwrap();
+    let pong = read_response(&mut stream).unwrap().unwrap();
+    assert_eq!((pong.status, pong.id), (Status::Ok, 7));
+    let stats = server.stats();
+    assert_eq!(stats.bad_requests, 1);
+    assert_eq!(stats.accepted, 0, "a v1 frame is never admitted");
 }
 
 #[test]

@@ -12,10 +12,9 @@
 #
 # With --serve-smoke, additionally re-runs the serving bench and
 # schema-checks the registry surface of BENCH_serve.json: the per-model
-# blocks (per-model p99, per-replica health/load), the multi-model
-# scenario gates (two models, a replica drained mid-load, zero rejects),
-# and the v1 wire-compatibility bit (hand-rolled legacy frames answered
-# bit-identically by the v2 server).
+# blocks (per-model p99, per-replica health/load) and the multi-model
+# scenario gates (two models, a replica drained mid-load, zero rejects,
+# no request lost or duplicated).
 #
 # With --conn-smoke, additionally runs the serving bench's
 # many-connection overload scenario and gates on its *structural* facts
@@ -118,7 +117,7 @@ for key in model clients requests_per_client total_requests max_batch max_wait_u
     bit_identical lossless sequential batched requests_per_sec mean_batch \
     largest_batch speedup hot_repair latency p50_nanos p99_nanos server accepted \
     completed rejected_busy expired scrub_passes scrub_repairs plan_swaps \
-    v1_compat multi_model models replicas; do
+    multi_model models replicas; do
     if ! grep -q "\"$key\"" "$serve_out"; then
         echo "check: BENCH_serve.json schema drift — missing key \"$key\"" >&2
         rm -f "$serve_out"
@@ -189,7 +188,7 @@ if [[ "$serve_smoke" -eq 1 ]]; then
             exit 1
         fi
     done
-    for gate in '"v1_compat": true' '"rejected_busy": 0' '"lossless": true'; do
+    for gate in '"rejected_busy": 0' '"lossless": true'; do
         if ! grep -q "$gate" "$registry_out"; then
             echo "check: serve_bench registry gate failed ($gate)" >&2
             rm -f "$registry_out"
