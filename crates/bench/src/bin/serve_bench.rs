@@ -616,7 +616,8 @@ fn main() {
     json.push_str(&format!(
         "  \"server\": {{\"accepted\": {}, \"completed\": {}, \"rejected_busy\": {}, \
          \"expired\": {}, \"engine_errors\": {}, \"batches\": {}, \"batched_samples\": {}, \
-         \"scrub_passes\": {}, \"scrub_tiles\": {}, \"scrub_repairs\": {}, \"plan_swaps\": {}}}\n",
+         \"scrub_passes\": {}, \"scrub_tiles\": {}, \"scrub_repairs\": {}, \"scrub_nanos\": {}, \
+         \"plan_swaps\": {}}}\n",
         stats.accepted,
         stats.completed,
         stats.rejected_busy,
@@ -627,6 +628,7 @@ fn main() {
         stats.scrub_passes,
         stats.scrub_tiles,
         stats.scrub_repairs,
+        stats.scrub_nanos,
         stats.plan_swaps
     ));
     json.push_str("}\n");

@@ -314,24 +314,80 @@ impl ResipeEngine {
             .collect())
     }
 
-    /// Shared S1 ramp samples of one input spike train.
-    fn ramp_samples(&self, t_in: &[Seconds]) -> Vec<f64> {
+    /// The sampled bitline voltages of every one-hot probe of a row-major
+    /// `rows × cols` conductance matrix: entry `p * cols + c` is column
+    /// `c`'s `V_out` when wordline `p` spikes at `t_probe` and every other
+    /// wordline at `t = 0` (held at 0 V).
+    ///
+    /// Bit-identical to `mvm_matrix(g_matrix, rows, cols, t_in)[c].v_out`
+    /// for that one-hot `t_in`, at a fraction of the cost of `rows` such
+    /// calls. In the kernel's row-order sums every silent wordline adds
+    /// `0 V · g = +0.0`, which leaves the weighted sum exactly
+    /// `v_probe · g[p][c]`, and the column total is the same sum for every
+    /// `p`. So each column's total and COG charge factor are computed once,
+    /// and each probe costs one multiply, one divide and one multiply: no
+    /// `rows × rows` multiply-accumulate and no per-probe `exp` or `ln`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ResipeError::DimensionMismatch`] for a shape mismatch or
+    /// [`ResipeError::SpikeOutOfSlice`] for an out-of-slice `t_probe`.
+    pub(crate) fn one_hot_v_out(
+        &self,
+        g_matrix: &[f64],
+        rows: usize,
+        cols: usize,
+        t_probe: Seconds,
+    ) -> Result<Vec<f64>, ResipeError> {
+        if g_matrix.len() != rows * cols {
+            return Err(ResipeError::DimensionMismatch {
+                expected: rows * cols,
+                got: g_matrix.len(),
+            });
+        }
+        self.check_times(&[t_probe])?;
+        let v_probe = self.ramp_sample(t_probe);
+        let mut g_total = vec![0.0; cols];
+        for g_row in g_matrix.chunks_exact(cols.max(1)) {
+            for (total, &g) in g_total.iter_mut().zip(g_row) {
+                *total += g;
+            }
+        }
+        let charge: Vec<f64> = g_total.iter().map(|&g| self.cog_charge(g)).collect();
+        let mut v_out = Vec::with_capacity(rows * cols);
+        for g_row in g_matrix.chunks_exact(cols.max(1)) {
+            for (c, &g) in g_row.iter().enumerate() {
+                // `0.0 +` keeps the kernel's exact sum even for g = -0.0.
+                let weighted = 0.0 + v_probe * g;
+                v_out.push(charged_v_out(g_total[c], weighted, charge[c]));
+            }
+        }
+        Ok(v_out)
+    }
+
+    /// The S1 ramp sample of one input spike time (Eq. 1).
+    fn ramp_sample(&self, t: Seconds) -> f64 {
         let tau = self.config.tau_gd().0;
         let vs = self.config.vs().0;
-        t_in.iter()
-            .map(|t| vs * (1.0 - (-t.0 / tau).exp()))
-            .collect()
+        vs * (1.0 - (-t.0 / tau).exp())
+    }
+
+    /// Shared S1 ramp samples of one input spike train.
+    fn ramp_samples(&self, t_in: &[Seconds]) -> Vec<f64> {
+        t_in.iter().map(|&t| self.ramp_sample(t)).collect()
+    }
+
+    /// The COG charge factor `1 − exp(−Δt·G_total / C_cog)` of a column
+    /// (Eq. 3): the part of `V_out` that does not depend on the inputs.
+    fn cog_charge(&self, g_total: f64) -> f64 {
+        let dt_over_c = self.config.dt().0 / self.config.c_cog().0;
+        1.0 - (-dt_over_c * g_total).exp()
     }
 
     /// The sampled bitline voltage of one column (Eq. 3), shared by every
     /// matrix kernel.
     fn column_v_out(&self, g_total: f64, weighted: f64) -> f64 {
-        let dt_over_c = self.config.dt().0 / self.config.c_cog().0;
-        if g_total == 0.0 {
-            0.0
-        } else {
-            (weighted / g_total) * (1.0 - (-dt_over_c * g_total).exp())
-        }
+        charged_v_out(g_total, weighted, self.cog_charge(g_total))
     }
 
     /// Inverts the ramp at a sampled bitline voltage (Eq. 4).
@@ -354,6 +410,17 @@ impl ResipeEngine {
             v_out: Volts(v_out),
             saturated,
         }
+    }
+}
+
+/// Eq. 3 for one column from its weighted input sum, its total
+/// conductance and its [`ResipeEngine::cog_charge`] factor: a column with
+/// no conductance does not charge.
+fn charged_v_out(g_total: f64, weighted: f64, charge: f64) -> f64 {
+    if g_total == 0.0 {
+        0.0
+    } else {
+        (weighted / g_total) * charge
     }
 }
 
@@ -507,6 +574,40 @@ mod tests {
                 assert_eq!(a.saturated, b.saturated);
             }
         }
+    }
+
+    #[test]
+    fn one_hot_v_out_is_bit_identical_to_mvm_matrix() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let e = engine();
+        let mut rng = StdRng::seed_from_u64(29);
+        for &(rows, cols) in &[(1usize, 1usize), (3, 2), (32, 7), (64, 19)] {
+            // Zero cells and one all-zero column exercise the g_total = 0
+            // branch and the zero products.
+            let g: Vec<f64> = (0..rows * cols)
+                .map(|i| {
+                    if i % cols == cols - 1 || rng.gen_range(0.0..1.0) < 0.1 {
+                        0.0
+                    } else {
+                        rng.gen_range(1e-6..20e-6)
+                    }
+                })
+                .collect();
+            let t_probe = Seconds(rng.gen_range(0.0..80e-9));
+            let one_hot = e.one_hot_v_out(&g, rows, cols, t_probe).unwrap();
+            let mut t_in = vec![Seconds(0.0); rows];
+            for p in 0..rows {
+                t_in[p] = t_probe;
+                let full = e.mvm_matrix(&g, rows, cols, &t_in).unwrap();
+                for (c, mac) in full.iter().enumerate() {
+                    assert_eq!(one_hot[p * cols + c].to_bits(), mac.v_out.0.to_bits());
+                }
+                t_in[p] = Seconds(0.0);
+            }
+        }
+        assert!(e.one_hot_v_out(&[1e-4; 3], 2, 2, Seconds(1e-9)).is_err());
+        assert!(e.one_hot_v_out(&[1e-4; 4], 2, 2, Seconds(-1e-9)).is_err());
     }
 
     #[test]

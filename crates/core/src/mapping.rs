@@ -569,6 +569,36 @@ impl Tile {
         &self.eff_minus_cm
     }
 
+    /// The design-time target cell conductances of the positive array,
+    /// row-major over physical bitlines: what write–verify repair programs
+    /// toward and what BIST expects to observe.
+    pub fn target_plus(&self) -> &[f64] {
+        &self.target_plus
+    }
+
+    /// The design-time target cell conductances of the negative array (see
+    /// [`Tile::target_plus`]).
+    pub fn target_minus(&self) -> &[f64] {
+        &self.target_minus
+    }
+
+    /// Nominal per-physical-bitline effective conductance sums of the
+    /// positive array: the decode constants, fixed from the design targets.
+    pub fn gsum_plus(&self) -> &[f64] {
+        &self.gsum_plus
+    }
+
+    /// Nominal per-physical-bitline effective conductance sums of the
+    /// negative array (see [`Tile::gsum_plus`]).
+    pub fn gsum_minus(&self) -> &[f64] {
+        &self.gsum_minus
+    }
+
+    /// The access-transistor series resistance of every cell.
+    pub fn access_resistance(&self) -> Ohms {
+        Ohms(self.access_resistance)
+    }
+
     /// Recomputes the effective conductances from the cell conductances —
     /// the single maintenance point for both layouts: the column-major
     /// mirror is a pure transpose of values already computed, so the two

@@ -7,11 +7,13 @@
 //!
 //! 1. **BIST** ([`run_bist`]) — a built-in self-test that fires known
 //!    single-spike probes (one wordline at full scale, the rest silent)
-//!    through the real spike-domain engine and compares each column's
-//!    response against the response the *design-time target* conductances
-//!    would produce. Deviations are normalized to one full single-cell
-//!    swing at the column output, so a threshold of 1.0 means "as wrong as
-//!    one cell flipped across its whole window".
+//!    through the engine's own equations — evaluated in closed form for a
+//!    one-hot input, bit-identical to a full engine MVM per probe — and
+//!    compares each column's response against the response the
+//!    *design-time target* conductances would produce. Deviations are
+//!    normalized to one full single-cell swing at the column output, so a
+//!    threshold of 1.0 means "as wrong as one cell flipped across its
+//!    whole window".
 //! 2. **The repair ladder** ([`repair_tile`]) — escalating responses to a
 //!    failing column:
 //!    * *reprogram*: write–verify the column again with a retry budget,
@@ -242,7 +244,10 @@ impl HealthReport {
 /// Each physical wordline is probed with a full-scale single spike while
 /// the others stay silent; the measured column voltages (actual cells) are
 /// compared against the voltages the design targets would produce, both
-/// through the same spike-domain engine.
+/// through the engine's own equations. A one-hot input lets those
+/// equations run in closed form (see `ResipeEngine::one_hot_v_out`): the
+/// voltages are bit-identical to a full engine MVM per probe, at
+/// `O(rows · cols)` cost per tile instead of `O(rows² · cols)`.
 ///
 /// # Errors
 ///
@@ -276,21 +281,24 @@ pub fn run_bist(
         })
         .collect();
 
+    // Every probe of one matrix at once: row p of each is the column
+    // voltages with wordline p at full scale and the rest silent.
+    let probe = |g: &[f64]| engine.one_hot_v_out(g, tile.rows, tile.phys_cols, Seconds(t_max));
+    let pairs = [
+        (probe(&tile.eff_plus)?, probe(&exp_plus)?),
+        (probe(&tile.eff_minus)?, probe(&exp_minus)?),
+    ];
     let mut worst = vec![0.0f64; tile.phys_cols];
-    let mut t_in = vec![Seconds(0.0); tile.rows];
     for p in 0..tile.rows {
-        t_in[p] = Seconds(t_max);
-        for (actual, expected) in [(&tile.eff_plus, &exp_plus), (&tile.eff_minus, &exp_minus)] {
-            let meas = engine.mvm_matrix(actual, tile.rows, tile.phys_cols, &t_in)?;
-            let exp = engine.mvm_matrix(expected, tile.rows, tile.phys_cols, &t_in)?;
+        let row = p * tile.phys_cols;
+        for (meas, exp) in &pairs {
             for c in 0..tile.phys_cols {
-                let dev = (meas[c].v_out.0 - exp[c].v_out.0).abs() / cell_swing[c];
+                let dev = (meas[row + c] - exp[row + c]).abs() / cell_swing[c];
                 if dev > worst[c] {
                     worst[c] = dev;
                 }
             }
         }
-        t_in[p] = Seconds(0.0);
     }
 
     let columns = (0..tile.cols)

@@ -32,11 +32,12 @@
 //! # Wall clock
 //!
 //! The only wall-clock reads are observational: the pass interval of the
-//! background thread and the degraded-serving span (detection →
-//! publish) reported to telemetry. Neither influences a repaired bit.
+//! background thread, the time spent inside each pass, and the
+//! degraded-serving span (detection → publish) reported to telemetry.
+//! None of them influences a repaired bit.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -106,6 +107,7 @@ pub struct ScrubCounters {
     repairs: AtomicU64,
     swaps: AtomicU64,
     degraded_nanos: AtomicU64,
+    pass_nanos: AtomicU64,
 }
 
 impl ScrubCounters {
@@ -117,6 +119,7 @@ impl ScrubCounters {
             repairs: self.repairs.load(Ordering::Relaxed),
             swaps: self.swaps.load(Ordering::Relaxed),
             degraded_nanos: self.degraded_nanos.load(Ordering::Relaxed),
+            pass_nanos: self.pass_nanos.load(Ordering::Relaxed),
         }
     }
 }
@@ -136,6 +139,11 @@ pub struct ScrubStats {
     /// Wall-clock nanoseconds between detecting degradation and
     /// publishing the repaired epoch, summed over passes.
     pub degraded_nanos: u64,
+    /// Wall-clock nanoseconds spent inside [`Scrubber::scrub_pass`]
+    /// (BIST walk, repairs and publish), summed over passes — the
+    /// scrubber's own cost, next to the serving work it shares the host
+    /// with.
+    pub pass_nanos: u64,
 }
 
 /// Outcome of one synchronous [`Scrubber::scrub_pass`].
@@ -166,20 +174,43 @@ struct ScrubInner {
     /// raised, for permanently degraded tiles) to the post-repair count
     /// after each repair. A tile is only repaired when it regresses
     /// *past* its baseline.
+    ///
+    /// The lock is held for a whole pass, so passes run one at a time. A
+    /// pass stages its new entries and commits them only after the epoch
+    /// carrying those repairs is published, so the baseline always
+    /// describes a published epoch. A pass that panics or fails midway
+    /// therefore leaves the baseline exactly as the previous pass left
+    /// it: a poisoned lock guards consistent data and is recovered, not
+    /// propagated.
     baseline: Mutex<Vec<Vec<usize>>>,
     stop: AtomicBool,
 }
 
 impl ScrubInner {
-    /// One synchronous scrub pass over the currently-published epoch.
+    /// One synchronous scrub pass over the currently-published epoch,
+    /// with its wall-clock time added to the pass counters.
     fn scrub_pass(&self) -> Result<ScrubPassReport, ResipeError> {
+        let t0 = Instant::now();
+        let report = self.walk_and_repair();
+        let nanos = t0.elapsed().as_nanos() as u64;
+        self.counters.pass_nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.hw.telemetry().add(Counter::ScrubNanos, nanos);
+        report
+    }
+
+    /// The pass itself: BIST every tile, repair regressions, publish.
+    fn walk_and_repair(&self) -> Result<ScrubPassReport, ResipeError> {
         let pass = self.counters.passes.fetch_add(1, Ordering::Relaxed);
         let pass_seed = seeds::substream(self.config.seed, pass);
         let epoch = self.hw.current_epoch();
         let engine = self.hw.engine();
         let telemetry = self.hw.telemetry().clone();
-        let mut baseline = self.baseline.lock().expect("scrub baseline poisoned");
+        let mut baseline = self.baseline.lock().unwrap_or_else(PoisonError::into_inner);
 
+        // `(layer, tile, failing after repair)`, committed to `baseline`
+        // once the repairs are published. Each tile reads only its own
+        // entry, once per pass, so staging changes no decision.
+        let mut staged: Vec<(usize, usize, usize)> = Vec::new();
         let mut updates: Vec<(usize, Arc<LayerState>)> = Vec::new();
         let mut tiles_scrubbed = 0u64;
         let mut repairs = 0u64;
@@ -210,14 +241,13 @@ impl ScrubInner {
                 let health = repair_tile(engine, mapped, ti, li, &self.config.policy, &mut rng)?;
                 // Whatever the ladder could not fix is this tile's new
                 // normal — do not burn pulses on it again every pass.
-                baseline[li][ti] = health.failing_after;
+                staged.push((li, ti, health.failing_after));
                 repairs += 1;
             }
             if let Some(mapped) = repaired {
                 updates.push((li, Arc::new(LayerState::new(mapped, state.encoding()))));
             }
         }
-        drop(baseline);
 
         let swapped = !updates.is_empty();
         let current = if swapped {
@@ -227,6 +257,10 @@ impl ScrubInner {
         } else {
             self.hw.epoch()
         };
+        for (li, ti, failing_after) in staged {
+            baseline[li][ti] = failing_after;
+        }
+        drop(baseline);
         if let Some(t0) = degraded_at {
             let nanos = t0.elapsed().as_nanos() as u64;
             self.counters
@@ -260,6 +294,9 @@ impl ScrubInner {
 #[derive(Debug)]
 pub struct Scrubber {
     inner: Arc<ScrubInner>,
+    /// The background thread, if running. Every holder replaces the
+    /// `Option` in one step, so a poisoned lock still guards a valid
+    /// handle (or none) and is recovered.
     handle: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -321,7 +358,7 @@ impl Scrubber {
 
     /// Starts the background scrub thread (idempotent).
     pub fn start(&self) {
-        let mut handle = self.handle.lock().expect("scrub handle poisoned");
+        let mut handle = self.handle.lock().unwrap_or_else(PoisonError::into_inner);
         if handle.is_some() {
             return;
         }
@@ -348,13 +385,16 @@ impl Scrubber {
     /// Synchronous [`Scrubber::scrub_pass`] calls remain available.
     pub fn stop(&self) {
         let handle = {
-            let mut guard = self.handle.lock().expect("scrub handle poisoned");
+            let mut guard = self.handle.lock().unwrap_or_else(PoisonError::into_inner);
             guard.take()
         };
         if let Some(handle) = handle {
             self.inner.stop.store(true, Ordering::Release);
             handle.thread().unpark();
-            handle.join().expect("join scrub thread");
+            // A pass that panicked has already ended the thread, and the
+            // state it shared stays consistent (see `ScrubInner::baseline`),
+            // so stopping succeeds either way.
+            let _ = handle.join();
         }
     }
 }
@@ -466,6 +506,52 @@ mod tests {
             hw.forward(&x).unwrap()
         };
         assert_eq!(run(), run(), "same seed chain must repair bit-identically");
+    }
+
+    #[test]
+    fn poisoned_locks_are_recovered() {
+        let (hw, x) = compiled_mlp();
+        let config = sensitive_config().with_interval(Duration::from_millis(1));
+        let scrubber = Scrubber::new(Arc::clone(&hw), config).unwrap();
+        let reference = Scrubber::new(Arc::new(hw.as_ref().clone()), config).unwrap();
+        // Holders that panic poison the baseline lock and the handle lock.
+        std::thread::scope(|s| {
+            let baseline = s.spawn(|| {
+                let _guard = scrubber.inner.baseline.lock();
+                panic!("poison the baseline lock");
+            });
+            assert!(baseline.join().is_err());
+            let handle = s.spawn(|| {
+                let _guard = scrubber.handle.lock();
+                panic!("poison the handle lock");
+            });
+            assert!(handle.join().is_err());
+        });
+        assert!(scrubber.inner.baseline.is_poisoned());
+        assert!(scrubber.handle.is_poisoned());
+
+        // A synchronous pass still repairs, exactly as an unpoisoned
+        // scrubber with the same seed does.
+        let step = heavy_aging_step();
+        hw.age(&step).unwrap();
+        reference.network().age(&step).unwrap();
+        let report = scrubber.scrub_pass().unwrap();
+        assert!(report.repairs > 0 && report.swapped);
+        assert_eq!(report, reference.scrub_pass().unwrap());
+        assert_eq!(
+            hw.forward(&x).unwrap(),
+            reference.network().forward(&x).unwrap()
+        );
+
+        // The background thread still starts, scrubs and stops.
+        scrubber.start();
+        let t0 = Instant::now();
+        while scrubber.stats().passes < 3 && t0.elapsed() < Duration::from_secs(10) {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        scrubber.stop();
+        assert!(scrubber.stats().passes >= 3, "background passes must run");
+        assert!(scrubber.stats().pass_nanos > 0);
     }
 
     #[test]

@@ -103,9 +103,11 @@ pub(crate) enum Counter {
     /// Wall-clock nanoseconds between a scrub pass detecting degradation
     /// and publishing the repaired epoch (time served degraded).
     DegradedServingNanos,
+    /// Wall-clock nanoseconds spent inside scrub passes.
+    ScrubNanos,
 }
 
-const COUNTER_COUNT: usize = 18;
+const COUNTER_COUNT: usize = 19;
 
 /// One span's running aggregate.
 #[derive(Debug, Default, Clone)]
@@ -317,6 +319,7 @@ impl Telemetry {
             scrub_repairs: c(Counter::ScrubRepairs),
             plan_swaps: c(Counter::PlanSwaps),
             degraded_serving_nanos: c(Counter::DegradedServingNanos),
+            scrub_nanos: c(Counter::ScrubNanos),
         };
         let mut spans: Vec<SpanSnapshot> = sink
             .spans
@@ -582,6 +585,10 @@ pub struct CounterSnapshot {
     pub plan_swaps: u64,
     /// Wall-clock nanoseconds served degraded (detection → publish).
     pub degraded_serving_nanos: u64,
+    /// Wall-clock nanoseconds spent inside scrub passes (BIST walk,
+    /// repairs, publish), summed over passes. Wall clock, not CPU time:
+    /// on a loaded host it includes time the scrub thread waited to run.
+    pub scrub_nanos: u64,
 }
 
 /// One aggregated span: every open/close of `path` summed.
@@ -645,6 +652,11 @@ impl HistogramSnapshot {
 /// A point-in-time copy of a telemetry sink, as returned by
 /// [`Telemetry::snapshot`] and carried on
 /// [`crate::inference::RunResult`].
+///
+/// The scrub counters `counters.scrub_nanos` (time inside scrub passes)
+/// and `counters.degraded_serving_nanos` (detection → publish) are wall
+/// clock read on the scrub thread, summed over passes: on a loaded host
+/// they include time that thread waited for a CPU.
 #[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
     /// `false` for the empty snapshot of a disabled handle.
@@ -710,7 +722,7 @@ impl TelemetrySnapshot {
              \"kernel_blocks\": {}, \"kernel_block_samples\": {}, \
              \"kernel_bytes_streamed\": {}, \
              \"scrub_passes\": {}, \"tiles_scrubbed\": {}, \"scrub_repairs\": {}, \
-             \"plan_swaps\": {}, \"degraded_serving_nanos\": {}}},\n",
+             \"plan_swaps\": {}, \"degraded_serving_nanos\": {}, \"scrub_nanos\": {}}},\n",
             c.mvms,
             c.zero_activation_skips,
             c.spare_remaps,
@@ -728,7 +740,8 @@ impl TelemetrySnapshot {
             c.tiles_scrubbed,
             c.scrub_repairs,
             c.plan_swaps,
-            c.degraded_serving_nanos
+            c.degraded_serving_nanos,
+            c.scrub_nanos
         ));
         s.push_str("  \"spans\": [\n");
         for (i, sp) in self.spans.iter().enumerate() {
@@ -939,6 +952,7 @@ mod tests {
             "\"scrub_repairs\"",
             "\"plan_swaps\"",
             "\"degraded_serving_nanos\"",
+            "\"scrub_nanos\"",
             "\"spans\"",
             "\"layers\"",
             "\"t_out\"",

@@ -461,6 +461,9 @@ impl ModelStatsBlock {
     }
 }
 
+/// Global `STATS` counters on the wire (see [`ServerStats::encode`]).
+const GLOBAL_COUNTERS: usize = 28;
+
 /// The `STATS` verb's payload: a point-in-time health/metrics snapshot.
 /// Global counters aggregate over every registered model; the `models`
 /// vector carries the per-model breakdown.
@@ -524,6 +527,9 @@ pub struct ServerStats {
     pub conns_evicted_slow: u64,
     /// Connections refused at accept (`max_connections` reached).
     pub conns_rejected: u64,
+    /// Wall-clock nanoseconds the background scrubbers spent inside
+    /// scrub passes, summed over passes and replicas, lifetime.
+    pub scrub_nanos: u64,
     /// Per-model breakdown.
     pub models: Vec<ModelStatsBlock>,
 }
@@ -545,7 +551,7 @@ impl ServerStats {
 
     // New counters append strictly at the end so the count prefix keeps
     // old and new decoders interoperable.
-    fn global_counters(&self) -> [u64; 27] {
+    fn global_counters(&self) -> [u64; GLOBAL_COUNTERS] {
         [
             self.queue_depth,
             self.queue_capacity,
@@ -574,6 +580,7 @@ impl ServerStats {
             self.conns_peak,
             self.conns_evicted_slow,
             self.conns_rejected,
+            self.scrub_nanos,
         ]
     }
 
@@ -581,7 +588,7 @@ impl ServerStats {
     /// `[u32 n_u64][u64×n]` global counters, the two length-prefixed
     /// strings, then `[u32 n_models]` × model block.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(4 + 27 * 8 + self.telemetry_json.len());
+        let mut buf = Vec::with_capacity(4 + GLOBAL_COUNTERS * 8 + self.telemetry_json.len());
         put_counter_block(&mut buf, &self.global_counters());
         put_u32(&mut buf, self.kernel_backend.len() as u32);
         buf.extend_from_slice(self.kernel_backend.as_bytes());
@@ -601,7 +608,7 @@ impl ServerStats {
     /// Returns [`ServeError::Protocol`] for truncation or invalid UTF-8.
     pub fn decode(bytes: &[u8]) -> Result<ServerStats, ServeError> {
         let mut at = 0usize;
-        let mut c = [0u64; 27];
+        let mut c = [0u64; GLOBAL_COUNTERS];
         take_counter_block(bytes, &mut at, &mut c)?;
         let mut stats = Self::from_globals(&c);
         let mut take_str = |what: &str| -> Result<String, ServeError> {
@@ -630,7 +637,7 @@ impl ServerStats {
         Ok(stats)
     }
 
-    fn from_globals(c: &[u64; 27]) -> ServerStats {
+    fn from_globals(c: &[u64; GLOBAL_COUNTERS]) -> ServerStats {
         ServerStats {
             queue_depth: c[0],
             queue_capacity: c[1],
@@ -663,6 +670,7 @@ impl ServerStats {
             conns_peak: c[24],
             conns_evicted_slow: c[25],
             conns_rejected: c[26],
+            scrub_nanos: c[27],
             models: Vec::new(),
         }
     }
@@ -677,6 +685,7 @@ impl ServerStats {
              \"bad_requests\": {}, \"shutdown_rejects\": {}, \"engine_errors\": {}, \
              \"batches\": {}, \"batched_samples\": {}, \"largest_batch\": {}, \
              \"scrub_passes\": {}, \"scrub_tiles\": {}, \"scrub_repairs\": {}, \
+             \"scrub_nanos\": {}, \
              \"plan_swaps\": {}, \"conns_accepted\": {}, \"conns_open\": {}, \
              \"conns_peak\": {}, \"conns_evicted_slow\": {}, \
              \"conns_rejected\": {}, \"kernel_backend\": \"{}\", \
@@ -697,6 +706,7 @@ impl ServerStats {
             self.scrub_passes,
             self.scrub_tiles,
             self.scrub_repairs,
+            self.scrub_nanos,
             self.plan_swaps,
             self.conns_accepted,
             self.conns_open,
@@ -782,6 +792,7 @@ mod tests {
             conns_peak: 9,
             conns_evicted_slow: 2,
             conns_rejected: 1,
+            scrub_nanos: 3_650_000,
             models: vec![ModelStatsBlock {
                 name: "mlp1".to_owned(),
                 queue_depth: 3,
@@ -844,6 +855,13 @@ mod tests {
         assert!((back.mean_batch_size() - 7.5).abs() < 1e-12);
         assert_eq!(back.model("mlp1").unwrap().replicas.len(), 2);
         assert_eq!(back.models[0].replicas[1].health_name(), "draining");
+        // `scrub_nanos` is the last global counter, so a decoder that
+        // knows only the counters before it still reads the rest.
+        let wire = stats.encode();
+        assert_eq!(wire[..4], (GLOBAL_COUNTERS as u32).to_le_bytes());
+        let last = 4 + (GLOBAL_COUNTERS - 1) * 8;
+        assert_eq!(wire[last..last + 8], 3_650_000u64.to_le_bytes());
+        assert_eq!(back.scrub_nanos, 3_650_000);
     }
 
     #[test]
@@ -902,6 +920,7 @@ mod tests {
             "\"scrub_passes\"",
             "\"scrub_tiles\"",
             "\"scrub_repairs\"",
+            "\"scrub_nanos\"",
             "\"plan_swaps\"",
             "\"conns_accepted\"",
             "\"conns_open\"",

@@ -451,15 +451,17 @@ impl ModelEntry {
         }
     }
 
-    /// Sum of scrub counters across this model's replicas' scrubbers.
-    pub(crate) fn scrub_totals(&self) -> (u64, u64, u64) {
+    /// Sum of scrub counters across this model's replicas' scrubbers:
+    /// `(passes, tiles, repairs, pass wall-clock nanoseconds)`.
+    pub(crate) fn scrub_totals(&self) -> (u64, u64, u64, u64) {
         let guard = self.scrubbers.lock().expect("scrubbers mutex poisoned");
-        let mut totals = (0u64, 0u64, 0u64);
+        let mut totals = (0u64, 0u64, 0u64, 0u64);
         for scrubber in guard.iter() {
-            let s = scrubber.counters().snapshot();
+            let s = scrubber.stats();
             totals.0 += s.passes;
             totals.1 += s.tiles_scrubbed;
             totals.2 += s.repairs;
+            totals.3 += s.pass_nanos;
         }
         totals
     }

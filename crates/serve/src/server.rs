@@ -436,7 +436,7 @@ impl Shared {
         let mut queue_depth = 0u64;
         let mut queue_capacity = 0u64;
         let mut in_flight = 0u64;
-        let mut scrub = (0u64, 0u64, 0u64);
+        let mut scrub = (0u64, 0u64, 0u64, 0u64);
         let mut plan_swaps = 0u64;
         let mut models = Vec::with_capacity(self.registry.entries().len());
         for entry in self.registry.entries() {
@@ -444,10 +444,11 @@ impl Shared {
             queue_depth += block.queue_depth;
             queue_capacity += block.queue_capacity;
             in_flight += block.in_flight;
-            let (passes, tiles, repairs) = entry.scrub_totals();
+            let (passes, tiles, repairs, nanos) = entry.scrub_totals();
             scrub.0 += passes;
             scrub.1 += tiles;
             scrub.2 += repairs;
+            scrub.3 += nanos;
             plan_swaps += entry.plan_swap_total();
             models.push(block);
         }
@@ -465,6 +466,7 @@ impl Shared {
             scrub_passes: scrub.0,
             scrub_tiles: scrub.1,
             scrub_repairs: scrub.2,
+            scrub_nanos: scrub.3,
             plan_swaps,
             queue_depth,
             queue_capacity,

@@ -33,7 +33,9 @@
 #
 # Two release-mode perfbench runs (infer_conv, infer_dense: one second
 # each, traced) fail the gate if a planned output differs from the
-# per-sample reference.
+# per-sample reference. A third (serve_open, two seconds, untraced)
+# serves MLP-1 over loopback with scrubbing, repair and aging live and
+# fails unless every served reply was checked correct and none failed.
 #
 # Every stage, flag, gate, and output field is documented in
 # docs/BENCHMARKS.md.
@@ -89,6 +91,19 @@ for workload in infer_conv infer_dense; do
     echo "==> perfbench --workload $workload --seed 1 --seconds 1 --trace 1"
     cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 1 >/dev/null
+done
+
+# Release-mode serving smoke: the only gate besides the 20 s benchmark
+# that runs scrub and repair under live serving with the served bytes
+# checked. The last stdout line is perfbench's JSON report.
+echo "==> perfbench --workload serve_open --seed 1 --seconds 2 --trace 0"
+serve_open_report="$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload serve_open --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+for gate in '"correct": true' '"failed": 0,'; do
+    if ! grep -qF "$gate" <<<"$serve_open_report"; then
+        echo "check: perfbench serve_open smoke failed ($gate)" >&2
+        exit 1
+    fi
 done
 
 echo "==> fault_sweep --smoke"
