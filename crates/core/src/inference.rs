@@ -580,12 +580,6 @@ impl RunOptions {
         }
     }
 
-    /// Sets the execution mode.
-    pub fn with_mode(mut self, mode: ExecutionMode) -> RunOptions {
-        self.mode = mode;
-        self
-    }
-
     /// Pins the planned path's sample-block size (clamped to ≥ 1).
     pub fn with_block_size(mut self, block: usize) -> RunOptions {
         self.block = Some(block.max(1));

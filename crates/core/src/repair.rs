@@ -429,10 +429,31 @@ pub fn repair_tile<R: Rng + ?Sized>(
     policy: &RepairPolicy,
     rng: &mut R,
 ) -> Result<TileHealth, ResipeError> {
+    let before = run_bist(
+        engine,
+        &mapped.tiles()[tile_index],
+        mapped.window(),
+        &policy.bist,
+    )?;
+    repair_tile_from(engine, mapped, tile_index, layer, policy, &before, rng)
+}
+
+/// [`repair_tile`] opening from `before`, a BIST report already taken on
+/// the unchanged tile under `policy.bist` (the scrubber's detection
+/// probe), so the tile is not probed twice. [`run_bist`] draws no
+/// randomness, so the outcome is bit-identical to [`repair_tile`].
+pub(crate) fn repair_tile_from<R: Rng + ?Sized>(
+    engine: &ResipeEngine,
+    mapped: &mut MappedWeights,
+    tile_index: usize,
+    layer: usize,
+    policy: &RepairPolicy,
+    before: &BistReport,
+    rng: &mut R,
+) -> Result<TileHealth, ResipeError> {
     let window = mapped.window();
     let tile = &mut mapped.tiles_mut()[tile_index];
 
-    let before = run_bist(engine, tile, window, &policy.bist)?;
     let failing_before = before.failing_count();
     let mut health = TileHealth {
         layer,

@@ -14,7 +14,9 @@
 //!    that were already degraded at compile time are not futilely
 //!    re-repaired every pass);
 //! 3. on regression, clones the layer's crossbar state *off the hot
-//!    path*, runs [`repair_tile`] on the clone, and
+//!    path*, runs the [`repair_tile`](crate::repair::repair_tile) ladder
+//!    on the clone, opening from the detection probe's report (the tile
+//!    is not probed twice), and
 //! 4. publishes every repaired layer in **one atomic epoch swap**:
 //!    in-flight requests finish on the epoch they loaded, new requests
 //!    see the repaired network, and no request ever observes a torn mix
@@ -47,7 +49,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::ResipeError;
 use crate::inference::{HardwareNetwork, LayerState};
-use crate::repair::{repair_tile, run_bist, RepairPolicy};
+use crate::repair::{repair_tile_from, run_bist, RepairPolicy};
 use crate::seeds;
 use crate::telemetry::Counter;
 
@@ -238,7 +240,15 @@ impl ScrubInner {
                 }
                 let mapped = repaired.get_or_insert_with(|| state.mapped.clone());
                 let mut rng = StdRng::seed_from_u64(seeds::substream(layer_seed, ti as u64));
-                let health = repair_tile(engine, mapped, ti, li, &self.config.policy, &mut rng)?;
+                let health = repair_tile_from(
+                    engine,
+                    mapped,
+                    ti,
+                    li,
+                    &self.config.policy,
+                    &report,
+                    &mut rng,
+                )?;
                 // Whatever the ladder could not fix is this tile's new
                 // normal — do not burn pulses on it again every pass.
                 staged.push((li, ti, health.failing_after));

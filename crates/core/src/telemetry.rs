@@ -707,7 +707,8 @@ impl TelemetrySnapshot {
     }
 
     /// Serializes the snapshot as a stable-key-order JSON object (the
-    /// `BENCH_profile.json` schema fragment under `"telemetry"`).
+    /// serving `STATS` snapshot's `telemetry_json`, and perfbench's
+    /// traced reports).
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");

@@ -14,6 +14,7 @@ use rand::{Rng, SeedableRng};
 
 use resipe::inference::{CompileOptions, FaultInjection, HardwareNetwork, RunOptions};
 use resipe::mapping::TileMapper;
+use resipe::power::EnergyModel;
 use resipe::telemetry::Telemetry;
 use resipe::ResipeError;
 use resipe_analog::units::Seconds;
@@ -129,6 +130,17 @@ fn sequential_and_planned_report_identical_counters() {
     // histograms: one decode per differential column pair per tile.
     assert!(bat.t_out.total() > 0, "t_out histogram must be populated");
     assert_eq!(bat.t_out.total(), bat.v_out.total());
+    // The telemetry MVM counter tracks the hardware counter exactly, and
+    // the per-stage energy attribution sums to the measured total.
+    assert_eq!(bat.counters.mvms, bat_hw.mvm_count());
+    let model = EnergyModel::paper();
+    let attributed = bat.attributed_energy(&model).total().0;
+    let measured = bat_hw.measured_energy(&model).0;
+    assert!(measured > 0.0);
+    assert!(
+        (attributed - measured).abs() <= 0.01 * measured,
+        "attributed {attributed:e} J vs measured {measured:e} J"
+    );
 }
 
 #[test]

@@ -675,8 +675,8 @@ impl ServerStats {
         }
     }
 
-    /// Stable-key JSON rendering (the `BENCH_serve.json` `"stats"`
-    /// fragment); the telemetry snapshot is embedded verbatim.
+    /// Stable-key JSON rendering of the snapshot; the telemetry snapshot
+    /// is embedded verbatim.
     pub fn to_json(&self) -> String {
         let models: Vec<String> = self.models.iter().map(|m| m.to_json()).collect();
         format!(

@@ -132,7 +132,15 @@ fn two_models_with_replicas_serve_concurrently_bit_identical() {
     assert_eq!(block_b.completed, 2 * PER_CLIENT as u64);
     assert_eq!(block_a.rejected_busy, 0);
     assert_eq!(block_b.rejected_busy, 0);
-    assert_eq!(block_a.replicas.len(), 2);
+    for block in [block_a, block_b] {
+        assert_eq!(block.replicas.len(), 2, "{}", block.name);
+        let per_replica: u64 = block.replicas.iter().map(|r| r.completed).sum();
+        assert_eq!(
+            per_replica, block.completed,
+            "{}: per-replica completions sum to the model total",
+            block.name
+        );
+    }
     assert_eq!(
         block_a.replicas[0].health_name(),
         "draining",

@@ -1,27 +1,9 @@
 #!/usr/bin/env bash
 # Repo gate: formatting, lints, the full test suite (the workspace and
-# the separate perfbench package, both formatted, linted and tested), and
-# the fault-injection smoke check. Run from anywhere; exits non-zero on
-# the first failure.
-#
-# With --perf-smoke, additionally runs the throughput bench in gate
-# mode: it fails unless the batched path is bit-identical AND the
-# measured speedup clears the host-appropriate floor (4-thread >= 2x
-# over 1-thread on hosts with >= 4 CPUs; 1-thread batched >= 2x over
-# sequential on smaller hosts, where thread scaling is unobservable).
-#
-# With --serve-smoke, additionally re-runs the serving bench and
-# schema-checks the registry surface of BENCH_serve.json: the per-model
-# blocks (per-model p99, per-replica health/load) and the multi-model
-# scenario gates (two models, a replica drained mid-load, zero rejects,
-# no request lost or duplicated).
-#
-# With --conn-smoke, additionally runs the serving bench's
-# many-connection overload scenario and gates on its *structural* facts
-# (the timing on `host_parallelism: 1` CI hosts is not meaningful):
-# 256 simultaneous connections served by the configured 2 event-loop
-# threads, zero lost or duplicated replies, bit-identical outputs, and
-# a p99-under-overload figure recorded in BENCH_serve.json.
+# the separate perfbench package, both formatted, linted and tested),
+# release-mode perfbench correctness smokes, and the fault-injection and
+# scrub smoke checks. Run from anywhere; exits non-zero on the first
+# failure.
 #
 # With --circuit-smoke, additionally runs the whole-tile circuit
 # validation campaign in smoke mode and schema-checks BENCH_circuit.json.
@@ -42,17 +24,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-perf_smoke=0
-serve_smoke=0
-conn_smoke=0
 circuit_smoke=0
 for arg in "$@"; do
     case "$arg" in
-        --perf-smoke) perf_smoke=1 ;;
-        --serve-smoke) serve_smoke=1 ;;
-        --conn-smoke) conn_smoke=1 ;;
         --circuit-smoke) circuit_smoke=1 ;;
-        *) echo "check: unknown argument '$arg' (supported: --perf-smoke, --serve-smoke, --conn-smoke, --circuit-smoke)" >&2; exit 2 ;;
+        *) echo "check: unknown argument '$arg' (supported: --circuit-smoke)" >&2; exit 2 ;;
     esac
 done
 
@@ -109,48 +85,6 @@ done
 echo "==> fault_sweep --smoke"
 cargo run --release -q -p resipe-bench --bin fault_sweep -- --smoke
 
-echo "==> profile --smoke (schema check)"
-profile_out="$(mktemp)"
-cargo run --release -q -p resipe-bench --bin profile -- --smoke --out "$profile_out" >/dev/null
-for key in model samples mvms_per_sample bit_identical stage_nanos energy \
-    s1_encode_j crossbar_j s2_decode_j attributed_total_j measured_total_j \
-    relative_error saturation kernel blocks block_samples bytes_streamed \
-    mean_samples_per_block kernel_blocks kernel_block_samples \
-    kernel_bytes_streamed telemetry counters spans layers t_out v_out; do
-    if ! grep -q "\"$key\"" "$profile_out"; then
-        echo "check: BENCH_profile.json schema drift — missing key \"$key\"" >&2
-        rm -f "$profile_out"
-        exit 1
-    fi
-done
-rm -f "$profile_out"
-
-echo "==> serve_bench --smoke (schema check, loopback TCP)"
-serve_out="$(mktemp)"
-cargo run --release -q -p resipe-bench --bin serve_bench -- --smoke --out "$serve_out" >/dev/null
-for key in model clients requests_per_client total_requests max_batch max_wait_us \
-    bit_identical lossless sequential batched requests_per_sec mean_batch \
-    largest_batch speedup hot_repair latency p50_nanos p99_nanos server accepted \
-    completed rejected_busy expired scrub_passes scrub_repairs plan_swaps \
-    multi_model models replicas; do
-    if ! grep -q "\"$key\"" "$serve_out"; then
-        echo "check: BENCH_serve.json schema drift — missing key \"$key\"" >&2
-        rm -f "$serve_out"
-        exit 1
-    fi
-done
-if ! grep -q '"bit_identical": true' "$serve_out"; then
-    echo "check: serve_bench lost bit identity" >&2
-    rm -f "$serve_out"
-    exit 1
-fi
-if ! grep -q '"lossless": true' "$serve_out"; then
-    echo "check: serve_bench lost or duplicated requests" >&2
-    rm -f "$serve_out"
-    exit 1
-fi
-rm -f "$serve_out"
-
 echo "==> scrub_sweep --smoke (resilience gate + schema check)"
 scrub_out="$(mktemp)"
 cargo run --release -q -p resipe-bench --bin scrub_sweep -- --smoke --out "$scrub_out" >/dev/null
@@ -173,73 +107,6 @@ for gate in '"degraded_monotone": true' '"recovered": true' '"lossless": true'; 
     fi
 done
 rm -f "$scrub_out"
-
-if [[ "$perf_smoke" -eq 1 ]]; then
-    echo "==> throughput --smoke --gate (perf gate)"
-    perf_out="$(mktemp)"
-    cargo run --release -q -p resipe-bench --bin throughput -- --smoke --gate \
-        --out "$perf_out" >/dev/null
-    rm -f "$perf_out"
-fi
-
-if [[ "$serve_smoke" -eq 1 ]]; then
-    echo "==> serve_bench --smoke (multi-model registry gate + schema check)"
-    registry_out="$(mktemp)"
-    cargo run --release -q -p resipe-bench --bin serve_bench -- --smoke \
-        --out "$registry_out" >/dev/null
-    # Per-model blocks: both registered models present with per-replica
-    # detail and a per-model p99.
-    for name in mlp1 mlp2; do
-        if ! grep -q "\"name\": \"$name\"" "$registry_out"; then
-            echo "check: BENCH_serve.json missing per-model block for \"$name\"" >&2
-            rm -f "$registry_out"
-            exit 1
-        fi
-    done
-    for key in multi_model drained_replica p99_nanos health index; do
-        if ! grep -q "\"$key\"" "$registry_out"; then
-            echo "check: BENCH_serve.json registry schema drift — missing \"$key\"" >&2
-            rm -f "$registry_out"
-            exit 1
-        fi
-    done
-    for gate in '"rejected_busy": 0' '"lossless": true'; do
-        if ! grep -q "$gate" "$registry_out"; then
-            echo "check: serve_bench registry gate failed ($gate)" >&2
-            rm -f "$registry_out"
-            exit 1
-        fi
-    done
-    rm -f "$registry_out"
-fi
-
-if [[ "$conn_smoke" -eq 1 ]]; then
-    echo "==> serve_bench --smoke (many-connection overload gate)"
-    conn_out="$(mktemp)"
-    cargo run --release -q -p resipe-bench --bin serve_bench -- --smoke \
-        --out "$conn_out" >/dev/null
-    for key in many_connections connections requests_per_connection event_threads \
-        conns_peak lost duplicated evicted_slow; do
-        if ! grep -q "\"$key\"" "$conn_out"; then
-            echo "check: BENCH_serve.json overload schema drift — missing \"$key\"" >&2
-            rm -f "$conn_out"
-            exit 1
-        fi
-    done
-    # Structural gates only — the CI host's timing is not meaningful,
-    # but N connections on K threads, zero lost/duplicated replies, and
-    # bit identity are facts. (serve_bench itself also asserts
-    # conns_peak >= connections and a recorded p99.)
-    for gate in '"connections": 256' '"event_threads": 2' '"lost": 0' \
-        '"duplicated": 0' '"bit_identical": true' '"lossless": true'; do
-        if ! grep -q "$gate" "$conn_out"; then
-            echo "check: serve_bench overload gate failed ($gate)" >&2
-            rm -f "$conn_out"
-            exit 1
-        fi
-    done
-    rm -f "$conn_out"
-fi
 
 if [[ "$circuit_smoke" -eq 1 ]]; then
     echo "==> circuit_sweep --smoke (whole-tile circuit gate + schema check)"
