@@ -63,7 +63,7 @@ pub mod waveform;
 pub use error::AnalogError;
 pub use netlist::{Netlist, Node};
 pub use transient::{
-    Integrator, SolverKind, SolverSession, SolverStats, Transient, TransientConfig, TransientResult,
+    Integrator, SolverSession, SolverStats, Transient, TransientConfig, TransientResult,
 };
 pub use units::{Amps, Farads, Hertz, Ohms, Seconds, Siemens, Volts};
 pub use waveform::Waveform;

@@ -1,13 +1,10 @@
-//! Dense linear algebra: the small LU solver behind the MNA engine.
+//! Dense linear algebra: the reference LU solver.
 //!
-//! MNA systems for single-column ReSiPE circuits are tiny (tens of
-//! unknowns), and there a dense LU factorization with partial pivoting
-//! beats any sparse machinery. Whole-tile systems (hundreds to thousands
-//! of unknowns, a few nonzeros per row) flip that trade — the transient
-//! solver switches to [`crate::sparse`] above a size threshold (see
-//! [`crate::transient::SolverKind`]) and keeps this solver as the
-//! small-system fast path and the correctness reference the sparse path
-//! is property-tested against.
+//! Every transient solves its MNA system with the sparse LU in
+//! [`crate::sparse`]. This dense LU with partial pivoting is not a
+//! transient backend; it is the independent oracle the sparse solver is
+//! property-tested against (plain and transposed solves on random
+//! MNA-shaped and `AnalogMac`-shaped systems).
 //!
 //! ```
 //! use resipe_analog::linalg::Matrix;
@@ -73,21 +70,6 @@ impl Matrix {
         m
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Resets every entry to zero, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.data.fill(0.0);
-    }
-
     /// Adds `value` to entry `(row, col)` — the MNA "stamping" primitive.
     ///
     /// # Panics
@@ -116,25 +98,10 @@ impl Matrix {
     ///
     /// # Panics
     ///
-    /// Panics if the matrix is not square or `b.len() != self.rows()`.
+    /// Panics if the matrix is not square or `b.len()` differs from the row count.
     pub fn solve(&self, b: &[f64]) -> Option<Vec<f64>> {
         let lu = LuFactors::factor(self)?;
         Some(lu.solve(b))
-    }
-
-    /// Largest absolute entry (0 for an all-zero matrix).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0f64, |m, v| m.max(v.abs()))
-    }
-
-    /// The matrix 1-norm: the largest absolute column sum.
-    pub fn norm_one(&self) -> f64 {
-        let mut best = 0.0f64;
-        for c in 0..self.cols {
-            let sum: f64 = (0..self.rows).map(|r| self[(r, c)].abs()).sum();
-            best = best.max(sum);
-        }
-        best
     }
 }
 
@@ -169,10 +136,6 @@ impl fmt::Display for Matrix {
 }
 
 /// A reusable LU factorization (`P A = L U`) of a square matrix.
-///
-/// The transient solver refactors only when the circuit topology or element
-/// values change; between changes every time step reuses the same factors,
-/// which is the dominant cost saving for fixed-step RC simulation.
 #[derive(Debug, Clone)]
 pub struct LuFactors {
     n: usize,
@@ -259,8 +222,8 @@ impl LuFactors {
         x
     }
 
-    /// Solves `Aᵀ x = b` — needed by the 1-norm condition estimator that
-    /// backs the transient solver's `min_rcond` gate.
+    /// Solves `Aᵀ x = b` — the reference for
+    /// [`crate::sparse::SparseLu::solve_transposed`].
     ///
     /// With `P A = L U`, `Aᵀ = Uᵀ Lᵀ P`: forward-substitute through `Uᵀ`,
     /// back-substitute through the unit-diagonal `Lᵀ`, then undo the row
@@ -293,19 +256,6 @@ impl LuFactors {
             x[p] = w[i];
         }
         x
-    }
-
-    /// Largest absolute entry of the `U` factor (diagonal included) —
-    /// the numerator of the pivot-growth diagnostic.
-    pub fn max_abs_upper(&self) -> f64 {
-        let n = self.n;
-        let mut best = 0.0f64;
-        for i in 0..n {
-            for j in i..n {
-                best = best.max(self.lu[i * n + j].abs());
-            }
-        }
-        best
     }
 
     /// The dimension of the factored system.
@@ -385,14 +335,6 @@ mod tests {
             let got: f64 = (0..3).map(|r| a[(r, c)] * x[r]).sum();
             assert!((got - b[c]).abs() < 1e-12, "col {c}: {got} vs {}", b[c]);
         }
-        assert!(lu.max_abs_upper() > 0.0);
-    }
-
-    #[test]
-    fn norms() {
-        let a = Matrix::from_rows(&[&[1.0, -4.0], &[2.0, 3.0]]);
-        assert_eq!(a.max_abs(), 4.0);
-        assert_eq!(a.norm_one(), 7.0); // column 1: |-4| + |3|
     }
 
     #[test]
@@ -401,8 +343,6 @@ mod tests {
         m.stamp(0, 0, 1.5);
         m.stamp(0, 0, 0.5);
         assert_eq!(m[(0, 0)], 2.0);
-        m.clear();
-        assert_eq!(m[(0, 0)], 0.0);
     }
 
     #[test]

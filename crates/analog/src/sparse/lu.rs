@@ -382,10 +382,32 @@ impl SparseLu {
     ///
     /// Panics if `b.len()` does not match the factored dimension.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+        let n = self.sym.n;
+        let mut scratch = vec![0.0f64; n];
+        let mut out = vec![0.0f64; n];
+        self.solve_into(b, &mut scratch, &mut out);
+        out
+    }
+
+    /// Solves `A x = b` into `out` without allocating, using `scratch`
+    /// for the permuted intermediate — the transient step loop's solve.
+    /// Bit-identical to [`SparseLu::solve`], which calls it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b`, `scratch` or `out` does not match the factored
+    /// dimension.
+    pub fn solve_into(&self, b: &[f64], scratch: &mut [f64], out: &mut [f64]) {
         let sym = &self.sym;
         let n = sym.n;
-        assert_eq!(b.len(), n, "dimension mismatch in sparse LU solve");
-        let mut y: Vec<f64> = sym.row_perm.iter().map(|&r| b[r]).collect();
+        assert!(
+            b.len() == n && scratch.len() == n && out.len() == n,
+            "dimension mismatch in sparse LU solve"
+        );
+        let y = scratch;
+        for (yk, &r) in y.iter_mut().zip(&sym.row_perm) {
+            *yk = b[r];
+        }
         // Forward: L has unit diagonal, strictly-lower entries stored CSC.
         for k in 0..n {
             let yk = y[k];
@@ -405,11 +427,9 @@ impl SparseLu {
                 }
             }
         }
-        let mut out = vec![0.0f64; n];
-        for k in 0..n {
-            out[sym.col_perm[k]] = y[k];
+        for (&yk, &c) in y.iter().zip(&sym.col_perm) {
+            out[c] = yk;
         }
-        out
     }
 
     /// Solves `Aᵀ x = b` — needed by the 1-norm condition estimator.
@@ -448,12 +468,6 @@ impl SparseLu {
     /// The dimension of the factored system.
     pub fn dim(&self) -> usize {
         self.sym.n
-    }
-
-    /// Structural nonzeros in the factors (`L` below-diagonal + `U`
-    /// above-diagonal + the diagonal).
-    pub fn factor_nnz(&self) -> usize {
-        self.l_vals.len() + self.u_vals.len() + self.sym.n
     }
 
     /// Pivot growth `max|U| / max|A|` of the most recent factorization —
@@ -610,6 +624,19 @@ mod tests {
         let xt = lu.solve_transposed(&b);
         for (got, want) in a2.mul_vec(&xt).iter().zip(&b) {
             assert!((got - want).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn solve_into_reuses_buffers_bit_identically() {
+        let a = build(2, &[(0, 0, 2.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 3.0)]);
+        let lu = SparseLu::factor(&a, &min_degree_order(a.pattern())).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Buffers left dirty by a previous solve must not leak into the next.
+        let (mut scratch, mut out) = (vec![f64::NAN; 2], vec![f64::NAN; 2]);
+        for b in [[3.0, 5.0], [-0.5, 7.25]] {
+            lu.solve_into(&b, &mut scratch, &mut out);
+            assert_eq!(bits(&out), bits(&lu.solve(&b)));
         }
     }
 

@@ -22,11 +22,12 @@ use crate::linalg::Matrix;
 
 /// Sink for MNA stamping: anything that can accumulate `A[row, col] += v`.
 ///
-/// Implemented by the dense [`Matrix`], by [`PatternBuilder`] (which
-/// records positions and ignores values), and by [`CsrMatrix`] (which
-/// requires the position to exist in its frozen pattern). The transient
-/// solver's assembly routine is generic over this trait, so the dense and
-/// sparse backends share one stamping implementation.
+/// Implemented by [`PatternBuilder`] (which records positions and ignores
+/// values), by [`CsrMatrix`] (which requires the position to exist in its
+/// frozen pattern), and by the dense reference [`Matrix`]. The transient
+/// solver's symbolic and numeric assembly passes share one generic
+/// stamping routine, and the sparse ≡ dense property tests stamp the same
+/// entries into both matrix kinds through it.
 pub trait MnaStamp {
     /// Adds `value` at `(row, col)`.
     fn add(&mut self, row: usize, col: usize, value: f64);

@@ -8,19 +8,24 @@
 //!
 //! - [`matrix`] — [`PatternBuilder`] freezes one symbolic stamping pass
 //!   into a [`CsrPattern`]; [`CsrMatrix`] then supports zero-allocation
-//!   value refreshes. The [`MnaStamp`] trait lets the dense and sparse
-//!   transient backends share a single stamping routine.
+//!   value refreshes. The [`MnaStamp`] trait lets the symbolic and numeric
+//!   assembly passes (and the dense reference in the tests) share a single
+//!   stamping routine.
 //! - [`order`] — [`min_degree_order`] computes a fill-reducing elimination
 //!   order, once per topology.
 //! - [`lu`] — [`SparseLu::factor`] performs one pivoting Gilbert–Peierls
 //!   factorization (the symbolic analysis), after which
 //!   [`SparseLu::refactor`] replays value-only changes over the frozen
-//!   structure and [`SparseLu::solve`] back-substitutes per right-hand
-//!   side. Pivot-growth and 1-norm condition diagnostics ride along.
+//!   structure and [`SparseLu::solve_into`] back-substitutes per
+//!   right-hand side into caller-owned buffers. Pivot-growth and 1-norm
+//!   condition diagnostics ride along.
 //!
-//! The transient engine ([`crate::transient`]) composes these behind its
-//! `SolverKind` seam and reuses factorizations across timesteps; its
-//! `SolverSession` extends the reuse across whole parameter-sweep batches.
+//! This is the only linear solver the transient engine
+//! ([`crate::transient`]) uses, for a two-node RC check and a 128×128
+//! tile alike. It reuses factorizations across timesteps, and its
+//! `SolverSession` extends the reuse across whole parameter-sweep
+//! batches. The dense LU in [`crate::linalg`] remains only as the
+//! property-test oracle.
 
 pub mod lu;
 pub mod matrix;

@@ -14,18 +14,17 @@
 //! actually changed something, so pure-RC stretches run at one
 //! back/forward-substitution per step.
 //!
-//! # Solver backends
+//! # The linear solver
 //!
-//! Each step solves one linear system, and the solver picks how per run
-//! via [`SolverKind`]: dense LU ([`crate::linalg`]) below a size
-//! threshold, sparse LU with reusable symbolic analysis ([`crate::sparse`])
-//! above it. The sparse path exploits the switch-topology-stability of the
-//! ReSiPE datapath three ways, in increasing scope:
+//! Each step solves one linear system with sparse LU ([`crate::sparse`]),
+//! whatever the system size. The solver exploits the
+//! switch-topology-stability of the ReSiPE datapath three ways, in
+//! increasing scope:
 //!
 //! 1. **unchanged matrix** → no factorization at all, only an RHS refresh
-//!    and one substitution (both backends);
+//!    and one substitution into reused buffers;
 //! 2. **changed values, same topology** → a numeric refactorization that
-//!    replays the frozen pivot order and fill pattern (sparse only);
+//!    replays the frozen pivot order and fill pattern;
 //! 3. **new run, same topology** → a [`SolverSession`] carries the
 //!    symbolic analysis across [`Transient::run_with_session`] calls, so a
 //!    parameter sweep pays for pivot/pattern discovery exactly once.
@@ -34,10 +33,11 @@
 //! refactorizations, reused-factor solves) for benchmarks and acceptance
 //! tests, and [`TransientConfig::with_min_rcond`] arms a per-factorization
 //! condition gate that turns silent precision loss into
-//! [`AnalogError::IllConditioned`].
+//! [`AnalogError::IllConditioned`]. The dense LU in [`crate::linalg`] is
+//! not a transient backend; it is the reference the sparse solver is
+//! property-tested against.
 
 use crate::error::AnalogError;
-use crate::linalg::{LuFactors, Matrix};
 use crate::netlist::{Netlist, Node};
 use crate::sparse::{CsrMatrix, CsrPattern, MnaStamp, PatternBuilder, SparseLu, SparseLuError};
 use crate::units::{Joules, Seconds, Volts};
@@ -55,41 +55,19 @@ pub enum Integrator {
     Trapezoidal,
 }
 
-/// Which linear-solver backend a transient run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SolverKind {
-    /// Pick per system size: dense below
-    /// [`SolverKind::SPARSE_THRESHOLD`] unknowns, sparse at or above it.
-    #[default]
-    Auto,
-    /// Always dense LU ([`crate::linalg`]) — the small-system fast path.
-    Dense,
-    /// Always sparse LU with reusable symbolic analysis
-    /// ([`crate::sparse`]) — the whole-tile path.
-    Sparse,
-}
+/// What is left of the old dense/sparse backend switch.
+///
+/// Every transient runs on sparse LU. The one constant below keeps
+/// external callers that still compare a system size against the old
+/// crossover compiling: a system with at least one unknown is solved
+/// sparsely, and a system with none solves nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct SolverKind;
 
 impl SolverKind {
-    /// `Auto` switches to the sparse backend at this many unknowns.
-    ///
-    /// Below it, dense LU's contiguous O(n³) loop beats the sparse
-    /// machinery's indirection; a 128×128 ReSiPE tile sits far above it
-    /// (387 unknowns, ~2 % structural density).
-    pub const SPARSE_THRESHOLD: usize = 64;
-
-    /// Resolves `Auto` for a system of `n_unknowns`.
-    fn resolve(self, n_unknowns: usize) -> SolverKind {
-        match self {
-            SolverKind::Auto => {
-                if n_unknowns >= Self::SPARSE_THRESHOLD {
-                    SolverKind::Sparse
-                } else {
-                    SolverKind::Dense
-                }
-            }
-            other => other,
-        }
-    }
+    /// Systems of at least this many unknowns are solved with sparse LU,
+    /// which is every system that has anything to solve.
+    pub const SPARSE_THRESHOLD: usize = 1;
 }
 
 /// Configuration of a transient run.
@@ -99,7 +77,6 @@ pub struct TransientConfig {
     step: Seconds,
     capture_every: usize,
     integrator: Integrator,
-    solver: SolverKind,
     min_rcond: Option<f64>,
 }
 
@@ -116,20 +93,8 @@ impl TransientConfig {
             step: Self::DEFAULT_STEP,
             capture_every: 1,
             integrator: Integrator::default(),
-            solver: SolverKind::default(),
             min_rcond: None,
         }
-    }
-
-    /// Selects the linear-solver backend (default: [`SolverKind::Auto`]).
-    pub fn with_solver(mut self, solver: SolverKind) -> TransientConfig {
-        self.solver = solver;
-        self
-    }
-
-    /// The configured solver backend selection.
-    pub fn solver(&self) -> SolverKind {
-        self.solver
     }
 
     /// Arms the condition gate: every (re)factorization estimates the
@@ -275,23 +240,18 @@ impl Controller for NoController {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[non_exhaustive]
 pub struct SolverStats {
-    /// The backend that actually ran (`Auto` already resolved).
-    pub backend: SolverKind,
     /// System size: `(nodes − 1) + voltage-source branches`.
     pub unknowns: usize,
-    /// Structural nonzeros of the MNA pattern (`unknowns²` for dense).
+    /// Structural nonzeros of the MNA pattern.
     pub nonzeros: usize,
     /// Matrix value assemblies (stamping passes over the netlist).
     pub assemblies: usize,
-    /// Pivot-order/pattern discoveries. The sparse backend counts fresh
-    /// [`SparseLu::factor`] calls; dense LU re-pivots every factorization,
-    /// so each dense factorization lands here.
+    /// Pivot-order/pattern discoveries: fresh [`SparseLu::factor`] calls.
     pub symbolic_analyses: usize,
     /// Runs that inherited a cached symbolic analysis from a
     /// [`SolverSession`] instead of computing their own.
     pub symbolic_reuses: usize,
-    /// Value-only refactorizations over a frozen symbolic structure
-    /// (sparse backend only; always 0 for dense).
+    /// Value-only refactorizations over a frozen symbolic structure.
     pub numeric_refactors: usize,
     /// Total linear solves (one per integrated step).
     pub solves: usize,
@@ -308,10 +268,9 @@ pub struct SolverStats {
 
 impl SolverStats {
     /// Folds another run's counters into these totals (used by
-    /// [`SolverSession`]): counts add, extrema merge, identity fields
-    /// (`backend`, sizes) take the latest run's values.
+    /// [`SolverSession`]): counts add, extrema merge, sizes take the
+    /// latest run's values.
     fn absorb(&mut self, run: &SolverStats) {
-        self.backend = run.backend;
         self.unknowns = run.unknowns;
         self.nonzeros = run.nonzeros;
         self.assemblies += run.assemblies;
@@ -337,8 +296,7 @@ impl SolverStats {
 /// fill-reducing order and frozen LU structure: the new run's pattern is
 /// compared against the cached one ([`CsrPattern`] equality), and on a
 /// match the expensive pivot/pattern discovery is replaced by a numeric
-/// refactorization. Dense runs pass through unaffected (the cache neither
-/// helps nor hurts them); their counters still accumulate in
+/// refactorization. Every run's counters accumulate in
 /// [`SolverSession::stats`].
 #[derive(Debug, Default)]
 pub struct SolverSession {
@@ -364,27 +322,18 @@ impl SolverSession {
     }
 }
 
-/// Per-run solver state: the assembled matrix plus (possibly stale)
-/// factors for whichever backend the run resolved to.
-//
-// Exactly one instance exists per transient run and it lives on the
-// stack of `run_with_session`, so the dense/sparse size imbalance never
-// costs anything — boxing would only add a pointer chase to the hot
-// per-step solve path.
-#[allow(clippy::large_enum_variant)]
-enum SolverBackend {
-    Dense {
-        matrix: Matrix,
-        factors: Option<LuFactors>,
-    },
-    Sparse {
-        matrix: CsrMatrix,
-        order: Vec<usize>,
-        lu: Option<SparseLu>,
-    },
+/// Per-run solver state: the assembled matrix, its fill-reducing order,
+/// the (possibly stale) factors, and the two buffers every solve writes
+/// into, so the step loop allocates nothing.
+struct MnaSolver {
+    matrix: CsrMatrix,
+    order: Vec<usize>,
+    lu: Option<SparseLu>,
+    scratch: Vec<f64>,
+    solution: Vec<f64>,
 }
 
-impl SolverBackend {
+impl MnaSolver {
     /// Refactors from the freshly assembled matrix, updates diagnostics,
     /// and applies the condition gate if armed.
     fn refresh_factors(
@@ -393,52 +342,34 @@ impl SolverBackend {
         min_rcond: Option<f64>,
         stats: &mut SolverStats,
     ) -> Result<(), AnalogError> {
-        let (pivot_growth, rcond) = match self {
-            SolverBackend::Dense { matrix, factors } => {
-                let f = LuFactors::factor(matrix).ok_or(AnalogError::SingularMatrix { step })?;
-                stats.symbolic_analyses += 1;
-                let max_a = matrix.max_abs();
-                let growth = if max_a > 0.0 {
-                    f.max_abs_upper() / max_a
-                } else {
-                    1.0
-                };
-                let rcond = min_rcond.map(|_| dense_rcond(&f, matrix.norm_one()));
-                *factors = Some(f);
-                (growth, rcond)
-            }
-            SolverBackend::Sparse { matrix, order, lu } => {
-                // Prefer a value-only replay of the frozen structure; fall
-                // back to a fresh pivoting factorization if a stored pivot
-                // collapsed (or no factorization exists yet).
-                let refreshed = match lu.as_mut() {
-                    Some(f) => match f.refactor(matrix) {
-                        Ok(()) => {
-                            stats.numeric_refactors += 1;
-                            true
-                        }
-                        Err(SparseLuError::PivotLost { .. }) => false,
-                        Err(SparseLuError::Singular { .. }) => {
-                            return Err(AnalogError::SingularMatrix { step })
-                        }
-                    },
-                    None => false,
-                };
-                if !refreshed {
-                    let f = SparseLu::factor(matrix, order)
-                        .map_err(|_| AnalogError::SingularMatrix { step })?;
-                    stats.symbolic_analyses += 1;
-                    *lu = Some(f);
+        // Prefer a value-only replay of the frozen structure; fall back to
+        // a fresh pivoting factorization if a stored pivot collapsed (or
+        // no factorization exists yet).
+        let refreshed = match self.lu.as_mut() {
+            Some(f) => match f.refactor(&self.matrix) {
+                Ok(()) => {
+                    stats.numeric_refactors += 1;
+                    true
                 }
-                let f = lu.as_ref().expect("factored above");
-                let rcond = min_rcond.map(|_| f.rcond_estimate(matrix.norm_one()));
-                (f.pivot_growth(), rcond)
-            }
+                Err(SparseLuError::PivotLost { .. }) => false,
+                Err(SparseLuError::Singular { .. }) => {
+                    return Err(AnalogError::SingularMatrix { step })
+                }
+            },
+            None => false,
         };
+        if !refreshed {
+            let f = SparseLu::factor(&self.matrix, &self.order)
+                .map_err(|_| AnalogError::SingularMatrix { step })?;
+            stats.symbolic_analyses += 1;
+            self.lu = Some(f);
+        }
+        let f = self.lu.as_ref().expect("factored above");
+        let pivot_growth = f.pivot_growth();
         stats.pivot_growth_max = stats.pivot_growth_max.max(pivot_growth);
-        if let Some(rc) = rcond {
+        if let Some(threshold) = min_rcond {
+            let rc = f.rcond_estimate(self.matrix.norm_one());
             stats.min_rcond_seen = Some(stats.min_rcond_seen.map_or(rc, |m| m.min(rc)));
-            let threshold = min_rcond.expect("rcond only estimated when gate armed");
             if rc < threshold {
                 return Err(AnalogError::IllConditioned {
                     step,
@@ -449,59 +380,6 @@ impl SolverBackend {
         }
         Ok(())
     }
-
-    fn has_factors(&self) -> bool {
-        match self {
-            SolverBackend::Dense { factors, .. } => factors.is_some(),
-            SolverBackend::Sparse { lu, .. } => lu.is_some(),
-        }
-    }
-
-    fn solve(&self, rhs: &[f64]) -> Vec<f64> {
-        match self {
-            SolverBackend::Dense { factors, .. } => {
-                factors.as_ref().expect("factored before solve").solve(rhs)
-            }
-            SolverBackend::Sparse { lu, .. } => {
-                lu.as_ref().expect("factored before solve").solve(rhs)
-            }
-        }
-    }
-}
-
-/// Hager-style reciprocal condition estimate on dense factors (the sparse
-/// equivalent lives on [`SparseLu::rcond_estimate`]).
-fn dense_rcond(f: &LuFactors, a_norm_one: f64) -> f64 {
-    let n = f.dim();
-    if a_norm_one <= 0.0 || n == 0 {
-        return 0.0;
-    }
-    let mut x = vec![1.0 / n as f64; n];
-    let mut est = 0.0f64;
-    for _ in 0..5 {
-        let y = f.solve(&x);
-        est = y.iter().map(|v| v.abs()).sum();
-        let xi: Vec<f64> = y
-            .iter()
-            .map(|&v| if v < 0.0 { -1.0 } else { 1.0 })
-            .collect();
-        let z = f.solve_transposed(&xi);
-        let (j, zmax) = z
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (i, v.abs()))
-            .fold((0, 0.0), |acc, it| if it.1 > acc.1 { it } else { acc });
-        let dot: f64 = z.iter().zip(&x).map(|(a, b)| a * b).sum();
-        if zmax <= dot.abs() {
-            break;
-        }
-        x.iter_mut().for_each(|v| *v = 0.0);
-        x[j] = 1.0;
-    }
-    if est <= 0.0 || !est.is_finite() {
-        return 0.0;
-    }
-    (1.0 / (a_norm_one * est)).min(1.0)
 }
 
 /// Result of a transient run: per-node waveforms plus per-source energy.
@@ -649,43 +527,32 @@ impl Transient {
         let mut waveforms = vec![Waveform::new(); n_nodes];
         let mut source_energy = vec![0.0; self.net.vsource_count()];
 
+        // One symbolic stamping pass freezes the pattern (positions are
+        // value- and integrator-independent).
+        let mut builder = PatternBuilder::new(n_unknowns);
+        stamp_mna(&self.net, &mut builder, h, Integrator::BackwardEuler);
+        let pattern = builder.finish();
         let mut stats = SolverStats {
-            backend: self.cfg.solver.resolve(n_unknowns),
             unknowns: n_unknowns,
+            nonzeros: pattern.nnz(),
             ..SolverStats::default()
         };
-        let mut backend = match stats.backend {
-            SolverKind::Dense | SolverKind::Auto => {
-                stats.nonzeros = n_unknowns * n_unknowns;
-                SolverBackend::Dense {
-                    matrix: Matrix::zeros(n_unknowns.max(1), n_unknowns.max(1)),
-                    factors: None,
-                }
+        // A session cache with the same pattern donates its frozen
+        // symbolic analysis; the values are stale, but the first assembly
+        // refactors before any solve.
+        let cached_lu = match session.cache.take() {
+            Some(c) if c.pattern == pattern => {
+                stats.symbolic_reuses += 1;
+                Some(c.lu)
             }
-            SolverKind::Sparse => {
-                // One symbolic stamping pass freezes the pattern (positions
-                // are value- and integrator-independent).
-                let mut builder = PatternBuilder::new(n_unknowns);
-                stamp_mna(&self.net, &mut builder, h, Integrator::BackwardEuler);
-                let pattern = builder.finish();
-                stats.nonzeros = pattern.nnz();
-                // A session cache with the same pattern donates its frozen
-                // symbolic analysis; the values are stale, but the first
-                // assembly refactors before any solve.
-                let cached_lu = match session.cache.take() {
-                    Some(c) if c.pattern == pattern => {
-                        stats.symbolic_reuses += 1;
-                        Some(c.lu)
-                    }
-                    _ => None,
-                };
-                let order = crate::sparse::min_degree_order(&pattern);
-                SolverBackend::Sparse {
-                    matrix: CsrMatrix::from_pattern(pattern),
-                    order,
-                    lu: cached_lu,
-                }
-            }
+            _ => None,
+        };
+        let mut solver = MnaSolver {
+            order: crate::sparse::min_degree_order(&pattern),
+            matrix: CsrMatrix::from_pattern(pattern),
+            lu: cached_lu,
+            scratch: vec![0.0; n_unknowns],
+            solution: vec![0.0; n_unknowns],
         };
         let mut factors_current = false;
         let mut rhs = vec![0.0; n_unknowns];
@@ -725,27 +592,21 @@ impl Transient {
             // changed, but the RHS changes every step (capacitor history),
             // so we rebuild RHS always and the matrix only when dirty.
             if !factors_current {
-                match &mut backend {
-                    SolverBackend::Dense { matrix, .. } => {
-                        matrix.clear();
-                        stamp_mna(&self.net, matrix, h, integrator);
-                    }
-                    SolverBackend::Sparse { matrix, .. } => {
-                        matrix.clear();
-                        stamp_mna(&self.net, matrix, h, integrator);
-                    }
-                }
+                solver.matrix.clear();
+                stamp_mna(&self.net, &mut solver.matrix, h, integrator);
                 stats.assemblies += 1;
-                backend.refresh_factors(step, min_rcond, &mut stats)?;
+                solver.refresh_factors(step, min_rcond, &mut stats)?;
                 factors_current = true;
-            } else if backend.has_factors() {
+            } else {
                 stats.reused_factor_solves += 1;
             }
             rhs.fill(0.0);
             self.stamp_rhs(&mut rhs, h, &cap_history, &cap_current, integrator);
 
             stats.solves += 1;
-            let solution = backend.solve(&rhs);
+            let lu = solver.lu.as_ref().expect("factored before solve");
+            lu.solve_into(&rhs, &mut solver.scratch, &mut solver.solution);
+            let solution = &solver.solution;
 
             // Unpack node voltages (index 0 stays ground).
             voltages[1..n_nodes].copy_from_slice(&solution[..n_nodes - 1]);
@@ -780,17 +641,12 @@ impl Transient {
             }
         }
 
-        // Donate the (now value-fresh) sparse factorization back to the
-        // session so the next structurally identical run can refactor
-        // instead of re-analyzing.
-        if let SolverBackend::Sparse {
-            matrix,
-            lu: Some(lu),
-            ..
-        } = backend
-        {
+        // Donate the (now value-fresh) factorization back to the session
+        // so the next structurally identical run can refactor instead of
+        // re-analyzing.
+        if let Some(lu) = solver.lu {
             session.cache = Some(SessionCache {
-                pattern: matrix.pattern().clone(),
+                pattern: solver.matrix.pattern().clone(),
                 lu,
             });
         }
@@ -843,10 +699,10 @@ impl Transient {
 }
 
 /// Stamps the conductance and incidence parts of the MNA system into any
-/// [`MnaStamp`] sink — a dense matrix, a sparse matrix over a frozen
-/// pattern, or a [`PatternBuilder`] doing the symbolic pass. One routine
-/// serving all three is what guarantees the dense and sparse backends (and
-/// the pattern they factor) can never drift apart.
+/// [`MnaStamp`] sink — a sparse matrix over a frozen pattern, or a
+/// [`PatternBuilder`] doing the symbolic pass. One routine serving both is
+/// what guarantees the pattern and the values it carries can never drift
+/// apart.
 fn stamp_mna<S: MnaStamp>(net: &Netlist, m: &mut S, h: f64, integrator: Integrator) {
     let n_nodes = net.node_count();
     let mut stamp_conductance = |a: Node, b: Node, g: f64| {
@@ -1161,7 +1017,7 @@ mod tests {
         assert_eq!(cfg.integrator(), Integrator::Trapezoidal);
     }
 
-    /// Builds the RC+switch netlist used by the backend-seam tests.
+    /// Builds the RC+switch netlist used by the solver tests.
     fn switched_rc() -> (Netlist, Node, crate::netlist::SwitchId) {
         let mut net = Netlist::new();
         let vdd = net.node("vdd");
@@ -1173,48 +1029,10 @@ mod tests {
         (net, cap, sw)
     }
 
-    #[test]
-    fn sparse_backend_matches_dense() {
+    /// `switched_rc` with the switch closing at 1 µs, over 3 µs in 1 ns
+    /// steps.
+    fn run_switched_rc() -> (TransientResult, Node) {
         let (net, cap, sw) = switched_rc();
-        let run = |solver: SolverKind| {
-            let mut closed = false;
-            let controller = move |view: &StepView<'_>, net: &mut Netlist| {
-                if !closed && view.time.0 >= 1e-6 {
-                    net.set_switch(sw, SwitchState::Closed);
-                    closed = true;
-                    true
-                } else {
-                    false
-                }
-            };
-            let cfg = TransientConfig::new(Seconds(3e-6))
-                .with_step(Seconds(1e-9))
-                .with_solver(solver);
-            Transient::new(&net, cfg)
-                .unwrap()
-                .run_with(controller)
-                .unwrap()
-        };
-        let dense = run(SolverKind::Dense);
-        let sparse = run(SolverKind::Sparse);
-        assert_eq!(dense.solver_stats().backend, SolverKind::Dense);
-        assert_eq!(sparse.solver_stats().backend, SolverKind::Sparse);
-        // 3 unknowns: Auto resolves dense.
-        assert_eq!(
-            run(SolverKind::Auto).solver_stats().backend,
-            SolverKind::Dense
-        );
-        let dw = dense.waveform(cap).unwrap();
-        let sw_ = sparse.waveform(cap).unwrap();
-        for (a, b) in dw.values().iter().zip(sw_.values()) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
-        assert!((dense.total_source_energy().0 - sparse.total_source_energy().0).abs() < 1e-18);
-    }
-
-    #[test]
-    fn sparse_counters_show_reuse_within_a_run() {
-        let (net, _cap, sw) = switched_rc();
         let mut closed = false;
         let controller = move |view: &StepView<'_>, net: &mut Netlist| {
             if !closed && view.time.0 >= 1e-6 {
@@ -1225,13 +1043,48 @@ mod tests {
                 false
             }
         };
-        let cfg = TransientConfig::new(Seconds(3e-6))
-            .with_step(Seconds(1e-9))
-            .with_solver(SolverKind::Sparse);
+        let cfg = TransientConfig::new(Seconds(3e-6)).with_step(Seconds(1e-9));
         let res = Transient::new(&net, cfg)
             .unwrap()
             .run_with(controller)
             .unwrap();
+        (res, cap)
+    }
+
+    /// The sparse solver reproduces the waveform and energy the dense LU
+    /// solver produced for this run, recorded as `(sample, volts)` pairs
+    /// before dense LU stopped being a transient backend.
+    #[test]
+    fn sparse_backend_matches_dense() {
+        const DENSE_CAP: [(usize, f64); 10] = [
+            (500, 4.999998747498975e-13),
+            (1000, 9.999994994996865e-13),
+            (1001, 0.0009990009990019967),
+            (1002, 0.0019970039930119806),
+            (1010, 0.009945219233424925),
+            (1100, 0.09511736438362527),
+            (1500, 0.39331769942561245),
+            (2000, 0.6319364314705922),
+            (2500, 0.7767020989349608),
+            (3000, 0.86452881017762),
+        ];
+        const DENSE_ENERGY: f64 = 8.645299456476405e-10;
+        let (res, cap) = run_switched_rc();
+        let wf = res.waveform(cap).unwrap().values();
+        assert_eq!(wf.len(), 3001);
+        for (i, dense) in DENSE_CAP {
+            assert!(
+                (wf[i] - dense).abs() < 1e-9,
+                "sample {i}: {} vs {dense}",
+                wf[i]
+            );
+        }
+        assert!((res.total_source_energy().0 - DENSE_ENERGY).abs() < 1e-18);
+    }
+
+    #[test]
+    fn sparse_counters_show_reuse_within_a_run() {
+        let (res, _cap) = run_switched_rc();
         let s = res.solver_stats();
         // One symbolic analysis at step 0; the switch event refactors
         // without re-analyzing; every other step reuses the factors.
@@ -1253,9 +1106,7 @@ mod tests {
             net.voltage_source(Node::GROUND, vdd, Volts(1.0));
             net.resistor(vdd, cap, Ohms(ohms));
             net.capacitor(cap, Node::GROUND, Farads(1e-9));
-            let cfg = TransientConfig::new(Seconds(1e-6))
-                .with_step(Seconds(1e-9))
-                .with_solver(SolverKind::Sparse);
+            let cfg = TransientConfig::new(Seconds(1e-6)).with_step(Seconds(1e-9));
             Transient::new(&net, cfg)
                 .unwrap()
                 .run_with_session(NoController, &mut session)
@@ -1285,17 +1136,15 @@ mod tests {
         let base = TransientConfig::new(Seconds(1e-6)).with_step(Seconds(1e-8));
         // Without the gate the run silently succeeds.
         Transient::new(&net, base.clone()).unwrap().run().unwrap();
-        for solver in [SolverKind::Dense, SolverKind::Sparse] {
-            let cfg = base.clone().with_solver(solver).with_min_rcond(1e-6);
-            let err = Transient::new(&net, cfg).unwrap().run();
-            assert!(
-                matches!(err, Err(AnalogError::IllConditioned { rcond, .. }) if rcond < 1e-6),
-                "{solver:?}: {err:?}"
-            );
-        }
+        let cfg = base.clone().with_min_rcond(1e-6);
+        let err = Transient::new(&net, cfg).unwrap().run();
+        assert!(
+            matches!(err, Err(AnalogError::IllConditioned { rcond, .. }) if rcond < 1e-6),
+            "{err:?}"
+        );
         // A healthy circuit passes the same gate and reports diagnostics.
         let (healthy, _, _) = switched_rc();
-        let cfg = base.with_solver(SolverKind::Sparse).with_min_rcond(1e-16);
+        let cfg = base.with_min_rcond(1e-16);
         let res = Transient::new(&healthy, cfg).unwrap().run().unwrap();
         let s = res.solver_stats();
         assert!(s.min_rcond_seen.unwrap() >= 1e-16, "{s:?}");
@@ -1316,7 +1165,6 @@ mod tests {
         }
         let cfg = TransientConfig::new(Seconds(1e-6)).with_min_rcond(1e-12);
         assert_eq!(cfg.min_rcond(), Some(1e-12));
-        assert_eq!(cfg.solver(), SolverKind::Auto);
     }
 
     #[test]

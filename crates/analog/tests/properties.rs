@@ -5,59 +5,130 @@ use proptest::prelude::*;
 use resipe_analog::linalg::{LuFactors, Matrix};
 use resipe_analog::netlist::{Netlist, Node};
 use resipe_analog::sparse::{CsrMatrix, MnaStamp, PatternBuilder, SparseLu, SparseLuError};
-use resipe_analog::transient::{Integrator, SolverKind, Transient, TransientConfig};
+use resipe_analog::transient::{Integrator, Transient, TransientConfig};
 use resipe_analog::units::{Farads, Ohms, Seconds, Volts};
 use resipe_analog::waveform::{Edge, Waveform};
 
+/// Stamps the same `(row, col, value)` entries into a dense [`Matrix`]
+/// and a sparse [`CsrMatrix`] through the shared [`MnaStamp`] trait.
+fn stamp_both(n: usize, entries: &[(usize, usize, f64)]) -> (Matrix, CsrMatrix) {
+    let mut dense = Matrix::zeros(n, n);
+    let mut builder = PatternBuilder::new(n);
+    for &(r, c, v) in entries {
+        dense.add(r, c, v);
+        builder.add(r, c, v);
+    }
+    let mut sparse = CsrMatrix::from_pattern(builder.finish());
+    for &(r, c, v) in entries {
+        sparse.add(r, c, v);
+    }
+    (dense, sparse)
+}
+
+/// Entries of a conductance `g` between unknowns `a` and `b` (`None` is
+/// ground).
+fn conductance(a: Option<usize>, b: Option<usize>, g: f64) -> Vec<(usize, usize, f64)> {
+    let mut e = Vec::new();
+    if let Some(a) = a {
+        e.push((a, a, g));
+    }
+    if let Some(b) = b {
+        e.push((b, b, g));
+    }
+    if let (Some(a), Some(b)) = (a, b) {
+        e.push((a, b, -g));
+        e.push((b, a, -g));
+    }
+    e
+}
+
 /// An MNA-shaped random system: a conductance block (symmetric pattern,
 /// diagonally reinforced by ground conductances) bordered by voltage-source
-/// incidence rows with structurally zero diagonals. Stamped identically
-/// into a dense [`Matrix`] and a sparse [`CsrMatrix`] through the shared
-/// [`MnaStamp`] trait.
+/// incidence rows with structurally zero diagonals.
 fn mna_shaped(
     n_nodes: usize,
     edges: &[(usize, usize, f64)],
     grounds: &[f64],
     n_vsrc: usize,
 ) -> (Matrix, CsrMatrix) {
-    let n = n_nodes + n_vsrc;
-    let mut dense = Matrix::zeros(n, n);
-    let mut builder = PatternBuilder::new(n);
-    {
-        let mut stamp_both = |r: usize, c: usize, v: f64| {
-            dense.add(r, c, v);
-            builder.add(r, c, v);
-        };
-        for (i, &g) in grounds.iter().enumerate() {
-            stamp_both(i, i, g);
-        }
-        for &(a, b, g) in edges {
-            stamp_both(a, a, g);
-            stamp_both(b, b, g);
-            stamp_both(a, b, -g);
-            stamp_both(b, a, -g);
-        }
-        // Source k drives node k (distinct nodes keep the system regular).
-        for k in 0..n_vsrc {
-            stamp_both(n_nodes + k, k, 1.0);
-            stamp_both(k, n_nodes + k, 1.0);
-        }
-    }
-    let mut sparse = CsrMatrix::from_pattern(builder.finish());
+    let mut entries = Vec::new();
     for (i, &g) in grounds.iter().enumerate() {
-        sparse.add(i, i, g);
+        entries.push((i, i, g));
     }
     for &(a, b, g) in edges {
-        sparse.add(a, a, g);
-        sparse.add(b, b, g);
-        sparse.add(a, b, -g);
-        sparse.add(b, a, -g);
+        entries.extend(conductance(Some(a), Some(b), g));
     }
+    // Source k drives node k (distinct nodes keep the system regular).
     for k in 0..n_vsrc {
-        sparse.add(n_nodes + k, k, 1.0);
-        sparse.add(k, n_nodes + k, 1.0);
+        entries.push((n_nodes + k, k, 1.0));
+        entries.push((k, n_nodes + k, 1.0));
     }
-    (dense, sparse)
+    stamp_both(n_nodes + n_vsrc, &entries)
+}
+
+/// The MNA system of an `AnalogMac` column at one switch configuration:
+/// a source-held supply charging the GD ramp (`C_gd` companion, discharge
+/// switch), the `C_cog` node (companion, reset switch), and per input a
+/// source-held sample-and-hold node, a compute switch and the cell.
+/// Unknowns: `vdd`, `ramp`, `cog`, `held_i`/`wl_i` per input, then one
+/// branch per source (`4 + 3m`). The right-hand side is a step's: history
+/// currents on the capacitor nodes, held levels on the source rows.
+fn analog_mac_shaped(
+    cells: &[f64],
+    caps: (f64, f64),
+    r_gd: f64,
+    closed: &[bool],
+    levels: &[f64],
+) -> (Matrix, CsrMatrix, Vec<f64>) {
+    let m = cells.len();
+    let n_nodes = 3 + 2 * m;
+    let (vdd, ramp, cog) = (0, 1, 2);
+    // The netlist's switches: r_on = 10 Ω, r_off = 1e15 Ω.
+    let switch = |on: bool| if on { 1.0 / 10.0 } else { 1.0 / 1e15 };
+    let mut entries = Vec::new();
+    entries.extend(conductance(Some(vdd), Some(ramp), 1.0 / r_gd));
+    entries.extend(conductance(Some(ramp), None, caps.0));
+    entries.extend(conductance(Some(ramp), None, switch(closed[0])));
+    entries.extend(conductance(Some(cog), None, caps.1));
+    entries.extend(conductance(Some(cog), None, switch(closed[1])));
+    for (i, &g) in cells.iter().enumerate() {
+        let (held, wl) = (3 + 2 * i, 4 + 2 * i);
+        entries.extend(conductance(Some(held), Some(wl), switch(closed[2 + i])));
+        entries.extend(conductance(Some(wl), Some(cog), g));
+    }
+    // Source rows: the supply drives `vdd`, source `1 + i` drives `held_i`.
+    let driven = std::iter::once(vdd).chain((0..m).map(|i| 3 + 2 * i));
+    for (k, node) in driven.enumerate() {
+        entries.push((n_nodes + k, node, 1.0));
+        entries.push((node, n_nodes + k, 1.0));
+    }
+    let n = n_nodes + 1 + m;
+    let (dense, sparse) = stamp_both(n, &entries);
+    let mut rhs = vec![0.0; n];
+    rhs[ramp] = caps.0 * levels[0];
+    rhs[cog] = caps.1 * levels[1];
+    rhs[n_nodes] = 1.0;
+    rhs[n_nodes + 1..].copy_from_slice(&levels[2..2 + m]);
+    (dense, sparse, rhs)
+}
+
+/// Sparse and dense solutions (plain and transposed) of the same system
+/// agree within `1e-8` relative (absolute below 1).
+fn assert_lu_agree(dense: &Matrix, sparse: &CsrMatrix, rhs: &[f64]) -> Result<(), String> {
+    let order = resipe_analog::sparse::min_degree_order(sparse.pattern());
+    let lu = SparseLu::factor(sparse, &order).expect("regular MNA system");
+    let dense_lu = LuFactors::factor(dense).expect("regular MNA system");
+    let pairs = [
+        (lu.solve(rhs), dense_lu.solve(rhs)),
+        (lu.solve_transposed(rhs), dense_lu.solve_transposed(rhs)),
+    ];
+    let within = |s: f64, d: f64| (s - d).abs() < 1e-8 * d.abs().max(1.0);
+    for (xs, xd) in pairs {
+        if let Some((s, d)) = xs.iter().zip(&xd).find(|&(&s, &d)| !within(s, d)) {
+            return Err(format!("{s} vs {d}"));
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -109,8 +180,9 @@ proptest! {
             .with_step(Seconds(tau / 200.0))
             .with_integrator(integrator);
         let res = Transient::new(&net, cfg).expect("valid").run().expect("converges");
-        // Small circuits must keep riding the dense fast path under Auto.
-        prop_assert_eq!(res.solver_stats().backend, SolverKind::Dense);
+        // Small circuits ride the same sparse path as whole tiles: one
+        // symbolic analysis, then refactors only.
+        prop_assert_eq!(res.solver_stats().symbolic_analyses, 1);
         let wf = res.waveform(cap).expect("captured");
         let mut prev = -1e-9;
         for &v in wf.values() {
@@ -151,12 +223,9 @@ proptest! {
                 net.resistor(wl, bl, Ohms(r_kohm * 1e3 * spread));
             }
         }
-        let cfg = TransientConfig::new(Seconds(200e-9))
-            .with_step(Seconds(1e-9))
-            .with_solver(SolverKind::Sparse);
+        let cfg = TransientConfig::new(Seconds(200e-9)).with_step(Seconds(1e-9));
         let res = Transient::new(&net, cfg).expect("valid").run().expect("converges");
         let s = res.solver_stats();
-        prop_assert_eq!(s.backend, SolverKind::Sparse);
         prop_assert_eq!(s.symbolic_analyses, 1);
         prop_assert_eq!(s.reused_factor_solves, s.solves - 1);
 
@@ -171,9 +240,11 @@ proptest! {
         prop_assert!(rel < 1e-9, "charge leak: {q_source} vs {q_caps} (rel {rel})");
     }
 
-    /// Sparse LU ≡ dense LU on random well-conditioned MNA-shaped systems:
-    /// same solution, same transposed solution, through an independent
-    /// fill-reducing order and pivot sequence.
+    /// Sparse LU ≡ dense LU on random well-conditioned MNA-shaped systems
+    /// and on `AnalogMac`-shaped systems (source-held nodes, switches at
+    /// 10 Ω / 1e15 Ω contrast — the small systems every transient now
+    /// solves sparsely): same solution, same transposed solution, through
+    /// an independent fill-reducing order and pivot sequence.
     #[test]
     fn sparse_lu_matches_dense_on_mna_systems(
         n_nodes in 3usize..10,
@@ -184,6 +255,12 @@ proptest! {
         edge_g in proptest::collection::vec(0.1..10.0f64, 20),
         grounds in proptest::collection::vec(0.1..5.0f64, 10),
         rhs_seed in proptest::collection::vec(-10.0..10.0f64, 13),
+        mac_inputs in 1usize..17,
+        mac_cells in proptest::collection::vec(5e-6..150e-6f64, 16),
+        mac_caps in (1e-3..1e-2f64, 1e-3..1e-2f64),
+        mac_r_gd in 1e3..1e5f64,
+        mac_closed in proptest::collection::vec(any::<bool>(), 18),
+        mac_levels in proptest::collection::vec(0.0..1.0f64, 18),
     ) {
         let n_vsrc = n_vsrc.min(n_nodes);
         let edges: Vec<(usize, usize, f64)> = (0..n_edges)
@@ -193,22 +270,18 @@ proptest! {
         let (dense, sparse) =
             mna_shaped(n_nodes, &edges, &grounds[..n_nodes], n_vsrc);
         let n = n_nodes + n_vsrc;
-        let rhs = &rhs_seed[..n];
+        let agree = assert_lu_agree(&dense, &sparse, &rhs_seed[..n]);
+        prop_assert!(agree.is_ok(), "generic MNA system: {agree:?}");
 
-        let order = resipe_analog::sparse::min_degree_order(sparse.pattern());
-        let lu = SparseLu::factor(&sparse, &order).expect("regular MNA system");
-        let dense_lu = LuFactors::factor(&dense).expect("regular MNA system");
-
-        let xs = lu.solve(rhs);
-        let xd = dense_lu.solve(rhs);
-        for (s, d) in xs.iter().zip(&xd) {
-            prop_assert!((s - d).abs() < 1e-8 * d.abs().max(1.0), "{s} vs {d}");
-        }
-        let ts = lu.solve_transposed(rhs);
-        let td = dense_lu.solve_transposed(rhs);
-        for (s, d) in ts.iter().zip(&td) {
-            prop_assert!((s - d).abs() < 1e-8 * d.abs().max(1.0), "{s} vs {d}");
-        }
+        let (dense, sparse, rhs) = analog_mac_shaped(
+            &mac_cells[..mac_inputs],
+            mac_caps,
+            mac_r_gd,
+            &mac_closed,
+            &mac_levels,
+        );
+        let agree = assert_lu_agree(&dense, &sparse, &rhs);
+        prop_assert!(agree.is_ok(), "AnalogMac system, {mac_inputs} inputs: {agree:?}");
     }
 
     /// Singular-matrix error parity: a structurally floating node makes the

@@ -33,7 +33,7 @@ use std::time::Instant;
 use resipe::circuit::AnalogMvm;
 use resipe::config::ResipeConfig;
 use resipe::engine::{MacResult, ResipeEngine};
-use resipe_analog::transient::{SolverKind, SolverSession, SolverStats};
+use resipe_analog::transient::{SolverSession, SolverStats};
 use resipe_analog::units::{Ohms, Seconds, Siemens};
 use resipe_bench::Args;
 
@@ -87,7 +87,7 @@ impl Arm {
              \"v_out_mean\": {}, \"max_abs_dv\": {}, \"mean_abs_dv\": {}, \
              \"max_rel_dt\": {}, \"saturated_cols\": {}, \
              \"saturation_agreement\": {}, \"wall_ms\": {}, \
-             \"solver\": {{\"backend\": \"{:?}\", \"unknowns\": {}, \
+             \"solver\": {{\"backend\": \"Sparse\", \"unknowns\": {}, \
              \"nonzeros\": {}, \"assemblies\": {}, \
              \"symbolic_analyses\": {}, \"symbolic_reuses\": {}, \
              \"numeric_refactors\": {}, \"solves\": {}, \
@@ -105,7 +105,6 @@ impl Arm {
             self.saturated_cols,
             self.saturation_agreement,
             json_num(self.wall_ms),
-            s.backend,
             s.unknowns,
             s.nonzeros,
             s.assemblies,
@@ -134,9 +133,7 @@ fn run_arm(
 ) -> Arm {
     let g: Vec<Siemens> = (0..rows * cols).map(cell_g).collect();
     let t_in = spike_times(rows);
-    let mut mvm = AnalogMvm::new(cfg, &g, rows, cols)
-        .expect("tile builds")
-        .with_solver(SolverKind::Sparse);
+    let mut mvm = AnalogMvm::new(cfg, &g, rows, cols).expect("tile builds");
     if let Some(r) = wire_ohms {
         mvm = mvm.with_wire_resistance(Ohms(r));
     }

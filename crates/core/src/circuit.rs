@@ -20,9 +20,7 @@
 //! | S2 `[T, 2T)` | recharging from 0 | open | holds `V_out` |
 
 use resipe_analog::netlist::{Netlist, Node, SwitchState};
-use resipe_analog::transient::{
-    SolverKind, SolverSession, SolverStats, StepView, Transient, TransientConfig,
-};
+use resipe_analog::transient::{SolverSession, SolverStats, StepView, Transient, TransientConfig};
 use resipe_analog::units::{Joules, Ohms, Seconds, Siemens, Volts};
 use resipe_analog::waveform::{Edge, Waveform};
 
@@ -273,11 +271,10 @@ impl AnalogMac {
 /// netlist level.
 ///
 /// Node count grows as `M + N + const` (plus `M·N` bitline-segment nodes
-/// when [`AnalogMvm::with_wire_resistance`] is armed). The transient's
-/// [`SolverKind::Auto`] seam keeps small crossbars on dense LU and routes
-/// whole tiles to the sparse reusable-factorization path, which is what
-/// makes the full 128×128 `engine_vs_circuit` oracle and the
-/// `circuit_sweep` campaigns tractable; pass a [`SolverSession`] via
+/// when [`AnalogMvm::with_wire_resistance`] is armed). The transient
+/// solves every crossbar size on the sparse reusable-factorization path,
+/// which is what makes the full 128×128 `engine_vs_circuit` oracle and
+/// the `circuit_sweep` campaigns tractable; pass a [`SolverSession`] via
 /// [`AnalogMvm::run_with_session`] to share one symbolic analysis across
 /// a batch of structurally identical runs.
 #[derive(Debug, Clone)]
@@ -287,7 +284,6 @@ pub struct AnalogMvm {
     conductances: Vec<Siemens>,
     rows: usize,
     cols: usize,
-    solver: SolverKind,
     min_rcond: Option<f64>,
     wire_resistance: Option<Ohms>,
 }
@@ -299,8 +295,8 @@ pub struct AnalogMvmResult {
     pub columns: Vec<AnalogMacResult>,
     /// Total energy delivered by all sources over the run.
     pub source_energy: Joules,
-    /// Linear-solver counters of the underlying transient (backend kind,
-    /// symbolic analyses, refactorizations, reused-factor solves).
+    /// Linear-solver counters of the underlying transient (symbolic
+    /// analyses, refactorizations, reused-factor solves).
     pub solver_stats: SolverStats,
 }
 
@@ -336,18 +332,9 @@ impl AnalogMvm {
             conductances: conductances.to_vec(),
             rows,
             cols,
-            solver: SolverKind::Auto,
             min_rcond: None,
             wire_resistance: None,
         })
-    }
-
-    /// Selects the linear-solver backend for the underlying transient
-    /// (default: [`SolverKind::Auto`] — dense for small crossbars, sparse
-    /// for whole tiles).
-    pub fn with_solver(mut self, solver: SolverKind) -> AnalogMvm {
-        self.solver = solver;
-        self
     }
 
     /// Arms the transient's condition gate: the run fails with an
@@ -522,9 +509,7 @@ impl AnalogMvm {
             dirty
         };
 
-        let mut cfg = TransientConfig::new(Seconds(2.0 * slice.0))
-            .with_step(step)
-            .with_solver(self.solver);
+        let mut cfg = TransientConfig::new(Seconds(2.0 * slice.0)).with_step(step);
         if let Some(r) = self.min_rcond {
             cfg = cfg.with_min_rcond(r);
         }
@@ -741,37 +726,39 @@ mod tests {
         }
     }
 
+    /// The sparse solver reproduces the per-column outputs and energy the
+    /// dense LU solver produced for this 2×3 crossbar, recorded as
+    /// `(v_out, t_out, saturated)` before dense LU stopped being a
+    /// transient backend.
     #[test]
     fn forced_sparse_backend_matches_dense_mvm() {
+        const DENSE_COLUMNS: [(f64, f64, bool); 3] = [
+            (0.6160474853556773, 9.580933053677914e-9, false),
+            (0.6973286081180629, 1.196202373598926e-8, false),
+            (0.7574791048054246, 1.4179835237653075e-8, false),
+        ];
+        const DENSE_ENERGY: f64 = 4.076208339760988e-13;
         let cfg = ResipeConfig::paper();
         let g: Vec<Siemens> = (0..6).map(|i| Siemens(30e-6 + 15e-6 * i as f64)).collect();
         let t_in = [Seconds(20e-9), Seconds(45e-9)];
-        let run = |solver| {
-            AnalogMvm::new(cfg, &g, 2, 3)
-                .unwrap()
-                .with_solver(solver)
-                .run(&t_in, STEP)
-                .unwrap()
-        };
-        let dense = run(SolverKind::Dense);
-        let sparse = run(SolverKind::Sparse);
-        assert_eq!(dense.solver_stats.backend, SolverKind::Dense);
-        assert_eq!(sparse.solver_stats.backend, SolverKind::Sparse);
-        for (d, s) in dense.columns.iter().zip(&sparse.columns) {
-            assert!((d.v_out.0 - s.v_out.0).abs() < 1e-9);
-            assert!((d.t_out.0 - s.t_out.0).abs() < 1e-15);
-            assert_eq!(d.saturated, s.saturated);
+        let sparse = AnalogMvm::new(cfg, &g, 2, 3)
+            .unwrap()
+            .run(&t_in, STEP)
+            .unwrap();
+        assert_eq!(sparse.columns.len(), DENSE_COLUMNS.len());
+        for (s, (v_out, t_out, saturated)) in sparse.columns.iter().zip(DENSE_COLUMNS) {
+            assert!((s.v_out.0 - v_out).abs() < 1e-9);
+            assert!((s.t_out.0 - t_out).abs() < 1e-15);
+            assert_eq!(s.saturated, saturated);
         }
-        assert!((dense.source_energy.0 - sparse.source_energy.0).abs() < 1e-18);
+        assert!((sparse.source_energy.0 - DENSE_ENERGY).abs() < 1e-18);
     }
 
     #[test]
     fn session_shares_symbolic_analysis_across_mvm_runs() {
         let cfg = ResipeConfig::paper();
         let g = vec![Siemens(50e-6); 4];
-        let mvm = AnalogMvm::new(cfg, &g, 2, 2)
-            .unwrap()
-            .with_solver(SolverKind::Sparse);
+        let mvm = AnalogMvm::new(cfg, &g, 2, 2).unwrap();
         let mut session = SolverSession::new();
         // Quantized spike times keep the sample-and-hold event count equal
         // across runs; only values differ.
@@ -825,7 +812,6 @@ mod tests {
         let g = vec![Siemens(50e-6); 4];
         let res = AnalogMvm::new(cfg, &g, 2, 2)
             .unwrap()
-            .with_solver(SolverKind::Sparse)
             .with_min_rcond(1e-20)
             .run(&[Seconds(20e-9), Seconds(40e-9)], STEP)
             .unwrap();

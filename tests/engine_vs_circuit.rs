@@ -2,14 +2,15 @@
 //! simulation across a grid of operating points — the reproduction's
 //! equivalent of validating the analytical model against Virtuoso.
 //!
-//! The small MAC grids run the dense solver; the whole-tile tests at the
-//! bottom are the headline oracle: a full 128×128 crossbar transient on
-//! the sparse reusable-factorization path, cross-checked column by column
-//! against the closed-form engine. Tolerances there (documented in
+//! Every transient here, from the two-input MAC grids to the whole tile,
+//! runs on the sparse reusable-factorization solver. The whole-tile tests
+//! at the bottom are the headline oracle: a full 128×128 crossbar
+//! transient, cross-checked column by column against the closed-form
+//! engine. Tolerances there (documented in
 //! DESIGN.md "Sparse analog validation"): `|Δv_out| < 0.01 V` and
 //! `|Δt_out|/t_out < 0.05` per column.
 
-use resipe_suite::analog::transient::{SolverKind, SolverSession};
+use resipe_suite::analog::transient::SolverSession;
 use resipe_suite::analog::units::{Seconds, Siemens};
 use resipe_suite::core::circuit::{AnalogMac, AnalogMvm};
 use resipe_suite::core::config::ResipeConfig;
@@ -135,10 +136,10 @@ fn check_columns(
 
 /// The headline oracle: a full 128×128 crossbar tile at circuit fidelity.
 ///
-/// 387 MNA unknowns — `Auto` resolves to the sparse backend, and the
-/// counters must show exactly one symbolic analysis for the whole
-/// transient, with every switch event handled by a value-only
-/// refactorization and every quiet step reusing the factors outright.
+/// 387 MNA unknowns; the counters must show exactly one symbolic
+/// analysis for the whole transient, with every switch event handled by a
+/// value-only refactorization and every quiet step reusing the factors
+/// outright.
 #[test]
 fn whole_tile_128x128_sparse_oracle() {
     let cfg = ResipeConfig::paper();
@@ -157,7 +158,6 @@ fn whole_tile_128x128_sparse_oracle() {
         .expect("sparse transient converges");
 
     let s = analog.solver_stats;
-    assert_eq!(s.backend, SolverKind::Sparse, "Auto must resolve sparse");
     assert_eq!(s.unknowns, 387, "(258 nodes − gnd) + 129 source branches");
     assert_eq!(s.symbolic_analyses, 1, "one analysis for the run: {s:?}");
     assert!(
@@ -194,7 +194,6 @@ fn sweep_points_share_symbolic_analysis() {
             .expect("tile builds")
             .run_with_session(&t_in, Seconds(100e-12), &mut session)
             .expect("transient converges");
-        assert_eq!(analog.solver_stats.backend, SolverKind::Sparse);
         check_columns(&analog, &g, rows, cols, &t_in);
     }
     let totals = session.stats();
