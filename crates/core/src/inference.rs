@@ -1376,7 +1376,9 @@ impl HardwareNetwork {
         resipe_analog::units::Joules(self.mvm_count() as f64 * model.mvm_energy().total().0)
     }
 
-    /// Argmax predictions over a dataset.
+    /// Argmax predictions over a dataset, run on the planned path
+    /// (bit-identical to [`HardwareNetwork::forward`], which stays the
+    /// per-sample reference).
     ///
     /// # Errors
     ///
@@ -1387,7 +1389,7 @@ impl HardwareNetwork {
         let mut preds = Vec::with_capacity(data.len());
         for chunk in indices.chunks(EVAL_BATCH) {
             let (x, _) = data.batch(chunk)?;
-            let logits = self.forward(&x)?;
+            let logits = self.run(&x, &RunOptions::planned())?.outputs;
             preds.extend(logits.argmax_rows());
         }
         Ok(preds)
@@ -1496,6 +1498,14 @@ mod tests {
         let (x, _) = train.batch(&[0, 1]).unwrap();
         let y = hw.forward(&x).unwrap();
         assert_eq!(y.shape(), &[2, 10]);
+        // Evaluation runs the planned path; its argmax must match the
+        // per-sample reference across more than one evaluation chunk.
+        let (head, _) = train.split_at(20).unwrap();
+        let (x, _) = head.full_batch().unwrap();
+        assert_eq!(
+            hw.predictions(&head).unwrap(),
+            hw.forward(&x).unwrap().argmax_rows()
+        );
     }
 
     /// An input smaller than the (padded) kernel has no output pixel:

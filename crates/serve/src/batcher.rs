@@ -2,14 +2,14 @@
 //! [`Planned`](resipe::inference::ExecutionMode::Planned) forward pass
 //! on one engine replica.
 //!
-//! Each model's worker threads loop: pop a weighted batch from the
-//! model's [`BoundedQueue`](crate::queue::BoundedQueue) (blocking for the first request, lingering
+//! Each model has one worker thread. It loops: pop a weighted batch from
+//! the model's [`BoundedQueue`](crate::queue::BoundedQueue) (blocking for the first request, lingering
 //! up to `max_wait` for more, never exceeding `max_batch` samples), drop
 //! requests whose deadline already passed, pick a target replica per
-//! request (the hinted replica when healthy, otherwise the balancer's
-//! least-outstanding pick — one pick shared by every un-hinted request
-//! so the coalesced batch stays whole), stack each replica's group into
-//! one `[n, sample…]` tensor **in FIFO order**, execute it through the
+//! request (the hinted replica when healthy, otherwise the first replica
+//! in failover order — the same one for every un-hinted request, so the
+//! coalesced batch stays whole), stack each replica's group into one
+//! `[n, sample…]` tensor **in FIFO order**, execute it through the
 //! replica's [`BatchExecutor`], and route each request's output rows
 //! back to the issuing connection's reply channel.
 //!
@@ -142,9 +142,9 @@ impl ReplySink {
     }
 }
 
-/// Everything one batch worker needs; cloned per worker thread. The
-/// per-model state lives in the entry; the global counters aggregate
-/// across models for the server-wide stats.
+/// Everything a model's batch worker needs. The per-model state lives
+/// in the entry; the global counters aggregate across models for the
+/// server-wide stats.
 #[derive(Clone)]
 pub(crate) struct WorkerContext {
     pub entry: Arc<ModelEntry>,
@@ -224,9 +224,10 @@ fn serve_batch(ctx: &WorkerContext, batch: Vec<PendingRequest>, width: usize) {
         }
     };
     // Route each request: a healthy hinted replica wins, everything
-    // else shares one balancer pick so the coalesced batch stays
-    // whole. Group by replica, preserving FIFO order within groups.
-    let mut groups: Vec<(Arc<Replica>, Vec<PendingRequest>)> = Vec::new();
+    // else goes to the first replica in failover order, so the
+    // coalesced batch stays whole. Group by replica, preserving FIFO
+    // order within groups.
+    let mut groups: Vec<(&Replica, Vec<PendingRequest>)> = Vec::new();
     for req in live {
         match pick_replica(replicas, req.replica_hint) {
             Some(replica) => match groups.iter_mut().find(|(r, _)| r.index == replica.index) {
@@ -244,7 +245,7 @@ fn serve_batch(ctx: &WorkerContext, batch: Vec<PendingRequest>, width: usize) {
         }
     }
     for (replica, group) in groups {
-        execute_group(ctx, &replica, group, width);
+        execute_group(ctx, replica, group, width);
     }
 }
 
@@ -327,6 +328,7 @@ mod tests {
     use resipe::cache::CompileCache;
 
     use crate::registry::{ModelSpec, ReplicaHealth};
+    use crate::server::ServerConfig;
 
     /// Echoes its input: output row `i` = input row `i`.
     struct EchoExecutor;
@@ -363,13 +365,14 @@ mod tests {
         max_batch: usize,
         replicas: usize,
     ) -> WorkerContext {
+        let config = ServerConfig::default()
+            .with_queue_capacity(64)
+            .with_max_batch(max_batch)
+            .with_max_wait(Duration::from_millis(1));
         let entry = ModelEntry::new(
             "test".into(),
             ModelSpec::executor(executor, &[2]).with_replicas(replicas),
-            64,
-            max_batch,
-            Duration::from_millis(1),
-            1,
+            &config,
             Arc::new(Mutex::new(CompileCache::new(2))),
         );
         WorkerContext {

@@ -256,7 +256,7 @@ pub struct ModelHandle<'c> {
 impl ModelHandle<'_> {
     /// Pins subsequent requests to one replica (useful for comparing
     /// replicas compiled with variation enabled, where each replica's
-    /// conductance draw differs). The balancer honors the hint only
+    /// conductance draw differs). The server honors the hint only
     /// while that replica is healthy.
     pub fn with_replica_hint(mut self, replica: u32) -> Self {
         self.replica_hint = Some(replica);

@@ -9,16 +9,18 @@
 //! # Architecture
 //!
 //! - **Model registry** — [`Server::builder`] registers named models
-//!   ([`ModelSpec`]); each gets its own bounded queue, batcher workers,
-//!   counters, and latency histogram. Network-sourced models compile
+//!   ([`ModelSpec`]); each gets its own bounded queue, one batch
+//!   worker, counters, and latency histogram. Serving limits are
+//!   server-wide ([`ServerConfig`]). Network-sourced models compile
 //!   lazily through a shared
 //!   [`CompileCache`](resipe::cache::CompileCache) on first request.
 //! - **Replicated engine shards** — every model runs
 //!   [`with_replicas(n)`](ModelSpec::with_replicas) engine instances
-//!   with distinct variation/fault seeds. A deterministic
-//!   least-outstanding-requests balancer spreads batches across the
-//!   [`Healthy`](ReplicaHealth::Healthy) replicas; a replica whose BIST
-//!   starts failing can be set [`Draining`](ReplicaHealth::Draining) or
+//!   with distinct variation/fault seeds, taken in a fixed failover
+//!   order: a request's hinted replica while it is
+//!   [`Healthy`](ReplicaHealth::Healthy), else the first `Healthy`
+//!   replica, else the first [`Draining`](ReplicaHealth::Draining) one.
+//!   A replica whose BIST starts failing can be set `Draining` or
 //!   [`Sick`](ReplicaHealth::Sick) via [`Server::set_replica_health`]
 //!   without dropping traffic.
 //! - **One wire version** — every frame carries a magic+version
@@ -30,7 +32,7 @@
 //!   [`Status::Busy`] when full instead of
 //!   queueing unboundedly; requests whose deadline passes while queued
 //!   are dropped with [`Status::Expired`].
-//! - **Dynamic micro-batching** — [`batcher`] workers coalesce queued
+//! - **Dynamic micro-batching** — the [`batcher`] worker coalesces queued
 //!   requests (up to [`ServerConfig::max_batch`] samples, lingering at
 //!   most [`ServerConfig::max_wait`]) into one
 //!   [`Planned`](resipe::inference::ExecutionMode::Planned) execution.

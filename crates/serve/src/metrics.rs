@@ -6,7 +6,7 @@
 //! `Stats` protocol verb serializes — queue depth, in-flight count,
 //! admission-control counters, request-latency percentiles, per-model
 //! blocks with per-replica health, the serving threads' summed CPU time
-//! (batch workers per model, event loops globally; each thread charges
+//! (each model's batch worker, event loops globally; each thread charges
 //! its own CPU clock into a shared counter once per batch or poll
 //! wake), and the engine's own
 //! [`resipe::telemetry::TelemetrySnapshot`] (as its stable JSON form,
@@ -338,9 +338,8 @@ pub struct ModelStatsBlock {
     pub latency: LatencySnapshot,
     /// Per-replica health and throughput, indexed by replica.
     pub replicas: Vec<ReplicaStats>,
-    /// CPU nanoseconds this model's batch worker threads have run,
-    /// summed over the workers (thread CPU time, not wall clock),
-    /// lifetime.
+    /// CPU nanoseconds this model's batch worker thread has run
+    /// (thread CPU time, not wall clock), lifetime.
     pub worker_cpu_nanos: u64,
 }
 

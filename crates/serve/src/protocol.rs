@@ -20,7 +20,7 @@
 //!
 //! where `model` addresses a registered model by name (empty = the
 //! default model) and `replica_hint`, when `hint_flag == 1`, asks the
-//! balancer to prefer a specific engine replica. `id` is a client-chosen
+//! server to prefer a specific engine replica. `id` is a client-chosen
 //! correlation token echoed verbatim in the response, `deadline_us` is a
 //! relative deadline in microseconds (`0` = none) measured from server
 //! admission, and the tensor is present for the inference verbs only.

@@ -5,7 +5,7 @@
 //! which **never blocks** — when the queue is at capacity the push fails
 //! and the caller answers `Busy`, so offered load beyond capacity is
 //! shed at admission instead of accumulating unbounded memory.
-//! Consumers (the [batch workers](crate::batcher)) call
+//! The consumer (the model's [batch worker](crate::batcher)) calls
 //! [`BoundedQueue::pop_batch`], which blocks for the *first* item and
 //! then lingers up to `max_wait` to coalesce more — the dynamic
 //! micro-batching window.

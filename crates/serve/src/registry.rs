@@ -3,8 +3,8 @@
 //! A server no longer fronts *one* compiled network: it fronts a
 //! `ModelRegistry` of named models, each backed by a set of
 //! `Replica`s — independent engine instances compiled with **distinct
-//! variation/fault seeds** (distinct simulated "chips") — behind a
-//! deterministic least-outstanding-requests balancer.
+//! variation/fault seeds** (distinct simulated "chips") — served by one
+//! batch worker in a fixed failover order.
 //!
 //! Key properties:
 //!
@@ -16,22 +16,25 @@
 //!   identical options (e.g. [`CompileOptions::paper`], whose seed feeds
 //!   no randomness) hit the cache after the first compile.
 //! - **Replica health** — each replica carries a [`ReplicaHealth`]
-//!   state. The balancer prefers `Healthy` replicas; a `Draining`
-//!   replica receives no new traffic but keeps executing what it
-//!   already owns (so a BIST-failing chip is rotated out without
-//!   dropping a request); a `Sick` replica receives nothing. When *no*
-//!   replica is `Healthy` the balancer falls back to `Draining` ones
-//!   rather than failing traffic — drain is a preference, not a wall.
-//! - **Deterministic balancing** — ties in outstanding-request counts
-//!   break toward the lowest replica index, so a quiescent server
-//!   always routes a given request sequence the same way.
+//!   state. A `Healthy` replica is in rotation; a `Draining` replica
+//!   receives no new traffic but keeps executing what it already owns
+//!   (so a BIST-failing chip is rotated out without dropping a
+//!   request); a `Sick` replica receives nothing. When *no* replica is
+//!   `Healthy`, traffic falls back to `Draining` ones rather than
+//!   failing — drain is a preference, not a wall.
+//! - **Failover order, not load balancing** — a request goes to its
+//!   hinted replica while that one is `Healthy`, otherwise to the
+//!   lowest-index `Healthy` replica, otherwise to the lowest-index
+//!   `Draining` one. The model's single worker executes one batch at a
+//!   time, so there is no concurrent load to balance: replicas past the
+//!   first are failover and hint targets.
 //! - **Per-replica scrubbing** — when the model's spec attaches a
-//!   [`ScrubConfig`], every replica with a real network gets its own
+//!   [`ScrubConfig`], every replica with a real network owns its own
 //!   background [`Scrubber`] (one BIST walker per chip, as the hardware
 //!   would).
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 use resipe::cache::CompileCache;
@@ -45,16 +48,17 @@ use crate::error::ServeError;
 use crate::metrics::{LatencyHistogram, ModelStatsBlock, ReplicaStats, ServerCounters};
 use crate::protocol::{ModelInfo, MAX_MODEL_NAME};
 use crate::queue::BoundedQueue;
+use crate::server::ServerConfig;
 
 /// Health state of one engine replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ReplicaHealth {
-    /// In rotation: the balancer routes new traffic here.
+    /// In rotation: new traffic routes here.
     Healthy = 0,
-    /// Being rotated out: no new balanced traffic, but still executing —
-    /// used while a BIST-failing chip finishes its outstanding work.
-    /// Also the balancer's fallback when no replica is `Healthy`.
+    /// Being rotated out: no new traffic, but still executing — used
+    /// while a BIST-failing chip finishes its outstanding work. Also the
+    /// fallback when no replica is `Healthy`.
     Draining = 1,
     /// Out of rotation entirely.
     Sick = 2,
@@ -84,31 +88,29 @@ pub(crate) enum ModelSource {
     Network {
         net: Network,
         calibration: Tensor,
-        options: CompileOptions,
+        /// Boxed so the enum stays about as small as its other variants.
+        options: Box<CompileOptions>,
     },
-    /// An already-compiled network; replica 0 serves it as-is and
-    /// replicas 1.. serve independent clones (same programmed state,
-    /// separate aging/repair trajectories).
-    Compiled(HardwareNetwork),
+    /// An already-compiled network; replica 0 shares it and replicas 1..
+    /// serve independent clones (same programmed state, separate
+    /// aging/repair trajectories).
+    Compiled(Arc<HardwareNetwork>),
     /// Arbitrary executors (the test seam). Replica `r` runs
     /// `executors[r % len]`.
     Executors(Vec<Arc<dyn BatchExecutor>>),
 }
 
 /// Everything needed to serve one model: where its engines come from,
-/// what shape its samples have, and its per-model serving limits.
+/// what shape its samples have, how many replicas it runs, and whether
+/// they are scrubbed.
 ///
 /// Build one with [`ModelSpec::network`], [`ModelSpec::compiled`], or
-/// [`ModelSpec::executor`], then layer `with_*` overrides; unset knobs
-/// inherit the server-wide [`ServerConfig`](crate::server::ServerConfig).
+/// [`ModelSpec::executor`]. Serving limits (queue capacity, batch size,
+/// linger window) are server-wide: see [`ServerConfig`].
 pub struct ModelSpec {
     pub(crate) source: ModelSource,
     pub(crate) sample_shape: Vec<usize>,
     pub(crate) replicas: usize,
-    pub(crate) queue_capacity: Option<usize>,
-    pub(crate) max_batch: Option<usize>,
-    pub(crate) max_wait: Option<Duration>,
-    pub(crate) workers: Option<usize>,
     pub(crate) scrub: Option<ScrubConfig>,
 }
 
@@ -118,10 +120,6 @@ impl ModelSpec {
             source,
             sample_shape: sample_shape.to_vec(),
             replicas: 1,
-            queue_capacity: None,
-            max_batch: None,
-            max_wait: None,
-            workers: None,
             scrub: None,
         }
     }
@@ -143,7 +141,7 @@ impl ModelSpec {
             ModelSource::Network {
                 net,
                 calibration,
-                options,
+                options: Box::new(options),
             },
             sample_shape,
         )
@@ -153,7 +151,7 @@ impl ModelSpec {
     /// compile). With more than one replica, replicas 1.. serve
     /// independent clones of `hw`.
     pub fn compiled(hw: HardwareNetwork, sample_shape: &[usize]) -> ModelSpec {
-        ModelSpec::new(ModelSource::Compiled(hw), sample_shape)
+        ModelSpec::new(ModelSource::Compiled(Arc::new(hw)), sample_shape)
     }
 
     /// A model served by an arbitrary [`BatchExecutor`] — the seam tests
@@ -169,30 +167,6 @@ impl ModelSpec {
         self
     }
 
-    /// Overrides the server-wide queue capacity for this model.
-    pub fn with_queue_capacity(mut self, capacity: usize) -> ModelSpec {
-        self.queue_capacity = Some(capacity);
-        self
-    }
-
-    /// Overrides the server-wide max coalesced batch for this model.
-    pub fn with_max_batch(mut self, max_batch: usize) -> ModelSpec {
-        self.max_batch = Some(max_batch);
-        self
-    }
-
-    /// Overrides the server-wide micro-batching linger window.
-    pub fn with_max_wait(mut self, max_wait: Duration) -> ModelSpec {
-        self.max_wait = Some(max_wait);
-        self
-    }
-
-    /// Overrides the server-wide batch worker count for this model.
-    pub fn with_workers(mut self, workers: usize) -> ModelSpec {
-        self.workers = Some(workers);
-        self
-    }
-
     /// Attaches a background scrubber to every replica of this model.
     pub fn with_scrub(mut self, scrub: ScrubConfig) -> ModelSpec {
         self.scrub = Some(scrub);
@@ -200,16 +174,20 @@ impl ModelSpec {
     }
 }
 
-/// One engine replica: an executor, its (optional) underlying network,
-/// and its routing state.
+/// One engine replica: an executor, its (optional) underlying network
+/// and scrubber, and its health and counters.
 pub(crate) struct Replica {
     pub index: u32,
     pub executor: Arc<dyn BatchExecutor>,
     /// The replica's own network, when serving real hardware (drives
-    /// per-replica scrub attach and `plan_swaps` reporting).
+    /// `plan_swaps` reporting and `Server::model_network`).
     pub network: Option<Arc<HardwareNetwork>>,
+    /// The background BIST walker on this replica's tiles, when the
+    /// model is scrubbed.
+    scrubber: Option<Scrubber>,
     health: AtomicU8,
-    /// Requests dispatched to this replica and not yet answered.
+    /// Requests executing on this replica right now. Reported in
+    /// `STATS`; routing never reads it.
     pub outstanding: AtomicU64,
     /// Requests answered successfully, lifetime.
     pub completed: AtomicU64,
@@ -222,11 +200,13 @@ impl Replica {
         index: u32,
         executor: Arc<dyn BatchExecutor>,
         network: Option<Arc<HardwareNetwork>>,
+        scrubber: Option<Scrubber>,
     ) -> Replica {
         Replica {
             index,
             executor,
             network,
+            scrubber,
             health: AtomicU8::new(ReplicaHealth::Healthy.as_u8()),
             outstanding: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -253,35 +233,20 @@ impl Replica {
     }
 }
 
-/// Deterministic replica selection: a valid `hint` naming a `Healthy`
-/// replica wins; otherwise the `Healthy` replica with the fewest
-/// outstanding requests (ties toward the lowest index); when none is
-/// `Healthy`, the same rule over `Draining` replicas; `None` when every
-/// replica is `Sick` (the caller answers `EngineError`).
-pub(crate) fn pick_replica(replicas: &[Arc<Replica>], hint: Option<u32>) -> Option<Arc<Replica>> {
-    if let Some(h) = hint {
-        if let Some(r) = replicas.get(h as usize) {
-            if r.health() == ReplicaHealth::Healthy {
-                return Some(Arc::clone(r));
-            }
-        }
-    }
-    let least = |state: ReplicaHealth| {
-        replicas
-            .iter()
-            .filter(|r| r.health() == state)
-            .min_by_key(|r| (r.outstanding.load(Ordering::Relaxed), r.index))
-            .map(Arc::clone)
-    };
-    least(ReplicaHealth::Healthy).or_else(|| least(ReplicaHealth::Draining))
-}
-
-/// What the first replica resolution consumes.
-struct PendingInit {
-    source: ModelSource,
-    replicas: usize,
-    scrub: Option<ScrubConfig>,
-    cache: Arc<Mutex<CompileCache>>,
+/// Replica selection in a fixed failover order: the hinted replica while
+/// it is `Healthy`; otherwise the lowest-index `Healthy` replica;
+/// otherwise the lowest-index `Draining` one; `None` when every replica
+/// is `Sick` (the caller answers `EngineError`).
+///
+/// Load plays no part: the model's one worker picks a replica for every
+/// request of a batch before it executes any of them, so there is no
+/// concurrent load to weigh.
+pub(crate) fn pick_replica(replicas: &[Replica], hint: Option<u32>) -> Option<&Replica> {
+    let first = |state: ReplicaHealth| replicas.iter().find(|r| r.health() == state);
+    hint.and_then(|h| replicas.get(h as usize))
+        .filter(|r| r.health() == ReplicaHealth::Healthy)
+        .or_else(|| first(ReplicaHealth::Healthy))
+        .or_else(|| first(ReplicaHealth::Draining))
 }
 
 /// One registered model's runtime state: its queue, counters, serving
@@ -295,50 +260,43 @@ pub(crate) struct ModelEntry {
     pub in_flight: Arc<AtomicU64>,
     pub max_batch: usize,
     pub max_wait: Duration,
-    pub workers: usize,
-    /// CPU nanoseconds the batch workers have run, summed over them;
-    /// each worker charges its share after every batch.
+    /// CPU nanoseconds the model's batch worker has run; charged after
+    /// every batch.
     pub worker_cpu_nanos: AtomicU64,
+    /// Where the replicas come from; read by the first resolution.
+    source: ModelSource,
+    replica_count: usize,
+    scrub: Option<ScrubConfig>,
+    cache: Arc<Mutex<CompileCache>>,
     /// Lazily resolved replicas; a compile failure is cached (compiles
     /// are deterministic — retrying cannot succeed).
-    replicas: OnceLock<Result<Vec<Arc<Replica>>, String>>,
-    init: Mutex<Option<PendingInit>>,
-    /// Background scrubbers started by replica resolution; stopped at
-    /// server shutdown.
-    scrubbers: Mutex<Vec<Scrubber>>,
+    replicas: OnceLock<Result<Vec<Replica>, String>>,
 }
 
 impl ModelEntry {
+    /// Takes the serving limits from `config`; the spec's own scrub
+    /// configuration wins over `config.scrub`.
     pub(crate) fn new(
         name: String,
         spec: ModelSpec,
-        default_queue_capacity: usize,
-        default_max_batch: usize,
-        default_max_wait: Duration,
-        default_workers: usize,
+        config: &ServerConfig,
         cache: Arc<Mutex<CompileCache>>,
     ) -> ModelEntry {
         ModelEntry {
             name,
             sample_shape: spec.sample_shape,
-            queue: Arc::new(BoundedQueue::new(
-                spec.queue_capacity.unwrap_or(default_queue_capacity),
-            )),
+            queue: Arc::new(BoundedQueue::new(config.queue_capacity)),
             counters: Arc::new(ServerCounters::default()),
             latency: Arc::new(LatencyHistogram::new()),
             in_flight: Arc::new(AtomicU64::new(0)),
-            max_batch: spec.max_batch.unwrap_or(default_max_batch),
-            max_wait: spec.max_wait.unwrap_or(default_max_wait),
-            workers: spec.workers.unwrap_or(default_workers),
+            max_batch: config.max_batch,
+            max_wait: config.max_wait,
             worker_cpu_nanos: AtomicU64::new(0),
+            source: spec.source,
+            replica_count: spec.replicas.max(1),
+            scrub: spec.scrub.or(config.scrub),
+            cache,
             replicas: OnceLock::new(),
-            init: Mutex::new(Some(PendingInit {
-                source: spec.source,
-                replicas: spec.replicas.max(1),
-                scrub: spec.scrub,
-                cache,
-            })),
-            scrubbers: Mutex::new(Vec::new()),
         }
     }
 
@@ -348,83 +306,77 @@ impl ModelEntry {
     ///
     /// Returns [`ServeError::Engine`] when replica compilation failed —
     /// now or on the first resolution (failures are cached).
-    pub(crate) fn replicas(&self) -> Result<&[Arc<Replica>], ServeError> {
-        let resolved = self.replicas.get_or_init(|| {
-            let init = self
-                .init
-                .lock()
-                .expect("init mutex poisoned")
-                .take()
-                .expect("first resolution consumes init exactly once");
-            self.build_replicas(init)
-        });
-        match resolved {
+    pub(crate) fn replicas(&self) -> Result<&[Replica], ServeError> {
+        match self.replicas.get_or_init(|| self.build_replicas()) {
             Ok(replicas) => Ok(replicas),
             Err(msg) => Err(ServeError::Engine(msg.clone())),
         }
     }
 
-    fn build_replicas(&self, init: PendingInit) -> Result<Vec<Arc<Replica>>, String> {
-        let networks: Vec<Option<Arc<HardwareNetwork>>> = match init.source {
+    fn build_replicas(&self) -> Result<Vec<Replica>, String> {
+        let networks: Vec<Arc<HardwareNetwork>> = match &self.source {
             ModelSource::Network {
                 net,
                 calibration,
                 options,
             } => {
-                let mut cache = init.cache.lock().expect("compile cache poisoned");
-                let mut nets = Vec::with_capacity(init.replicas);
-                for r in 0..init.replicas {
-                    let opts = options.with_seed(options.seed + r as u64);
-                    let hw = cache
-                        .get_or_compile(&net, &calibration, &opts)
-                        .map_err(|e| format!("compiling model '{}' replica {r}: {e}", self.name))?;
-                    nets.push(Some(Arc::new(hw)));
-                }
-                nets
-            }
-            ModelSource::Compiled(hw) => {
-                let mut nets: Vec<Option<Arc<HardwareNetwork>>> = (1..init.replicas)
-                    .map(|_| Some(Arc::new(hw.clone())))
-                    .collect();
-                nets.insert(0, Some(Arc::new(hw)));
-                nets
-            }
-            ModelSource::Executors(executors) => {
-                let replicas: Vec<Arc<Replica>> = (0..init.replicas)
+                // A poisoned lock still guards a consistent cache:
+                // `get_or_compile` changes its entries only through whole
+                // `Vec` calls made after `compile_with_telemetry` has
+                // returned, so a panic inside a compile leaves them as
+                // they were.
+                let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+                (0..self.replica_count)
                     .map(|r| {
-                        Arc::new(Replica::new(
-                            r as u32,
-                            Arc::clone(&executors[r % executors.len()]),
-                            None,
-                        ))
+                        let opts = options.with_seed(options.seed + r as u64);
+                        cache
+                            .get_or_compile(net, calibration, &opts)
+                            .map(Arc::new)
+                            .map_err(|e| {
+                                format!("compiling model '{}' replica {r}: {e}", self.name)
+                            })
                     })
-                    .collect();
-                return Ok(replicas);
+                    .collect::<Result<_, _>>()?
+            }
+            ModelSource::Compiled(hw) => (0..self.replica_count)
+                .map(|r| match r {
+                    0 => Arc::clone(hw),
+                    _ => Arc::new(HardwareNetwork::clone(hw)),
+                })
+                .collect(),
+            ModelSource::Executors(executors) => {
+                return Ok((0..self.replica_count)
+                    .map(|r| {
+                        let executor = Arc::clone(&executors[r % executors.len()]);
+                        Replica::new(r as u32, executor, None, None)
+                    })
+                    .collect());
             }
         };
-        let mut replicas = Vec::with_capacity(networks.len());
-        let mut scrubbers = Vec::new();
-        for (r, network) in networks.into_iter().enumerate() {
-            let hw = network.expect("hardware sources always carry a network");
-            if let Some(scrub_config) = &init.scrub {
-                let scrubber = Scrubber::new(Arc::clone(&hw), *scrub_config)
-                    .map_err(|e| format!("scrubber for model '{}' replica {r}: {e}", self.name))?;
-                scrubber.start();
-                scrubbers.push(scrubber);
-            }
-            let executor: Arc<dyn BatchExecutor> =
-                Arc::new(NetworkExecutor::new_shared(Arc::clone(&hw)));
-            replicas.push(Arc::new(Replica::new(r as u32, executor, Some(hw))));
-        }
-        self.scrubbers
-            .lock()
-            .expect("scrubbers mutex poisoned")
-            .extend(scrubbers);
-        Ok(replicas)
+        networks
+            .into_iter()
+            .enumerate()
+            .map(|(r, hw)| {
+                let scrubber = match &self.scrub {
+                    Some(scrub_config) => {
+                        let scrubber =
+                            Scrubber::new(Arc::clone(&hw), *scrub_config).map_err(|e| {
+                                format!("scrubber for model '{}' replica {r}: {e}", self.name)
+                            })?;
+                        scrubber.start();
+                        Some(scrubber)
+                    }
+                    None => None,
+                };
+                let executor: Arc<dyn BatchExecutor> =
+                    Arc::new(NetworkExecutor::new_shared(Arc::clone(&hw)));
+                Ok(Replica::new(r as u32, executor, Some(hw), scrubber))
+            })
+            .collect()
     }
 
     /// The replica set if it has already been resolved successfully.
-    pub(crate) fn replicas_if_resolved(&self) -> Option<&[Arc<Replica>]> {
+    pub(crate) fn replicas_if_resolved(&self) -> Option<&[Replica]> {
         match self.replicas.get() {
             Some(Ok(replicas)) => Some(replicas),
             _ => None,
@@ -433,24 +385,20 @@ impl ModelEntry {
 
     /// Configured replica count (known before resolution).
     pub(crate) fn configured_replicas(&self) -> usize {
-        if let Some(replicas) = self.replicas_if_resolved() {
-            return replicas.len();
-        }
-        self.init
-            .lock()
-            .expect("init mutex poisoned")
-            .as_ref()
-            .map_or(0, |init| init.replicas)
+        self.replica_count
+    }
+
+    /// The resolved replicas' scrubbers.
+    fn scrubbers(&self) -> impl Iterator<Item = &Scrubber> {
+        self.replicas_if_resolved()
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|r| r.scrubber.as_ref())
     }
 
     /// Stops every scrubber this model's replicas started.
     pub(crate) fn stop_scrubbers(&self) {
-        for scrubber in self
-            .scrubbers
-            .lock()
-            .expect("scrubbers mutex poisoned")
-            .iter()
-        {
+        for scrubber in self.scrubbers() {
             scrubber.stop();
         }
     }
@@ -458,9 +406,8 @@ impl ModelEntry {
     /// Sum of scrub counters across this model's replicas' scrubbers:
     /// `(passes, tiles, repairs, pass wall-clock nanoseconds)`.
     pub(crate) fn scrub_totals(&self) -> (u64, u64, u64, u64) {
-        let guard = self.scrubbers.lock().expect("scrubbers mutex poisoned");
         let mut totals = (0u64, 0u64, 0u64, 0u64);
-        for scrubber in guard.iter() {
+        for scrubber in self.scrubbers() {
             let s = scrubber.stats();
             totals.0 += s.passes;
             totals.1 += s.tiles_scrubbed;
@@ -472,13 +419,12 @@ impl ModelEntry {
 
     /// Sum of epoch swaps across resolved replica networks.
     pub(crate) fn plan_swap_total(&self) -> u64 {
-        self.replicas_if_resolved().map_or(0, |replicas| {
-            replicas
-                .iter()
-                .filter_map(|r| r.network.as_ref())
-                .map(|hw| hw.plan_swaps())
-                .sum()
-        })
+        self.replicas_if_resolved()
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|r| r.network.as_ref())
+            .map(|hw| hw.plan_swaps())
+            .sum()
     }
 
     /// This model's stats block.
@@ -509,25 +455,20 @@ impl ModelEntry {
 
     /// This model's [`ModelInfo`] row.
     pub(crate) fn info(&self) -> ModelInfo {
-        let (replicas, healthy) = match self.replicas_if_resolved() {
-            Some(set) => (
-                set.len() as u32,
-                set.iter()
-                    .filter(|r| r.health() == ReplicaHealth::Healthy)
-                    .count() as u32,
-            ),
+        let healthy = match self.replicas_if_resolved() {
+            Some(set) => set
+                .iter()
+                .filter(|r| r.health() == ReplicaHealth::Healthy)
+                .count(),
             // Unresolved replicas are healthy-by-construction: nothing
             // has run, so nothing can have failed BIST yet.
-            None => {
-                let n = self.configured_replicas() as u32;
-                (n, n)
-            }
+            None => self.configured_replicas(),
         };
         ModelInfo {
             name: self.name.clone(),
             sample_shape: self.sample_shape.clone(),
-            replicas,
-            healthy,
+            replicas: self.configured_replicas() as u32,
+            healthy: healthy as u32,
         }
     }
 }
@@ -589,25 +530,46 @@ mod tests {
         ModelEntry::new(
             "m".into(),
             ModelSpec::executor(Arc::new(NopExecutor), &[2]).with_replicas(replicas),
-            16,
-            8,
-            Duration::from_millis(1),
-            1,
+            &ServerConfig::default(),
             Arc::new(Mutex::new(CompileCache::new(4))),
         )
     }
 
     #[test]
-    fn balancer_prefers_least_outstanding_then_lowest_index() {
+    fn failover_order_ignores_outstanding() {
         let entry = executor_entry(3);
         let replicas = entry.replicas().unwrap();
         replicas[0].outstanding.store(5, Ordering::Relaxed);
         replicas[1].outstanding.store(2, Ordering::Relaxed);
-        replicas[2].outstanding.store(2, Ordering::Relaxed);
-        // Least outstanding wins; the tie between 1 and 2 breaks low.
+        replicas[2].outstanding.store(9, Ordering::Relaxed);
+        // The lowest-index Healthy replica wins however busy it reads.
+        assert_eq!(pick_replica(replicas, None).unwrap().index, 0);
+        replicas[0].set_health(ReplicaHealth::Draining);
         assert_eq!(pick_replica(replicas, None).unwrap().index, 1);
-        replicas[1].outstanding.store(9, Ordering::Relaxed);
+        // Any Healthy replica beats every Draining one, loaded or not.
+        replicas[1].set_health(ReplicaHealth::Draining);
         assert_eq!(pick_replica(replicas, None).unwrap().index, 2);
+        // With none Healthy, the lowest-index Draining replica wins.
+        replicas[2].set_health(ReplicaHealth::Draining);
+        assert_eq!(pick_replica(replicas, None).unwrap().index, 0);
+    }
+
+    #[test]
+    fn poisoned_compile_cache_still_resolves() {
+        let cache = Arc::new(Mutex::new(CompileCache::new(4)));
+        let poisoner = Arc::clone(&cache);
+        let _ = std::thread::spawn(move || {
+            let _guard = poisoner.lock().unwrap();
+            panic!("a compile panicked while holding the cache");
+        })
+        .join();
+        assert!(cache.is_poisoned());
+        let net = resipe_nn::models::mlp1(7).unwrap();
+        let calibration = Tensor::from_vec(vec![0.5; 4 * 784], &[4, 1, 28, 28]).unwrap();
+        let spec = ModelSpec::network(net, calibration, CompileOptions::paper(), &[1, 28, 28])
+            .with_replicas(2);
+        let entry = ModelEntry::new("m".into(), spec, &ServerConfig::default(), cache);
+        assert_eq!(entry.replicas().unwrap().len(), 2);
     }
 
     #[test]
@@ -616,7 +578,7 @@ mod tests {
         let replicas = entry.replicas().unwrap();
         assert_eq!(pick_replica(replicas, Some(2)).unwrap().index, 2);
         replicas[2].set_health(ReplicaHealth::Draining);
-        // Hinted replica is draining: fall back to the balancer.
+        // Hinted replica is draining: fall back to the failover order.
         assert_eq!(pick_replica(replicas, Some(2)).unwrap().index, 0);
         // Out-of-range hints fall back too.
         assert_eq!(pick_replica(replicas, Some(99)).unwrap().index, 0);

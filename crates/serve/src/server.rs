@@ -8,11 +8,12 @@
 //! listener ──accept──▶ event loops (N threads, poll-multiplexed conns)
 //!                        │ parse + admission          ▲ reply mailbox
 //!                        ▼                            │  + wakeup pipe
-//!                      per-model BoundedQueue ──pop_batch──▶ per-model
-//!                                                            batch workers
+//!                      per-model BoundedQueue ──pop_batch──▶ one batch
+//!                                                            worker per model
 //!                                                             │ pick_replica
+//!                                                             │ (failover order)
 //!                                                             ▼
-//!                                                     EngineReplica set
+//!                                                      replica set
 //! ```
 //!
 //! Connection count is decoupled from thread count: a small, fixed
@@ -26,13 +27,13 @@
 //! flushed on `POLLOUT`. A slow client fills its buffer and is evicted
 //! with the `conns_evicted_slow` counter bumped — it can never wedge a
 //! thread or stall other connections. Every model owns its own bounded
-//! queue and worker pool; workers dispatch coalesced batches to the
-//! model's replicas through the deterministic balancer in
-//! [`crate::registry`] and wake the owning loop through its pipe.
+//! queue and one batch worker; the worker executes each coalesced batch
+//! on a replica chosen by the fixed failover order in
+//! [`crate::registry`] and wakes the owning loop through its pipe.
 //!
 //! Graceful shutdown ([`Server::shutdown`]) proceeds in strict order:
 //! stop accepting, close every model queue (new pushes fail
-//! `ShuttingDown`), join the workers — which first **drain** every
+//! `ShuttingDown`), join the batch workers — which first **drain** every
 //! admitted request and answer it into its connection's mailbox — stop
 //! the scrubbers, then flag the event loops to drain: each walks its
 //! connection table, flushes every answered reply the peer will
@@ -58,10 +59,11 @@ use crate::protocol::{encode_model_list, ModelInfo, Request, Status, Verb, MAX_M
 use crate::queue::PushError;
 use crate::registry::{ModelEntry, ModelRegistry, ModelSpec, ReplicaHealth};
 
-/// Server-wide serving defaults; every [`ModelSpec`] knob left unset
-/// inherits from here. Defaults suit the paper's MLP-1 workload on a
-/// small host: coalesce up to 32 samples per plan execution, linger at
-/// most 300 µs for stragglers.
+/// Server-wide serving limits, the same for every registered model
+/// (each model gets its own queue of this capacity and one batch worker
+/// with these batching limits). Defaults suit the paper's MLP-1
+/// workload on a small host: coalesce up to 32 samples per plan
+/// execution, linger at most 300 µs for stragglers.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Largest sample count coalesced into one batch execution.
@@ -72,8 +74,6 @@ pub struct ServerConfig {
     /// Per-model bounded queue capacity in *requests*; pushes beyond it
     /// answer [`Status::Busy`].
     pub queue_capacity: usize,
-    /// Batch worker threads per model.
-    pub workers: usize,
     /// When set, every model's replicas get a background
     /// [`Scrubber`](resipe::scrub::Scrubber) with this configuration
     /// (overridable per model via [`ModelSpec::with_scrub`]): tiles are
@@ -105,7 +105,6 @@ impl Default for ServerConfig {
             max_batch: 32,
             max_wait: Duration::from_micros(300),
             queue_capacity: 256,
-            workers: 1,
             scrub: None,
             event_threads: 2,
             max_connections: 1024,
@@ -130,12 +129,6 @@ impl ServerConfig {
     /// Sets the per-model bounded queue capacity (requests).
     pub fn with_queue_capacity(mut self, capacity: usize) -> ServerConfig {
         self.queue_capacity = capacity;
-        self
-    }
-
-    /// Sets the number of batch worker threads per model.
-    pub fn with_workers(mut self, workers: usize) -> ServerConfig {
-        self.workers = workers;
         self
     }
 
@@ -171,9 +164,6 @@ impl ServerConfig {
             return Err(ServeError::BadRequest(
                 "queue_capacity must be nonzero".into(),
             ));
-        }
-        if self.workers == 0 {
-            return Err(ServeError::BadRequest("workers must be nonzero".into()));
         }
         if self.event_threads == 0 {
             return Err(ServeError::BadRequest(
@@ -225,7 +215,7 @@ pub struct ServerBuilder {
 }
 
 impl ServerBuilder {
-    /// Sets the server-wide serving defaults.
+    /// Sets the server-wide serving limits.
     pub fn config(mut self, config: ServerConfig) -> ServerBuilder {
         self.config = config;
         self
@@ -276,8 +266,8 @@ impl ServerBuilder {
     ///
     /// Fails when no model is registered, a name is empty / duplicated
     /// / over [`MAX_MODEL_NAME`] bytes, a sample shape is invalid, a
-    /// limit override is zero, the default model is unknown, or the
-    /// listener cannot bind.
+    /// replica count or serving limit is zero, the default model is
+    /// unknown, or the listener cannot bind.
     pub fn bind<A: ToSocketAddrs>(self, addr: A) -> Result<Server, ServeError> {
         self.config.validate()?;
         if self.models.is_empty() {
@@ -306,14 +296,6 @@ impl ServerBuilder {
                     "model '{name}': replica count must be nonzero"
                 )));
             }
-            if spec.queue_capacity == Some(0)
-                || spec.max_batch == Some(0)
-                || spec.workers == Some(0)
-            {
-                return Err(ServeError::BadRequest(format!(
-                    "model '{name}': limit overrides must be nonzero"
-                )));
-            }
         }
         let default_model = self
             .default_model
@@ -330,17 +312,11 @@ impl ServerBuilder {
         let entries: Vec<Arc<ModelEntry>> = self
             .models
             .into_iter()
-            .map(|(name, mut spec)| {
-                if spec.scrub.is_none() {
-                    spec.scrub = self.config.scrub;
-                }
+            .map(|(name, spec)| {
                 Arc::new(ModelEntry::new(
                     name,
                     spec,
-                    self.config.queue_capacity,
-                    self.config.max_batch,
-                    self.config.max_wait,
-                    self.config.workers,
+                    &self.config,
                     Arc::clone(&cache),
                 ))
             })
@@ -366,21 +342,21 @@ impl ServerBuilder {
             event_loops,
         });
 
-        let mut worker_handles = Vec::new();
+        let mut worker_handles = Vec::with_capacity(shared.registry.entries().len());
         for entry in shared.registry.entries() {
-            for i in 0..entry.workers {
-                let ctx = WorkerContext {
-                    entry: Arc::clone(entry),
-                    global_counters: Arc::clone(&shared.global_counters),
-                    global_latency: Arc::clone(&shared.global_latency),
-                };
-                worker_handles.push(
-                    thread::Builder::new()
-                        .name(format!("resipe-serve-{}-worker-{i}", entry.name))
-                        .spawn(move || worker_loop(ctx))
-                        .map_err(ServeError::Io)?,
-                );
-            }
+            let ctx = WorkerContext {
+                entry: Arc::clone(entry),
+                global_counters: Arc::clone(&shared.global_counters),
+                global_latency: Arc::clone(&shared.global_latency),
+            };
+            // The `-0` suffix is kept so profilers and per-thread CPU
+            // readers keep matching the worker by name.
+            worker_handles.push(
+                thread::Builder::new()
+                    .name(format!("resipe-serve-{}-worker-0", entry.name))
+                    .spawn(move || worker_loop(ctx))
+                    .map_err(ServeError::Io)?,
+            );
         }
 
         let mut event_handles = Vec::with_capacity(shared.event_loops.len());

@@ -322,7 +322,6 @@ fn invalid_configs_are_rejected() {
     for config in [
         ServerConfig::default().with_max_batch(0),
         ServerConfig::default().with_queue_capacity(0),
-        ServerConfig::default().with_workers(0),
     ] {
         assert!(bind_executor(mk(), &[3], config).is_err());
     }

@@ -19,6 +19,8 @@
 # serves MLP-1 over loopback with scrubbing, repair and aging live and
 # fails unless every served reply was checked correct and none failed.
 #
+# Last, it fails if building perfbench rewrote perfbench/Cargo.lock.
+#
 # Every stage, flag, gate, and output field is documented in
 # docs/BENCHMARKS.md.
 set -euo pipefail
@@ -134,6 +136,17 @@ if [[ "$circuit_smoke" -eq 1 ]]; then
         fi
     done
     rm -f "$circuit_out"
+fi
+
+# Building and running perfbench above must not rewrite its lock file:
+# the benchmark runs from committed files, so a crate-graph change that
+# makes every perfbench build re-resolve would show up here first.
+if [[ -e .git ]]; then
+    echo "==> perfbench/Cargo.lock unchanged"
+    if ! git diff --quiet -- perfbench/Cargo.lock; then
+        echo "check: building perfbench rewrote perfbench/Cargo.lock; its crate graph no longer matches the committed lock file" >&2
+        exit 1
+    fi
 fi
 
 echo "check: all gates passed"
