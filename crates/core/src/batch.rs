@@ -269,15 +269,17 @@ pub struct BatchScratch {
     /// Staged `(V_out⁺, V_out⁻)` per (column, sample) of the probed
     /// loop order, indexed `j * samples + b`.
     v_cols_block: Vec<(f64, f64)>,
-    /// Held voltages of a block of samples in logical row order, the
+    /// Held voltages of a block of windows in logical row order, the
     /// input of [`BatchPlan::forward_held`] — staged here by
-    /// [`BatchPlan::forward_block`] and by `HardwareNetwork`, so the
-    /// per-block encode reuses one allocation.
+    /// [`BatchPlan::forward_block`] and by `HardwareNetwork`'s window
+    /// gather, so the per-block staging reuses one allocation.
     pub(crate) a_block: Vec<f64>,
-    /// One conv sample's `[C, H, W]` inputs, normalized and encoded once
-    /// into held voltages by [`BatchPlan::encode_into`]; the conv arm
-    /// gathers each pixel's window of voltages from here into `a_block`.
-    pub(crate) a_sample: Vec<f64>,
+    /// One parallel task's samples, normalized and encoded once into
+    /// held voltages by [`BatchPlan::encode_into`]; `HardwareNetwork`
+    /// gathers each window from here into `a_block`, or feeds these
+    /// voltages to the kernel directly when the window is the whole
+    /// sample (every dense layer).
+    pub(crate) a_task: Vec<f64>,
 }
 
 impl BatchScratch {
@@ -538,7 +540,7 @@ impl BatchPlan {
     /// This is [`BatchPlan::encode_into`] into the scratch followed by
     /// [`BatchPlan::forward_held`]; callers that already hold the
     /// voltages (or can share one encode across several wordlines, as
-    /// the conv arm does) call those two directly.
+    /// a convolution's overlapping windows do) call those two directly.
     ///
     /// # Errors
     ///

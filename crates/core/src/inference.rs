@@ -6,7 +6,8 @@
 //! * every `Dense` layer's `[in, out]` weight matrix and every `Conv2d`
 //!   layer's `[fan_in, out_ch]` kernel matrix (via the same im2col
 //!   lowering the software path uses) becomes a tiled differential
-//!   crossbar pair ([`crate::mapping::MappedWeights`]);
+//!   crossbar pair ([`crate::mapping::MappedWeights`]); both run as one
+//!   crossbar layer, a dense layer being a `1 × 1` convolution;
 //! * a calibration batch run through the *ideal* network fixes each
 //!   weight layer's input scale, so activations can be normalized into
 //!   the `\[0, 1\]` spike-encoding range;
@@ -17,6 +18,7 @@
 //!
 //! This is the machinery behind the paper's Fig. 7 accuracy study.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
@@ -36,7 +38,7 @@ use crate::error::ResipeError;
 use crate::mapping::{MappedWeights, SpikeEncoding, TileMapper};
 use crate::repair::{repair_layer_with, HealthReport, RepairPolicy};
 use crate::seeds;
-use crate::telemetry::{Counter, Telemetry, TelemetrySnapshot};
+use crate::telemetry::{Counter, LayerProbe, Telemetry, TelemetrySnapshot};
 
 /// How activations are spike-encoded at each hardware layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -330,29 +332,10 @@ fn lower_mapped(
 }
 
 /// A layer lowered onto the hardware (or executed digitally).
-///
-/// Crossbar layers do not own their conductance state: they reference
-/// it by weight-layer index into the currently-published
-/// [`NetworkEpoch`], so a repair or aging event can swap in fresh
-/// crossbar state without touching the layer graph.
 #[derive(Debug, Clone)]
 enum HwLayer {
-    /// A dense layer on crossbars (`weights` indexes the epoch).
-    Dense {
-        weights: usize,
-        bias: Vec<f64>,
-        input_scale: f64,
-    },
-    /// A convolution on crossbars via im2col (`weights` indexes the
-    /// epoch).
-    Conv {
-        weights: usize,
-        bias: Vec<f64>,
-        input_scale: f64,
-        kernel: usize,
-        padding: usize,
-        out_channels: usize,
-    },
+    /// A weight layer on crossbars.
+    Crossbar(Crossbar),
     /// Digital ReLU (free in the spike domain — a negative differential
     /// simply never fires).
     Relu,
@@ -362,6 +345,86 @@ enum HwLayer {
     AvgPool(usize),
     /// Digital flatten.
     Flatten,
+}
+
+/// A weight layer on crossbars. A convolution runs one MVM per output
+/// pixel over its im2col windows; a dense layer is the `1 × 1`,
+/// unpadded convolution of a `[rows, 1, 1]` image (`window: None`).
+///
+/// It does not own its conductance state: `weights` is a weight-layer
+/// index into the currently-published [`NetworkEpoch`], so a repair or
+/// aging event can swap in fresh crossbar state without touching the
+/// layer graph.
+#[derive(Debug, Clone)]
+struct Crossbar {
+    weights: usize,
+    bias: Vec<f64>,
+    input_scale: f64,
+    /// A convolution's `(kernel, padding)`.
+    window: Option<(usize, usize)>,
+}
+
+/// How a crossbar layer reads its input: `n` samples of a `(c, h, w)`
+/// image, each lowered to `n_pix = h_out × w_out` windows of `k × k`
+/// with padding `p`.
+#[derive(Debug, Clone, Copy)]
+struct Geometry {
+    dense: bool,
+    n: usize,
+    chw: (usize, usize, usize),
+    k: usize,
+    p: usize,
+    out_hw: (usize, usize),
+    n_pix: usize,
+}
+
+impl Geometry {
+    /// Parses an input shape against a crossbar layer's window and fan-in
+    /// `rows`. Dense takes `[n, rows]` as `[n, rows, 1, 1]`; conv takes
+    /// `[n, c, h, w]` with at least one output pixel and `c · k² = rows`.
+    /// Past this point the two kinds differ only in their output shape.
+    ///
+    /// # Errors
+    ///
+    /// [`ResipeError::DimensionMismatch`] for any other input: expected
+    /// `rows` for a dense input or a conv fan-in, 4 for a conv input's
+    /// rank, and the kernel for a conv image smaller than it.
+    fn parse(
+        window: Option<(usize, usize)>,
+        shape: &[usize],
+        rows: usize,
+    ) -> Result<Geometry, ResipeError> {
+        let mismatch = |expected, got| Err(ResipeError::DimensionMismatch { expected, got });
+        let (n, chw, (k, p)) = match (window, shape) {
+            (None, &[n, width]) if width == rows => (n, (rows, 1, 1), (1, 0)),
+            (None, _) => return mismatch(rows, shape.last().copied().unwrap_or(0)),
+            (Some(kp), &[n, c, h, w]) => (n, (c, h, w), kp),
+            (Some(_), _) => return mismatch(4, shape.len()),
+        };
+        let out_hw = conv_output_hw(chw.1, chw.2, k, p)?;
+        if chw.0 * k * k != rows {
+            return mismatch(rows, chw.0 * k * k);
+        }
+        Ok(Geometry {
+            dense: window.is_none(),
+            n,
+            chw,
+            k,
+            p,
+            out_hw,
+            n_pix: out_hw.0 * out_hw.1,
+        })
+    }
+
+    /// The layer's output shape for `cols` crossbar outputs: `[n, cols]`
+    /// for dense, NCHW for conv.
+    fn out_shape(&self, cols: usize) -> Vec<usize> {
+        if self.dense {
+            vec![self.n, cols]
+        } else {
+            vec![self.n, cols, self.out_hw.0, self.out_hw.1]
+        }
+    }
 }
 
 /// One weight layer's crossbar state within a published [`NetworkEpoch`]:
@@ -504,8 +567,8 @@ fn conv_output_hw(
 }
 
 /// Appends the receptive field of output pixel `(oi, oj)` to `dst` in
-/// im2col row order `(ch, ki, kj)` — the planned conv arm's replacement
-/// for building an im2col tensor. `held` is one sample's `[C, H, W]`
+/// im2col row order `(ch, ki, kj)` — the planned path's replacement for
+/// building an im2col tensor. `held` is one sample's `[C, H, W]`
 /// held wordline voltages, already encoded; window positions in the
 /// zero padding take the padding's voltage `pad`.
 fn gather_window(
@@ -537,50 +600,39 @@ fn gather_window(
     }
 }
 
-/// How [`HardwareNetwork::run`] executes the hardware layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ExecutionMode {
-    /// The amortized [`BatchPlan`] path: sample-independent constants are
-    /// hoisted once per layer and samples fan out across the rayon pool.
-    /// Bit-identical to [`ExecutionMode::PerSample`] by construction.
-    #[default]
-    Planned,
-    /// The reference path: every sample replays the full per-MVM
-    /// operation sequence through [`MappedWeights::forward`].
-    PerSample,
-}
-
-/// Options for [`HardwareNetwork::run`].
+/// Options for [`HardwareNetwork::run`]: the planned path by default,
+/// with an optional pinned sample-block size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct RunOptions {
-    /// Execution strategy (default [`ExecutionMode::Planned`]).
-    pub mode: ExecutionMode,
-    /// Sample-block size of the planned path's cache-blocked kernel.
-    /// `None` (the default) derives it per layer from the tile cache
-    /// footprint ([`BatchPlan::preferred_block`]) and the pool width.
-    /// Block size never changes output bits — only how samples are
-    /// grouped per tile pass.
-    pub block: Option<usize>,
+    /// Run the per-sample reference instead of the planned path.
+    reference: bool,
+    /// Window-block size of the planned path's cache-blocked kernel.
+    /// `None` derives it per layer from the tile cache footprint
+    /// ([`BatchPlan::preferred_block`]) and the pool width. Block size
+    /// never changes output bits — only how windows are grouped per
+    /// tile pass.
+    block: Option<usize>,
 }
 
 impl RunOptions {
-    /// The default amortized-plan execution.
+    /// The planned path: sample-independent constants are hoisted once
+    /// per layer ([`BatchPlan`]), windows run through the cache-blocked
+    /// kernel, and blocks of samples fan out across the rayon pool.
     pub fn planned() -> RunOptions {
-        RunOptions {
-            mode: ExecutionMode::Planned,
-            block: None,
-        }
+        RunOptions::default()
     }
 
-    /// The per-sample reference execution.
+    /// The reference, for checks: every window replays the full per-MVM
+    /// operation sequence through [`MappedWeights::forward`] over
+    /// `im2col`'s windows. The planned path is bit-identical to it.
     pub fn per_sample() -> RunOptions {
         RunOptions {
-            mode: ExecutionMode::PerSample,
+            reference: true,
             block: None,
         }
     }
 
-    /// Pins the planned path's sample-block size (clamped to ≥ 1).
+    /// Pins the planned path's window-block size (clamped to ≥ 1).
     pub fn with_block_size(mut self, block: usize) -> RunOptions {
         self.block = Some(block.max(1));
         self
@@ -747,37 +799,17 @@ impl HardwareNetwork {
         let mut weight_layer_index = 0usize;
         let mut health = HealthReport::default();
         for layer in net.layers() {
-            let hw = match layer {
+            // Every weight layer lowers as `[fan_in, out]` f64 weights:
+            // a dense matrix is already `[in, out]`; a conv kernel matrix
+            // is `[out_ch, fan_in]` and the crossbar wants inputs on
+            // rows, so it is transposed.
+            let (weights, rows, cols, bias, window) = match layer {
                 Layer::Dense(d) => {
-                    let _layer_span =
-                        telemetry.span_with(|| format!("compile/layer{weight_layer_index}"));
                     let w = d.weights();
-                    let (rows, cols) = (w.shape()[0], w.shape()[1]);
                     let weights: Vec<f64> = w.data().iter().map(|&v| v as f64).collect();
-                    let mapped = options.mapper.map(&weights, rows, cols)?;
-                    let mapped = lower_mapped(
-                        &engine,
-                        mapped,
-                        options,
-                        weight_layer_index,
-                        seeds::substream(base_seed, weight_layer_index as u64),
-                        &mut health,
-                        &telemetry,
-                    )?;
-                    let encoding = options.encoding.encoding_for(weight_layer_index);
-                    weight_layer_index += 1;
-                    weight_states.push(Arc::new(LayerState::new(mapped, encoding)));
-                    HwLayer::Dense {
-                        weights: weight_states.len() - 1,
-                        bias: d.bias().data().iter().map(|&v| v as f64).collect(),
-                        input_scale: scale_iter.next().expect("one scale per weight layer"),
-                    }
+                    (weights, w.shape()[0], w.shape()[1], d.bias(), None)
                 }
                 Layer::Conv2d(c) => {
-                    let _layer_span =
-                        telemetry.span_with(|| format!("compile/layer{weight_layer_index}"));
-                    // Kernel matrix is [out_ch, fan_in]; the crossbar wants
-                    // inputs on rows -> transpose to [fan_in, out_ch].
                     let w = c.weights();
                     let (out_ch, fan_in) = (w.shape()[0], w.shape()[1]);
                     let mut weights = vec![0.0f64; fan_in * out_ch];
@@ -786,34 +818,46 @@ impl HardwareNetwork {
                             weights[k * out_ch + oc] = w.get(&[oc, k]) as f64;
                         }
                     }
-                    let mapped = options.mapper.map(&weights, fan_in, out_ch)?;
-                    let mapped = lower_mapped(
-                        &engine,
-                        mapped,
-                        options,
-                        weight_layer_index,
-                        seeds::substream(base_seed, weight_layer_index as u64),
-                        &mut health,
-                        &telemetry,
-                    )?;
-                    let encoding = options.encoding.encoding_for(weight_layer_index);
-                    weight_layer_index += 1;
-                    weight_states.push(Arc::new(LayerState::new(mapped, encoding)));
-                    HwLayer::Conv {
-                        weights: weight_states.len() - 1,
-                        bias: c.bias().data().iter().map(|&v| v as f64).collect(),
-                        input_scale: scale_iter.next().expect("one scale per weight layer"),
-                        kernel: c.kernel_size(),
-                        padding: c.padding(),
-                        out_channels: c.out_channels(),
-                    }
+                    let window = Some((c.kernel_size(), c.padding()));
+                    (weights, fan_in, out_ch, c.bias(), window)
                 }
-                Layer::Relu(_) => HwLayer::Relu,
-                Layer::MaxPool2d(p) => HwLayer::MaxPool(p.size()),
-                Layer::AvgPool2d(p) => HwLayer::AvgPool(p.size()),
-                Layer::Flatten(_) => HwLayer::Flatten,
+                Layer::Relu(_) => {
+                    layers.push(HwLayer::Relu);
+                    continue;
+                }
+                Layer::MaxPool2d(p) => {
+                    layers.push(HwLayer::MaxPool(p.size()));
+                    continue;
+                }
+                Layer::AvgPool2d(p) => {
+                    layers.push(HwLayer::AvgPool(p.size()));
+                    continue;
+                }
+                Layer::Flatten(_) => {
+                    layers.push(HwLayer::Flatten);
+                    continue;
+                }
             };
-            layers.push(hw);
+            let _layer_span = telemetry.span_with(|| format!("compile/layer{weight_layer_index}"));
+            let mapped = options.mapper.map(&weights, rows, cols)?;
+            let mapped = lower_mapped(
+                &engine,
+                mapped,
+                options,
+                weight_layer_index,
+                seeds::substream(base_seed, weight_layer_index as u64),
+                &mut health,
+                &telemetry,
+            )?;
+            let encoding = options.encoding.encoding_for(weight_layer_index);
+            weight_layer_index += 1;
+            weight_states.push(Arc::new(LayerState::new(mapped, encoding)));
+            layers.push(HwLayer::Crossbar(Crossbar {
+                weights: weight_states.len() - 1,
+                bias: bias.data().iter().map(|&v| v as f64).collect(),
+                input_scale: scale_iter.next().expect("one scale per weight layer"),
+                window,
+            }));
         }
         drop(_compile_span);
         Ok(HardwareNetwork {
@@ -875,7 +919,9 @@ impl HardwareNetwork {
         self.layers
             .iter()
             .map(|l| match l {
-                HwLayer::Dense { weights, .. } => epoch.layers[*weights].mapped.mvms_per_forward(),
+                HwLayer::Crossbar(c) if c.window.is_none() => {
+                    epoch.layers[c.weights].mapped.mvms_per_forward()
+                }
                 _ => 0,
             })
             .sum()
@@ -885,7 +931,7 @@ impl HardwareNetwork {
     pub fn crossbar_layer_count(&self) -> usize {
         self.layers
             .iter()
-            .filter(|l| matches!(l, HwLayer::Dense { .. } | HwLayer::Conv { .. }))
+            .filter(|l| matches!(l, HwLayer::Crossbar(_)))
             .count()
     }
 
@@ -893,23 +939,25 @@ impl HardwareNetwork {
     /// under `options`, returning the outputs together with a telemetry
     /// snapshot.
     ///
-    /// Both execution modes produce **bit-identical** outputs — the
-    /// amortized [`ExecutionMode::Planned`] path replays the exact
-    /// per-sample floating-point operation sequence (see
-    /// [`crate::batch`]) — and enabling telemetry never changes a bit
-    /// either, so `run` subsumes the legacy [`HardwareNetwork::forward`]
-    /// / [`HardwareNetwork::forward_batch`] pair (both now delegate
-    /// here).
+    /// The planned path ([`RunOptions::planned`], the default) and the
+    /// reference ([`RunOptions::per_sample`]) produce **bit-identical**
+    /// outputs — the planned path replays the exact per-window
+    /// floating-point operation sequence (see [`crate::batch`]) — and
+    /// enabling telemetry never changes a bit either, so `run` subsumes
+    /// the legacy [`HardwareNetwork::forward`] /
+    /// [`HardwareNetwork::forward_batch`] pair (both delegate here).
     ///
     /// When telemetry is enabled the run records the
     /// `forward → layer → {s1_encode, crossbar, s2_decode}` span
     /// hierarchy; stage-level timing, histograms and skip/reject
-    /// counters come from the planned path (the per-sample reference
-    /// path records layer spans and MVM counts only).
+    /// counters come from the planned path (the reference records layer
+    /// spans and MVM counts only).
     ///
     /// # Errors
     ///
-    /// Returns shape errors for incompatible inputs.
+    /// Returns [`ResipeError::DimensionMismatch`] for an input shape a
+    /// crossbar layer cannot read, and [`ResipeError::SpikeOutOfSlice`]
+    /// for a NaN activation, which no spike time can encode.
     pub fn run(&self, input: &Tensor, options: &RunOptions) -> Result<RunResult, ResipeError> {
         // Load the published epoch exactly once: every layer of this
         // request executes against the same immutable snapshot, so a
@@ -921,11 +969,27 @@ impl HardwareNetwork {
             let mut x = input.clone();
             for (li, layer) in self.layers.iter().enumerate() {
                 let _layer_span = self.telemetry.span_with(|| format!("forward/layer{li}"));
-                x = match options.mode {
-                    ExecutionMode::PerSample => self.forward_layer(&epoch, li, layer, &x)?,
-                    ExecutionMode::Planned => {
-                        self.forward_layer_batched(&epoch, li, layer, &x, options)?
+                x = match layer {
+                    HwLayer::Crossbar(layer) => {
+                        let state = &epoch.layers[layer.weights];
+                        let g = Geometry::parse(layer.window, x.shape(), state.mapped.rows())?;
+                        let probe = self.layer_probe(li);
+                        let out = if options.reference {
+                            self.crossbar_reference(layer, state, g, probe, &x)?
+                        } else {
+                            self.crossbar_planned(layer, state, g, probe, &x, options.block)?
+                        };
+                        self.mvm_count.fetch_add(
+                            (g.n * g.n_pix * state.mapped.mvms_per_forward()) as u64,
+                            Ordering::Relaxed,
+                        );
+                        out
                     }
+                    // Digital layers run the same code in both modes.
+                    HwLayer::Relu => x.map(|v| v.max(0.0)),
+                    HwLayer::MaxPool(size) => resipe_nn::layers::max_pool2d(&x, *size)?,
+                    HwLayer::AvgPool(size) => resipe_nn::layers::avg_pool2d(&x, *size)?,
+                    HwLayer::Flatten => resipe_nn::layers::Flatten::new().forward(&x)?,
                 };
             }
             x
@@ -936,32 +1000,32 @@ impl HardwareNetwork {
         })
     }
 
-    /// Forward pass of a batch through the hardware, one sample at a
-    /// time — a thin wrapper over [`HardwareNetwork::run`] in
-    /// [`ExecutionMode::PerSample`].
+    /// Forward pass of a batch through the hardware on the reference —
+    /// a thin wrapper over [`HardwareNetwork::run`] with
+    /// [`RunOptions::per_sample`].
     ///
     /// # Errors
     ///
-    /// Returns shape errors for incompatible inputs.
+    /// See [`HardwareNetwork::run`].
     pub fn forward(&self, input: &Tensor) -> Result<Tensor, ResipeError> {
         Ok(self.run(input, &RunOptions::per_sample())?.outputs)
     }
 
     /// Data-parallel batched forward pass — a thin wrapper over
-    /// [`HardwareNetwork::run`] in [`ExecutionMode::Planned`].
+    /// [`HardwareNetwork::run`] with [`RunOptions::planned`].
     ///
     /// Produces **bit-identical** outputs to [`HardwareNetwork::forward`]
-    /// for any thread count: the per-sample floating-point operation
+    /// for any thread count: the per-window floating-point operation
     /// sequence is preserved exactly; the batch only amortizes the
     /// sample-independent per-column work (crossbar column sums, charge
     /// factors and decode constants are computed once per layer instead
-    /// of once per sample) and fans independent samples out across the
+    /// of once per window) and fans blocks of samples out across the
     /// rayon pool. The MVM counter advances by the same total as the
-    /// per-sample path.
+    /// reference.
     ///
     /// # Errors
     ///
-    /// Returns shape errors for incompatible inputs.
+    /// See [`HardwareNetwork::run`].
     pub fn forward_batch(&self, input: &Tensor) -> Result<Tensor, ResipeError> {
         Ok(self.run(input, &RunOptions::planned())?.outputs)
     }
@@ -1059,301 +1123,186 @@ impl HardwareNetwork {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn forward_layer_batched(
+    /// The planned path of one crossbar layer. A work item is one
+    /// `(sample, pixel)` window. Each rayon task takes whole samples,
+    /// encodes them once into pooled scratch and walks its items in
+    /// blocks of `block` through [`BatchPlan::forward_held`], gathering
+    /// each window from the held voltages — or, when the window is the
+    /// whole sample (every dense layer), feeding them straight in.
+    fn crossbar_planned(
         &self,
-        epoch: &NetworkEpoch,
-        li: usize,
-        layer: &HwLayer,
+        layer: &Crossbar,
+        state: &LayerState,
+        g: Geometry,
+        probe: Option<LayerProbe>,
         x: &Tensor,
-        options: &RunOptions,
+        block: Option<usize>,
     ) -> Result<Tensor, ResipeError> {
         use rayon::prelude::*;
-        match layer {
-            HwLayer::Dense {
-                weights,
-                bias,
-                input_scale,
-            } => {
-                let state = &epoch.layers[*weights];
-                let mapped = &state.mapped;
-                let s = x.shape();
-                if s.len() != 2 || s[1] != mapped.rows() {
-                    return Err(ResipeError::DimensionMismatch {
-                        expected: mapped.rows(),
-                        got: s.last().copied().unwrap_or(0),
-                    });
-                }
-                let n = s[0];
-                let plan = state.plan(&self.engine);
-                let probe = self.layer_probe(li);
-                // Samples are independent; fan whole sample blocks out
-                // over the pool. The block is the parallel grain *and*
-                // the kernel's cache-residency unit: auto-sizing caps it
-                // at the layer's cache-derived preference but never
-                // leaves workers idle on small batches. Each worker
-                // borrows pooled scratch, so steady state allocates only
-                // the chunk outputs.
-                let rows = mapped.rows();
-                let cols = mapped.cols();
-                let threads = rayon::current_num_threads().max(1);
-                let block = options
-                    .block
-                    .unwrap_or_else(|| plan.preferred_block().min(n.div_ceil(threads)))
-                    .max(1);
-                let starts: Vec<usize> = (0..n).step_by(block).collect();
-                let chunks: Vec<Result<Vec<f64>, ResipeError>> = starts
-                    .par_iter()
-                    .map(|&start| {
-                        let b = block.min(n - start);
-                        let mut scratch = self.take_scratch();
-                        let mut a_block = std::mem::take(&mut scratch.a_block);
-                        a_block.clear();
-                        plan.encode_into(
-                            x.data()[start * rows..(start + b) * rows]
-                                .iter()
-                                .map(|&v| (v as f64 / input_scale).clamp(0.0, 1.0)),
-                            &mut a_block,
-                            probe.as_ref(),
-                        );
-                        let mut ys = vec![0.0f64; b * cols];
-                        let r =
-                            plan.forward_held(&a_block, b, &mut ys, &mut scratch, probe.as_ref());
-                        scratch.a_block = a_block;
-                        self.put_scratch(scratch);
-                        r.map(|()| ys)
-                    })
-                    .collect();
-                self.mvm_count
-                    .fetch_add((n * mapped.mvms_per_forward()) as u64, Ordering::Relaxed);
-                let mut out = Tensor::zeros(&[n, cols]);
-                let mut out_rows = out.data_mut().chunks_exact_mut(cols);
-                for chunk in chunks {
-                    for (y, row) in chunk?.chunks_exact(cols).zip(&mut out_rows) {
-                        for ((o, &yj), &bj) in row.iter_mut().zip(y).zip(bias) {
-                            *o = (yj * input_scale + bj) as f32;
-                        }
-                    }
-                }
-                Ok(out)
-            }
-            HwLayer::Conv {
-                weights,
-                bias,
-                input_scale,
-                kernel,
-                padding,
-                out_channels,
-            } => {
-                let state = &epoch.layers[*weights];
-                let mapped = &state.mapped;
-                let s = x.shape();
-                if s.len() != 4 {
-                    return Err(ResipeError::DimensionMismatch {
-                        expected: 4,
-                        got: s.len(),
-                    });
-                }
-                let (n, c_in, h, w) = (s[0], s[1], s[2], s[3]);
-                let (k, p) = (*kernel, *padding);
-                let (h_out, w_out) = conv_output_hw(h, w, k, p)?;
-                let n_pix = h_out * w_out;
-                let plan = state.plan(&self.engine);
-                let probe = self.layer_probe(li);
-                let n_cols = mapped.cols();
-                let fan_in = c_in * k * k;
-                // Samples already fan out over the pool; within one
-                // sample the output pixels run through the blocked
-                // kernel, so the conv tile data is streamed once per
-                // pixel block instead of once per pixel.
-                let block = options
-                    .block
-                    .unwrap_or_else(|| plan.preferred_block())
-                    .max(1);
-                // The held voltage of the activation the reference
-                // derives from im2col's zero fill, so padded window
-                // positions match it bit for bit.
-                let mut pad = Vec::with_capacity(1);
-                plan.encode_into(
-                    [(0.0f32 as f64 / input_scale).clamp(0.0, 1.0)],
-                    &mut pad,
-                    None,
-                );
-                let pad = pad[0];
-                let sample_len = c_in * h * w;
-                let per_sample: Vec<Result<Vec<f64>, ResipeError>> = (0..n)
-                    .into_par_iter()
-                    .map(|b| {
-                        let mut scratch = self.take_scratch();
-                        let mut a_block = std::mem::take(&mut scratch.a_block);
-                        // Normalize and encode the sample once; every
-                        // window below copies held voltages from this
-                        // `[C, H, W]` buffer instead of encoding each of
-                        // an input's k² appearances.
-                        let mut held = std::mem::take(&mut scratch.a_sample);
-                        held.clear();
-                        plan.encode_into(
-                            x.data()[b * sample_len..(b + 1) * sample_len]
-                                .iter()
-                                .map(|&v| (v as f64 / input_scale).clamp(0.0, 1.0)),
-                            &mut held,
-                            probe.as_ref(),
-                        );
-                        let mut pix_out = vec![0.0f64; n_pix * n_cols];
-                        let mut result = Ok(());
-                        for start in (0..n_pix).step_by(block) {
-                            let bl = block.min(n_pix - start);
-                            a_block.clear();
-                            a_block.reserve(bl * fan_in);
-                            for pix in start..start + bl {
-                                gather_window(
-                                    &mut a_block,
-                                    &held,
-                                    (c_in, h, w),
-                                    k,
-                                    p,
-                                    (pix / w_out, pix % w_out),
-                                    pad,
-                                );
-                            }
-                            if let Err(e) = plan.forward_held(
-                                &a_block,
-                                bl,
-                                &mut pix_out[start * n_cols..(start + bl) * n_cols],
-                                &mut scratch,
-                                probe.as_ref(),
-                            ) {
-                                result = Err(e);
-                                break;
-                            }
-                        }
-                        scratch.a_block = a_block;
-                        scratch.a_sample = held;
-                        self.put_scratch(scratch);
-                        result.map(|()| pix_out)
-                    })
-                    .collect();
-                self.mvm_count.fetch_add(
-                    (n * n_pix * mapped.mvms_per_forward()) as u64,
-                    Ordering::Relaxed,
-                );
-                let mut out = Tensor::zeros(&[n, *out_channels, h_out, w_out]);
-                let sample_out = *out_channels * n_pix;
-                for (dst, sample) in out.data_mut().chunks_exact_mut(sample_out).zip(per_sample) {
-                    // NCHW: output channel `oc` of pixel `pix` sits at
-                    // `oc · n_pix + pix` within the sample.
-                    for (pix, y) in sample?.chunks_exact(n_cols).enumerate() {
-                        for (oc, &yc) in y.iter().enumerate() {
-                            dst[oc * n_pix + pix] = (yc * input_scale + bias[oc]) as f32;
-                        }
-                    }
-                }
-                Ok(out)
-            }
-            digital => self.forward_layer(epoch, li, digital, x),
+        // The reference rejects a NaN activation in `MappedWeights::forward`;
+        // the clamp below would pass it through to NaN outputs. The scan
+        // is branch-free so it vectorizes (an early-exit `any` is ~5×
+        // slower on a 784-wide sample).
+        if x.data().iter().fold(false, |nan, v| nan | v.is_nan()) {
+            return Err(ResipeError::SpikeOutOfSlice {
+                time: f64::NAN,
+                slice: self.engine.config().slice().0,
+            });
         }
+        let plan = state.plan(&self.engine);
+        let (rows, cols, input_scale) = (plan.rows(), plan.cols(), layer.input_scale);
+        let (n, n_pix, (c, h, w)) = (g.n, g.n_pix, g.chw);
+        let sample_len = c * h * w;
+        // The one window is the whole sample (every dense layer): its
+        // im2col column is the sample itself, in order.
+        let whole = g.p == 0 && g.k == h && g.k == w;
+        // The block is both the kernel's cache-residency unit and the
+        // parallel grain: auto-sizing caps it at the layer's cache-derived
+        // preference but never leaves workers idle on small batches. A
+        // task packs as many whole samples as fit one block, so a layer
+        // with fewer windows per sample than a block still streams its
+        // tiles once per block, not once per sample.
+        let threads = rayon::current_num_threads().max(1);
+        let block = block
+            .unwrap_or_else(|| plan.preferred_block().min((n * n_pix).div_ceil(threads)))
+            .max(1);
+        let per_task = (block / n_pix).max(1);
+        // The held voltage of the activation the reference derives from
+        // im2col's zero fill, so padded window positions match it bit
+        // for bit.
+        let mut pad = Vec::with_capacity(1);
+        plan.encode_into(
+            [(0.0f32 as f64 / input_scale).clamp(0.0, 1.0)],
+            &mut pad,
+            None,
+        );
+        let pad = pad[0];
+        let w_out = g.out_hw.1;
+        let starts: Vec<usize> = (0..n).step_by(per_task).collect();
+        let chunks: Vec<Result<Vec<f64>, ResipeError>> = starts
+            .par_iter()
+            .map(|&first| {
+                let samples = per_task.min(n - first);
+                let items = samples * n_pix;
+                let mut scratch = self.take_scratch();
+                let mut a_block = std::mem::take(&mut scratch.a_block);
+                // Normalize and encode the task's samples once; windows
+                // copy held voltages from here instead of encoding each
+                // of an input's k² appearances.
+                let mut held = std::mem::take(&mut scratch.a_task);
+                held.clear();
+                plan.encode_into(
+                    x.data()[first * sample_len..(first + samples) * sample_len]
+                        .iter()
+                        .map(|&v| (v as f64 / input_scale).clamp(0.0, 1.0)),
+                    &mut held,
+                    probe.as_ref(),
+                );
+                let mut ys = vec![0.0f64; items * cols];
+                let mut result = Ok(());
+                for start in (0..items).step_by(block) {
+                    let bl = block.min(items - start);
+                    let voltages = if whole {
+                        &held[start * rows..(start + bl) * rows]
+                    } else {
+                        a_block.clear();
+                        a_block.reserve(bl * rows);
+                        let (mut s, mut pix) = (start / n_pix, start % n_pix);
+                        for _ in 0..bl {
+                            gather_window(
+                                &mut a_block,
+                                &held[s * sample_len..(s + 1) * sample_len],
+                                (c, h, w),
+                                g.k,
+                                g.p,
+                                (pix / w_out, pix % w_out),
+                                pad,
+                            );
+                            pix += 1;
+                            if pix == n_pix {
+                                (s, pix) = (s + 1, 0);
+                            }
+                        }
+                        &a_block[..]
+                    };
+                    result = plan.forward_held(
+                        voltages,
+                        bl,
+                        &mut ys[start * cols..(start + bl) * cols],
+                        &mut scratch,
+                        probe.as_ref(),
+                    );
+                    if result.is_err() {
+                        break;
+                    }
+                }
+                scratch.a_block = a_block;
+                scratch.a_task = held;
+                self.put_scratch(scratch);
+                result.map(|()| ys)
+            })
+            .collect();
+        // NCHW: output channel `oc` of a sample's pixel `pix` sits at
+        // `oc · n_pix + pix` within the sample, which at `n_pix = 1` is
+        // the row-major `[n, cols]` of a dense layer.
+        let mut out = Tensor::zeros(&g.out_shape(cols));
+        let mut out_samples = out.data_mut().chunks_exact_mut(cols * n_pix);
+        for chunk in chunks {
+            // The chunk's samples lead the zip, so it stops without
+            // consuming an output sample of the next chunk.
+            for (ys, dst) in chunk?.chunks_exact(cols * n_pix).zip(&mut out_samples) {
+                for (pix, y) in ys.chunks_exact(cols).enumerate() {
+                    for (oc, (&yc, &bc)) in y.iter().zip(&layer.bias).enumerate() {
+                        dst[oc * n_pix + pix] = (yc * input_scale + bc) as f32;
+                    }
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// The reference of one crossbar layer: each sample is lowered by
+    /// `im2col` (a dense input viewed as `[n, rows, 1, 1]`) and every
+    /// window runs through [`MappedWeights::forward`].
+    fn crossbar_reference(
+        &self,
+        layer: &Crossbar,
+        state: &LayerState,
+        g: Geometry,
+        probe: Option<LayerProbe>,
+        x: &Tensor,
+    ) -> Result<Tensor, ResipeError> {
+        let mapped = &state.mapped;
+        let (rows, cols, n_pix) = (mapped.rows(), mapped.cols(), g.n_pix);
+        let input_scale = layer.input_scale;
+        let image = if g.dense {
+            Cow::Owned(x.reshape(&[g.n, rows, 1, 1])?)
+        } else {
+            Cow::Borrowed(x)
+        };
+        let mut out = Tensor::zeros(&g.out_shape(cols));
+        for b in 0..g.n {
+            let windows = im2col(&image, b, g.k, g.p)?;
+            for pix in 0..n_pix {
+                let a: Vec<f64> = (0..rows)
+                    .map(|r| (windows.get(&[r, pix]) as f64 / input_scale).clamp(0.0, 1.0))
+                    .collect();
+                let y = mapped.forward(&self.engine, &a, state.encoding())?;
+                if let Some(p) = &probe {
+                    p.record_mvms(mapped.mvms_per_forward() as u64);
+                }
+                for (oc, (&yc, &bc)) in y.iter().zip(&layer.bias).enumerate() {
+                    out.data_mut()[(b * cols + oc) * n_pix + pix] = (yc * input_scale + bc) as f32;
+                }
+            }
+        }
+        Ok(out)
     }
 
     /// A telemetry probe for network layer `li`, normalizing histograms
     /// by this engine's slice and supply voltage. `None` when disabled.
-    fn layer_probe(&self, li: usize) -> Option<crate::telemetry::LayerProbe> {
+    fn layer_probe(&self, li: usize) -> Option<LayerProbe> {
         self.telemetry.layer_probe(li, self.engine.config())
-    }
-
-    fn forward_layer(
-        &self,
-        epoch: &NetworkEpoch,
-        li: usize,
-        layer: &HwLayer,
-        x: &Tensor,
-    ) -> Result<Tensor, ResipeError> {
-        match layer {
-            HwLayer::Dense {
-                weights,
-                bias,
-                input_scale,
-            } => {
-                let state = &epoch.layers[*weights];
-                let mapped = &state.mapped;
-                let encoding = state.encoding();
-                let s = x.shape();
-                if s.len() != 2 || s[1] != mapped.rows() {
-                    return Err(ResipeError::DimensionMismatch {
-                        expected: mapped.rows(),
-                        got: s.last().copied().unwrap_or(0),
-                    });
-                }
-                let n = s[0];
-                let probe = self.layer_probe(li);
-                let mut out = Tensor::zeros(&[n, mapped.cols()]);
-                for i in 0..n {
-                    let a: Vec<f64> = x
-                        .row(i)
-                        .iter()
-                        .map(|&v| (v as f64 / input_scale).clamp(0.0, 1.0))
-                        .collect();
-                    let y = mapped.forward(&self.engine, &a, encoding)?;
-                    self.mvm_count
-                        .fetch_add(mapped.mvms_per_forward() as u64, Ordering::Relaxed);
-                    if let Some(p) = &probe {
-                        p.record_mvms(mapped.mvms_per_forward() as u64);
-                    }
-                    for (j, &yj) in y.iter().enumerate() {
-                        out.set(&[i, j], (yj * input_scale + bias[j]) as f32);
-                    }
-                }
-                Ok(out)
-            }
-            HwLayer::Conv {
-                weights,
-                bias,
-                input_scale,
-                kernel,
-                padding,
-                out_channels,
-            } => {
-                let state = &epoch.layers[*weights];
-                let mapped = &state.mapped;
-                let encoding = state.encoding();
-                let s = x.shape();
-                if s.len() != 4 {
-                    return Err(ResipeError::DimensionMismatch {
-                        expected: 4,
-                        got: s.len(),
-                    });
-                }
-                let n = s[0];
-                let (h_out, w_out) = conv_output_hw(s[2], s[3], *kernel, *padding)?;
-                let probe = self.layer_probe(li);
-                let mut out = Tensor::zeros(&[n, *out_channels, h_out, w_out]);
-                for b in 0..n {
-                    let cols = im2col(x, b, *kernel, *padding)?;
-                    let fan_in = cols.shape()[0];
-                    for pix in 0..h_out * w_out {
-                        let a: Vec<f64> = (0..fan_in)
-                            .map(|r| (cols.get(&[r, pix]) as f64 / input_scale).clamp(0.0, 1.0))
-                            .collect();
-                        let y = mapped.forward(&self.engine, &a, encoding)?;
-                        self.mvm_count
-                            .fetch_add(mapped.mvms_per_forward() as u64, Ordering::Relaxed);
-                        if let Some(p) = &probe {
-                            p.record_mvms(mapped.mvms_per_forward() as u64);
-                        }
-                        let (oi, oj) = (pix / w_out, pix % w_out);
-                        for (oc, &yc) in y.iter().enumerate() {
-                            out.set(&[b, oc, oi, oj], (yc * input_scale + bias[oc]) as f32);
-                        }
-                    }
-                }
-                Ok(out)
-            }
-            HwLayer::Relu => Ok(x.map(|v| v.max(0.0))),
-            HwLayer::MaxPool(size) => Ok(resipe_nn::layers::max_pool2d(x, *size)?),
-            HwLayer::AvgPool(size) => Ok(resipe_nn::layers::avg_pool2d(x, *size)?),
-            HwLayer::Flatten => {
-                let mut fl = resipe_nn::layers::Flatten::new();
-                Ok(fl.forward(x)?)
-            }
-        }
     }
 
     /// Physical crossbar MVMs issued since construction or the last
@@ -1365,15 +1314,6 @@ impl HardwareNetwork {
     /// Resets the MVM counter (e.g. before measuring one batch).
     pub fn reset_mvm_count(&self) {
         self.mvm_count.store(0, Ordering::Relaxed);
-    }
-
-    /// Measured crossbar/periphery energy of the MVMs issued so far,
-    /// using the given per-engine energy model.
-    pub fn measured_energy(
-        &self,
-        model: &crate::power::EnergyModel,
-    ) -> resipe_analog::units::Joules {
-        resipe_analog::units::Joules(self.mvm_count() as f64 * model.mvm_energy().total().0)
     }
 
     /// Argmax predictions over a dataset, run on the planned path
@@ -1508,32 +1448,88 @@ mod tests {
         );
     }
 
-    /// An input smaller than the (padded) kernel has no output pixel:
-    /// both execution modes must reject it instead of panicking on an
-    /// empty output tensor (2×2) or a `usize` underflow (1×1).
-    #[test]
-    fn conv_input_smaller_than_kernel_is_rejected() {
+    /// A dense layer and a 3×3 conv layer compiled as one-layer nets.
+    fn dense_and_conv() -> (HardwareNetwork, HardwareNetwork, Tensor, Tensor) {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let mut net = Network::new("conv3x3");
-        net.push(resipe_nn::layers::Conv2d::new(1, 2, 3, 0, &mut rng));
-        let calib =
+        let mut conv = Network::new("conv3x3");
+        conv.push(resipe_nn::layers::Conv2d::new(1, 2, 3, 0, &mut rng));
+        let conv_calib =
             Tensor::from_vec((0..4 * 9).map(|i| i as f32 / 36.0).collect(), &[4, 1, 3, 3]).unwrap();
-        let hw = HardwareNetwork::compile(&net, &calib, &CompileOptions::paper()).unwrap();
-        for side in [2usize, 1] {
-            let x = Tensor::from_vec(vec![0.5; side * side], &[1, 1, side, side]).unwrap();
+        let conv = HardwareNetwork::compile(&conv, &conv_calib, &CompileOptions::paper()).unwrap();
+        let mut dense = Network::new("dense6");
+        dense.push(resipe_nn::layers::Dense::new(6, 3, &mut rng));
+        let dense_calib =
+            Tensor::from_vec((0..2 * 6).map(|i| i as f32 / 12.0).collect(), &[2, 6]).unwrap();
+        let dense =
+            HardwareNetwork::compile(&dense, &dense_calib, &CompileOptions::paper()).unwrap();
+        (dense, conv, dense_calib, conv_calib)
+    }
+
+    /// Inputs a crossbar layer cannot read — the wrong rank for its
+    /// kind, the wrong fan-in, or an image smaller than the (padded)
+    /// kernel, which has no output pixel — are rejected with the same
+    /// `DimensionMismatch` in both modes instead of panicking (on an
+    /// empty output tensor, a `usize` underflow or a short window).
+    #[test]
+    fn bad_input_shapes_are_rejected() {
+        let (dense, conv, _, conv_calib) = dense_and_conv();
+        let cases: [(&HardwareNetwork, &[usize], usize, usize); 6] = [
+            // The conv image is smaller than the kernel: 2×2 and 1×1.
+            (&conv, &[1, 1, 2, 2], 3, 2),
+            (&conv, &[1, 1, 1, 1], 3, 1),
+            // A rank-4 image into a dense layer, a wrong width.
+            (&dense, &[2, 6, 1, 1], 6, 1),
+            (&dense, &[2, 5], 6, 5),
+            // A rank-2 batch into a conv layer, a wrong channel count.
+            (&conv, &[2, 9], 4, 2),
+            (&conv, &[2, 2, 3, 3], 9, 18),
+        ];
+        for (hw, shape, want_expected, want_got) in cases {
+            let x = Tensor::full(shape, 0.5);
             for options in [RunOptions::planned(), RunOptions::per_sample()] {
                 let err = hw.run(&x, &options).unwrap_err();
                 assert!(
-                    matches!(err, ResipeError::DimensionMismatch { expected: 3, got } if got == side),
-                    "{side}x{side} input under {:?}: {err}",
-                    options.mode
+                    matches!(
+                        err,
+                        ResipeError::DimensionMismatch { expected, got }
+                            if (expected, got) == (want_expected, want_got)
+                    ),
+                    "{shape:?} input into {} under {options:?}: {err}",
+                    hw.name()
                 );
             }
         }
         // The smallest valid input still runs: one output pixel.
-        let y = hw.run(&calib, &RunOptions::planned()).unwrap().outputs;
+        let y = conv
+            .run(&conv_calib, &RunOptions::planned())
+            .unwrap()
+            .outputs;
         assert_eq!(y.shape(), &[4, 2, 1, 1]);
+    }
+
+    /// A NaN activation has no spike time: both modes reject it with the
+    /// reference's error, on a dense and on a conv layer, instead of the
+    /// planned path returning NaN outputs.
+    #[test]
+    fn nan_input_is_rejected_in_both_modes() {
+        let (dense, conv, dense_calib, conv_calib) = dense_and_conv();
+        for (hw, mut x) in [(&dense, dense_calib), (&conv, conv_calib)] {
+            let last = x.len() - 1;
+            x.data_mut()[last] = f32::NAN;
+            for options in [RunOptions::planned(), RunOptions::per_sample()] {
+                let err = hw.run(&x, &options).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        ResipeError::SpikeOutOfSlice { time, slice }
+                            if time.is_nan() && slice == hw.engine.config().slice().0
+                    ),
+                    "{} under {options:?}: {err}",
+                    hw.name()
+                );
+            }
+        }
     }
 
     #[test]
@@ -1568,7 +1564,7 @@ mod tests {
     }
 
     #[test]
-    fn mvm_counter_and_measured_energy() {
+    fn mvm_counter_counts_and_resets() {
         let (net, train, _) = trained_mlp();
         let (calib, _) = train.batch(&[0, 1]).unwrap();
         let hw = HardwareNetwork::compile(&net, &calib, &CompileOptions::paper()).unwrap();
@@ -1577,10 +1573,6 @@ mod tests {
         hw.forward(&x).unwrap();
         // MLP-1: 784 rows -> 25 tiles x 2 arrays = 50 MVMs per sample.
         assert_eq!(hw.mvm_count(), 3 * 50);
-        let model = crate::power::EnergyModel::paper();
-        let e = hw.measured_energy(&model);
-        let expected = 150.0 * model.mvm_energy().total().0;
-        assert!((e.0 - expected).abs() < 1e-18);
         hw.reset_mvm_count();
         assert_eq!(hw.mvm_count(), 0);
     }

@@ -7,8 +7,9 @@
 //! pulls in everything the train → compile → run → profile flow needs:
 //! the engine and its configuration, the compile pipeline
 //! ([`CompileOptions`], [`TileMapper`], [`HardwareNetwork`],
-//! [`CompileCache`]), the unified run API ([`RunOptions`],
-//! [`RunResult`], [`ExecutionMode`]), resilience ([`RepairPolicy`],
+//! [`CompileCache`]), the unified run API ([`RunOptions`] — the
+//! planned path, or the reference for checks — and [`RunResult`]),
+//! resilience ([`RepairPolicy`],
 //! [`HealthReport`], [`Scrubber`], [`ScrubConfig`]), energy
 //! ([`EnergyModel`], [`StageEnergy`]),
 //! telemetry ([`Telemetry`], [`TelemetrySnapshot`]) and the
@@ -23,8 +24,8 @@ pub use crate::config::ResipeConfig;
 pub use crate::engine::{MacResult, ResipeEngine};
 pub use crate::error::ResipeError;
 pub use crate::inference::{
-    accuracy_under_variation, CompileOptions, EncodingPolicy, ExecutionMode, FaultInjection,
-    HardwareNetwork, RunOptions, RunResult,
+    accuracy_under_variation, CompileOptions, EncodingPolicy, FaultInjection, HardwareNetwork,
+    RunOptions, RunResult,
 };
 pub use crate::mapping::{SpikeEncoding, TileMapper};
 pub use crate::power::{EnergyBreakdown, EnergyModel, PeripheralCosts, StageEnergy};

@@ -19,8 +19,8 @@
 //!   error is directly inspectable;
 //! * **per-stage energy** — [`TelemetrySnapshot::attributed_energy`]
 //!   multiplies the MVM counter by [`EnergyModel::stage_energy`], so
-//!   profile reports sum to the same totals as
-//!   [`crate::inference::HardwareNetwork::measured_energy`].
+//!   the stages sum to the MVM count times
+//!   [`EnergyModel::mvm_energy`]'s total.
 //!
 //! # Overhead contract
 //!
@@ -694,8 +694,7 @@ impl TelemetrySnapshot {
 
     /// Energy attributed per stage: the MVM counter times the model's
     /// per-MVM stage split, so the stage total equals
-    /// `mvms × EnergyModel::mvm_energy().total()` — the same quantity
-    /// [`crate::inference::HardwareNetwork::measured_energy`] reports.
+    /// `mvms × EnergyModel::mvm_energy().total()` up to rounding.
     pub fn attributed_energy(&self, model: &EnergyModel) -> StageEnergy {
         let n = self.counters.mvms as f64;
         let per = model.stage_energy();

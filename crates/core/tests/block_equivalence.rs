@@ -159,8 +159,8 @@ fn two_layer_network_blocks_bit_identically() {
     }
 }
 
-/// The convolution arm routes every output pixel through the blocked
-/// kernel; its planned path must match the per-sample reference too.
+/// A convolution routes every output pixel through the blocked kernel;
+/// its planned path must match the per-sample reference too.
 #[test]
 fn conv_layer_blocks_bit_identically() {
     let mut rng = StdRng::seed_from_u64(55);
@@ -199,11 +199,13 @@ fn clamping_input(rng: &mut StdRng, shape: &[usize]) -> Tensor {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The planned conv arm gathers each pixel's window straight from
+    /// The planned path gathers each conv pixel's window straight from
     /// the input; over random channel counts, kernels, paddings up to
-    /// the kernel size and non-square inputs down to the smallest valid
-    /// side, it must equal the im2col-based per-sample reference to the
-    /// bit for every block size and with a telemetry probe attached.
+    /// the kernel size, non-square inputs down to the smallest valid
+    /// side and batch sizes (so a block packs several samples' windows
+    /// and the last task runs short), it must equal the im2col-based
+    /// per-sample reference to the bit for every block size and with a
+    /// telemetry probe attached.
     #[test]
     fn conv_shapes_block_bit_identically(
         c_in in 1usize..4,
@@ -212,6 +214,7 @@ proptest! {
         padding in 0usize..6,
         dh in 0usize..3,
         dw in 0usize..3,
+        batch in 1usize..10,
         seed in 0u64..1000,
     ) {
         let k = [1usize, 2, 3, 5][k_idx];
@@ -226,7 +229,7 @@ proptest! {
         let mut net = Network::new("conv-shapes");
         net.push(Conv2d::new(c_in, c_out, k, padding, &mut rng));
         let calib = sparse_input(&mut rng, &[2, c_in, h, w]);
-        let x = clamping_input(&mut rng, &[3, c_in, h, w]);
+        let x = clamping_input(&mut rng, &[batch, c_in, h, w]);
         let hw = HardwareNetwork::compile(&net, &calib, &nonideal_options(seed))
             .expect("compile");
         let reference = hw.run(&x, &RunOptions::per_sample()).expect("reference").outputs;

@@ -1,5 +1,5 @@
 //! The dynamic micro-batcher: coalesces queued requests into one
-//! [`Planned`](resipe::inference::ExecutionMode::Planned) forward pass
+//! [`planned`](resipe::inference::RunOptions::planned) forward pass
 //! on one engine replica.
 //!
 //! Each model has one worker thread. It loops: pop a weighted batch from
@@ -44,9 +44,9 @@ pub trait BatchExecutor: Send + Sync + 'static {
     fn execute(&self, batch: &Tensor) -> Result<Tensor, ResipeError>;
 }
 
-/// The production executor: a compiled [`HardwareNetwork`] run in
-/// [`Planned`](resipe::inference::ExecutionMode::Planned) mode (the
-/// amortized batch plan, bit-identical to per-sample execution).
+/// The production executor: a compiled [`HardwareNetwork`] run on the
+/// [`planned`](resipe::inference::RunOptions::planned) path (the
+/// amortized batch plan, bit-identical to the per-sample reference).
 ///
 /// The network caches its per-layer [`BatchPlan`](resipe::batch::BatchPlan)s
 /// and recycles kernel scratch buffers internally, so a worker serving a

@@ -31,11 +31,13 @@
 //! - **Admission control** — per-model bounded queues answer
 //!   [`Status::Busy`] when full instead of
 //!   queueing unboundedly; requests whose deadline passes while queued
-//!   are dropped with [`Status::Expired`].
+//!   are dropped with [`Status::Expired`]. A sample of the wrong shape
+//!   or holding a NaN (which no spike time encodes) is answered
+//!   [`Status::BadRequest`] and never joins a batch.
 //! - **Dynamic micro-batching** — the [`batcher`] worker coalesces queued
 //!   requests (up to [`ServerConfig::max_batch`] samples, lingering at
 //!   most [`ServerConfig::max_wait`]) into one
-//!   [`Planned`](resipe::inference::ExecutionMode::Planned) execution.
+//!   [`planned`](resipe::inference::RunOptions::planned) execution.
 //!   Because the planned batch path is bit-identical to per-sample
 //!   execution, coalescing strangers' requests changes no output bit —
 //!   the integration tests assert byte equality under the full

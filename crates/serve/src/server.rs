@@ -695,6 +695,16 @@ pub(crate) fn handle_request(req: Request, shared: &Arc<Shared>, sink: &ReplySin
                     .into_bytes(),
                 ));
             }
+            // No spike time encodes a NaN, so the engine would fail the
+            // whole coalesced batch: refuse it here, alone (a branch-free
+            // scan, which vectorizes).
+            if tensor.data().iter().fold(false, |nan, v| nan | v.is_nan()) {
+                bump(entry, &shared.global_counters, |c| &c.bad_requests);
+                return sink.send(reply(
+                    Status::BadRequest,
+                    b"sample holds a NaN, which no spike time encodes".to_vec(),
+                ));
+            }
             if shared.shutting_down.load(Ordering::SeqCst) {
                 bump(entry, &shared.global_counters, |c| &c.shutdown_rejects);
                 return sink.send(reply(Status::ShuttingDown, Vec::new()));

@@ -231,6 +231,32 @@ fn bad_shape_is_rejected_not_executed() {
     assert_eq!(stats.completed, 1);
 }
 
+/// A NaN sample is refused at admission, so it never joins a coalesced
+/// batch where the engine's error would fail its neighbours' requests.
+#[test]
+fn nan_sample_is_rejected_at_admission() {
+    let echo = Arc::new(SlowEcho::instant());
+    let server = bind_executor(echo.clone(), &[3], ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let nan = Tensor::from_vec(vec![1.0, f32::NAN, 3.0], &[3]).unwrap();
+    match client.infer(&nan) {
+        Err(ServeError::BadRequest(msg)) => {
+            assert!(msg.contains("NaN"), "diagnostic should name the NaN: {msg}");
+        }
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+    let right = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap();
+    assert_eq!(client.infer(&right).unwrap(), right);
+    let stats = server.stats();
+    assert_eq!(stats.bad_requests, 1);
+    assert_eq!((stats.accepted, stats.completed), (1, 1));
+    assert_eq!(
+        echo.executed.load(Ordering::Relaxed),
+        1,
+        "the NaN never ran"
+    );
+}
+
 /// The retired single-model v1 frame — `[u32 len][verb=1][u64 id]
 /// [u32 deadline][tensor]`, no preamble — earns a `Malformed` reply in
 /// the one wire framing, under id 0, with nothing executed; the

@@ -13,6 +13,11 @@
 # Single-threaded circuit solves, so it runs fine on `host_parallelism: 1`
 # CI hosts.
 #
+# The bit-identity suites (block_equivalence, batch_equivalence,
+# telemetry_equivalence) run a second time in release mode, so planned ≡
+# reference is checked under release codegen on random shapes, not only
+# on perfbench's fixed networks.
+#
 # Two release-mode perfbench runs (infer_conv, infer_dense: one second
 # each, traced) fail the gate if a planned output differs from the
 # per-sample reference. A third (serve_open, two seconds, untraced)
@@ -53,6 +58,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
+
+# The bit-identity suites again under release codegen: the test profile
+# above runs at opt-level 1, and the planned path must equal the
+# per-sample reference to the bit under the optimizer the benchmark and
+# the binaries use.
+echo "==> cargo test --release (bit-identity suites)"
+cargo test --release -q -p resipe --test block_equivalence --test batch_equivalence \
+    --test telemetry_equivalence
 
 # perfbench is a workspace of its own, so `--workspace` above never
 # reaches its unit tests.
