@@ -470,6 +470,21 @@ impl SparseLu {
         self.sym.n
     }
 
+    /// The column order this factorization eliminated in — what a fresh
+    /// re-pivoting factorization of the same pattern reuses instead of
+    /// recomputing a fill-reducing order.
+    pub(crate) fn column_order(&self) -> &[usize] {
+        &self.sym.col_perm
+    }
+
+    /// Stored factor entries, `(nnz(L), nnz(U))`: `L`'s strictly-lower
+    /// entries (its unit diagonal is implicit) and `U`'s entries including
+    /// its diagonal.
+    #[cfg(test)]
+    pub(crate) fn factor_nnz(&self) -> (usize, usize) {
+        (self.sym.l_rows.len(), self.sym.u_rows.len() + self.sym.n)
+    }
+
     /// Pivot growth `max|U| / max|A|` of the most recent factorization —
     /// large values mean the (possibly frozen) pivot sequence is shedding
     /// precision.

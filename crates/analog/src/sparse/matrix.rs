@@ -57,12 +57,12 @@ impl PatternBuilder {
 
     /// Freezes the collected positions into a deduplicated CSR pattern.
     ///
-    /// Every diagonal position is included even if never stamped, so the
-    /// factorization always has a structural pivot slot per row.
+    /// Only stamped positions are structural. A diagonal nobody stamps —
+    /// a voltage-source branch row's — would hold an exact zero that can
+    /// never win a pivot, yet the factorization's reach search would
+    /// follow it and fill every row it links; partial pivoting picks each
+    /// pivot from the stamped entries instead.
     pub fn finish(mut self) -> CsrPattern {
-        for i in 0..self.n {
-            self.entries.push((i, i));
-        }
         self.entries.sort_unstable();
         self.entries.dedup();
         let mut row_ptr = vec![0usize; self.n + 1];
@@ -216,6 +216,7 @@ mod tests {
 
     fn pattern_3x3() -> CsrPattern {
         let mut b = PatternBuilder::new(3);
+        b.add(0, 0, 0.0);
         b.add(0, 1, 0.0);
         b.add(1, 0, 0.0);
         b.add(2, 1, 0.0);
@@ -224,12 +225,17 @@ mod tests {
     }
 
     #[test]
-    fn pattern_includes_diagonal_and_dedups() {
+    fn pattern_holds_only_stamped_positions_deduplicated() {
         let p = pattern_3x3();
         assert_eq!(p.n(), 3);
-        // 3 diagonal + 3 distinct off-diagonal.
-        assert_eq!(p.nnz(), 6);
-        assert!(p.index_of(2, 2).is_some());
+        // 4 distinct stamped positions; the unstamped diagonals (1, 1)
+        // and (2, 2) stay out.
+        assert_eq!(p.nnz(), 4);
+        assert_eq!(p.row_ptr(), &[0, 2, 3, 4]);
+        assert_eq!(p.cols(), &[0, 1, 0, 1]);
+        assert!(p.index_of(0, 0).is_some());
+        assert!(p.index_of(1, 1).is_none());
+        assert!(p.index_of(2, 2).is_none());
         assert!(p.index_of(0, 2).is_none());
     }
 
@@ -243,7 +249,7 @@ mod tests {
         assert_eq!(m.max_abs(), 3.0);
         let y = m.mul_vec(&[1.0, 2.0, 0.0]);
         assert_eq!(y, vec![3.0, 0.0, 4.0]);
-        // 1-norm: column 1 sums |2.0| + diag 0.
+        // 1-norm: column 0 sums |3.0| + |0.0|, column 1 |0.0| + |2.0|.
         assert_eq!(m.norm_one(), 3.0);
         m.clear();
         assert_eq!(m.max_abs(), 0.0);

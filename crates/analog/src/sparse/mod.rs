@@ -12,7 +12,8 @@
 //!   assembly passes (and the dense reference in the tests) share a single
 //!   stamping routine.
 //! - [`order`] — [`min_degree_order`] computes a fill-reducing elimination
-//!   order, once per topology.
+//!   order, once per topology: a factorization keeps its column order,
+//!   and later factorizations of the same pattern reuse it.
 //! - [`lu`] — [`SparseLu::factor`] performs one pivoting Gilbert–Peierls
 //!   factorization (the symbolic analysis), after which
 //!   [`SparseLu::refactor`] replays value-only changes over the frozen

@@ -7,17 +7,27 @@
 //! step below only defends against hand-built asymmetric test matrices.
 //!
 //! Minimum degree is the classic SPICE choice (Markowitz with symmetric
-//! tie-breaking): crossbar MNA systems contain a bipartite
-//! wordline×bitline coupling block that any ordering must eventually pay
-//! for, but min-degree first eliminates the cheap periphery (source branch
-//! rows, ladder taps, the GD ramp) and then confines fill to one dense-ish
-//! trailing block instead of smearing it across the whole factor.
+//! tie-breaking). A crossbar's MNA graph contains a dense bipartite
+//! wordline×bitline block, but that block needs no fill: every wordline
+//! is pinned by its held voltage source, so the factor stores the block
+//! once, in `U`, and `nnz(L) + nnz(U)` stays at about `nnz(A)`. What
+//! would fill it is a *structural* zero on a source branch row's
+//! diagonal: the reach search follows that exact zero from each
+//! held-node pivot to the branch rows, and every bitline column's reach
+//! then spans all of them. [`super::PatternBuilder`] therefore freezes
+//! only stamped positions. Min-degree still decides the fill where fill
+//! is real — bitline wire ladders, the `AnalogMac` wordline nodes between
+//! a switch and a cell — by eliminating the cheap periphery first.
 //!
 //! The implementation is the straightforward quadratic-ish greedy loop
 //! with a lazy binary heap — exact degrees, no supernode detection or
-//! element absorption. For the tile sizes this crate targets (hundreds to
-//! a few thousand unknowns) the one-time ordering cost is dwarfed by a
-//! single numeric factorization.
+//! element absorption. On the 387-unknown 128×128 tile it costs tens of
+//! milliseconds — more than a fresh factorization, and far more than a
+//! numeric refactorization — so the transient computes an order only
+//! when a fresh factorization needs one and no earlier factorization of
+//! the same pattern can lend its own: once per symbolic analysis, never
+//! on a run that reuses a [`crate::transient::SolverSession`]'s cached
+//! analysis.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -139,7 +149,7 @@ mod tests {
 
     #[test]
     fn empty_coupling_is_fine() {
-        // Diagonal-only pattern (PatternBuilder always adds the diagonal).
+        // No off-diagonal coupling at all: an empty pattern orders by index.
         let b = PatternBuilder::new(3);
         let order = min_degree_order(&b.finish());
         assert_eq!(order, vec![0, 1, 2]);

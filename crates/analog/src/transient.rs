@@ -27,7 +27,8 @@
 //!    replays the frozen pivot order and fill pattern;
 //! 3. **new run, same topology** → a [`SolverSession`] carries the
 //!    symbolic analysis across [`Transient::run_with_session`] calls, so a
-//!    parameter sweep pays for pivot/pattern discovery exactly once.
+//!    parameter sweep pays for its fill-reducing order and pivot/pattern
+//!    discovery exactly once.
 //!
 //! [`SolverStats`] counts all of this (assemblies, symbolic analyses,
 //! refactorizations, reused-factor solves) for benchmarks and acceptance
@@ -39,7 +40,9 @@
 
 use crate::error::AnalogError;
 use crate::netlist::{Netlist, Node};
-use crate::sparse::{CsrMatrix, CsrPattern, MnaStamp, PatternBuilder, SparseLu, SparseLuError};
+use crate::sparse::{
+    min_degree_order, CsrMatrix, CsrPattern, MnaStamp, PatternBuilder, SparseLu, SparseLuError,
+};
 use crate::units::{Joules, Seconds, Volts};
 use crate::waveform::Waveform;
 
@@ -248,6 +251,12 @@ pub struct SolverStats {
     pub assemblies: usize,
     /// Pivot-order/pattern discoveries: fresh [`SparseLu::factor`] calls.
     pub symbolic_analyses: usize,
+    /// Fill-reducing orders computed ([`min_degree_order`] calls). Only a
+    /// symbolic analysis with no earlier factorization of the pattern at
+    /// hand computes one; a re-pivot after a lost pivot, and every run
+    /// that reuses a [`SolverSession`]'s analysis, borrows the cached
+    /// factorization's column order instead.
+    pub orderings: usize,
     /// Runs that inherited a cached symbolic analysis from a
     /// [`SolverSession`] instead of computing their own.
     pub symbolic_reuses: usize,
@@ -275,6 +284,7 @@ impl SolverStats {
         self.nonzeros = run.nonzeros;
         self.assemblies += run.assemblies;
         self.symbolic_analyses += run.symbolic_analyses;
+        self.orderings += run.orderings;
         self.symbolic_reuses += run.symbolic_reuses;
         self.numeric_refactors += run.numeric_refactors;
         self.solves += run.solves;
@@ -293,11 +303,12 @@ impl SolverStats {
 /// A parameter sweep simulates many structurally identical netlists —
 /// same topology, different element values. Passing one session to every
 /// [`Transient::run_with_session`] call lets run *N+1* reuse run *N*'s
-/// fill-reducing order and frozen LU structure: the new run's pattern is
+/// frozen LU structure, column order included: the new run's pattern is
 /// compared against the cached one ([`CsrPattern`] equality), and on a
 /// match the expensive pivot/pattern discovery is replaced by a numeric
-/// refactorization. Every run's counters accumulate in
-/// [`SolverSession::stats`].
+/// refactorization and no fill-reducing order is computed at all — the
+/// order is computed once per symbolic analysis that starts from nothing.
+/// Every run's counters accumulate in [`SolverSession::stats`].
 #[derive(Debug, Default)]
 pub struct SolverSession {
     cache: Option<SessionCache>,
@@ -322,12 +333,11 @@ impl SolverSession {
     }
 }
 
-/// Per-run solver state: the assembled matrix, its fill-reducing order,
-/// the (possibly stale) factors, and the two buffers every solve writes
-/// into, so the step loop allocates nothing.
+/// Per-run solver state: the assembled matrix, the (possibly stale)
+/// factors, and the two buffers every solve writes into, so the step loop
+/// allocates nothing.
 struct MnaSolver {
     matrix: CsrMatrix,
-    order: Vec<usize>,
     lu: Option<SparseLu>,
     scratch: Vec<f64>,
     solution: Vec<f64>,
@@ -359,8 +369,17 @@ impl MnaSolver {
             None => false,
         };
         if !refreshed {
-            let f = SparseLu::factor(&self.matrix, &self.order)
-                .map_err(|_| AnalogError::SingularMatrix { step })?;
+            // A stale factorization of this pattern lends its column order
+            // (the min-degree order of the same pattern); only the first
+            // factorization computes one.
+            let fresh = match &self.lu {
+                Some(stale) => SparseLu::factor(&self.matrix, stale.column_order()),
+                None => {
+                    stats.orderings += 1;
+                    SparseLu::factor(&self.matrix, &min_degree_order(self.matrix.pattern()))
+                }
+            };
+            let f = fresh.map_err(|_| AnalogError::SingularMatrix { step })?;
             stats.symbolic_analyses += 1;
             self.lu = Some(f);
         }
@@ -494,7 +513,8 @@ impl Transient {
     ///
     /// This is the batched-sweep entry point: structurally identical
     /// netlists (same nodes/elements, different values) share one sparse
-    /// symbolic analysis across the whole batch.
+    /// symbolic analysis across the whole batch, and a run that inherits
+    /// it computes no fill-reducing order.
     ///
     /// # Errors
     ///
@@ -538,8 +558,8 @@ impl Transient {
             ..SolverStats::default()
         };
         // A session cache with the same pattern donates its frozen
-        // symbolic analysis; the values are stale, but the first assembly
-        // refactors before any solve.
+        // symbolic analysis, column order included; the values are stale,
+        // but the first assembly refactors before any solve.
         let cached_lu = match session.cache.take() {
             Some(c) if c.pattern == pattern => {
                 stats.symbolic_reuses += 1;
@@ -548,7 +568,6 @@ impl Transient {
             _ => None,
         };
         let mut solver = MnaSolver {
-            order: crate::sparse::min_degree_order(&pattern),
             matrix: CsrMatrix::from_pattern(pattern),
             lu: cached_lu,
             scratch: vec![0.0; n_unknowns],
@@ -1118,7 +1137,95 @@ mod tests {
         assert_eq!(totals.symbolic_analyses, 1, "{totals:?}");
         assert_eq!(totals.symbolic_reuses, 2, "{totals:?}");
         assert_eq!(totals.numeric_refactors, 2, "{totals:?}");
+        // Only the run that analyzed computed a fill-reducing order.
+        assert_eq!(totals.orderings, 1, "{totals:?}");
         assert_eq!(totals.solves, 3000);
+    }
+
+    #[test]
+    fn lost_pivot_refactors_in_the_cached_column_order() {
+        let mut b = PatternBuilder::new(2);
+        for (r, c) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            b.add(r, c, 0.0);
+        }
+        let mut matrix = CsrMatrix::from_pattern(b.finish());
+        for (r, c, v) in [(0, 0, 1.0), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 1.0)] {
+            matrix.add(r, c, v);
+        }
+        let mut solver = MnaSolver {
+            matrix,
+            lu: None,
+            scratch: vec![0.0; 2],
+            solution: vec![0.0; 2],
+        };
+        let mut stats = SolverStats::default();
+        solver.refresh_factors(0, None, &mut stats).unwrap();
+        let order = solver.lu.as_ref().unwrap().column_order().to_vec();
+        // Zero the diagonal: the frozen first pivot collapses, and the
+        // re-pivot must reuse the column order instead of computing one.
+        solver.matrix.clear();
+        solver.matrix.add(0, 1, 1.0);
+        solver.matrix.add(1, 0, 1.0);
+        solver.refresh_factors(1, None, &mut stats).unwrap();
+        assert_eq!(stats.symbolic_analyses, 2, "{stats:?}");
+        assert_eq!(stats.numeric_refactors, 0, "{stats:?}");
+        assert_eq!(stats.orderings, 1, "{stats:?}");
+        let lu = solver.lu.as_ref().unwrap();
+        assert_eq!(lu.column_order(), &order[..]);
+        assert_eq!(lu.solve(&[2.0, 3.0]), vec![3.0, 2.0]);
+    }
+
+    /// A `rows × cols` tile as `AnalogMvm` builds it, in the switch state
+    /// of its first step: a supply charging the GD ramp, one bitline per
+    /// column (`C_cog` held at 0 V by its closed reset switch), and one
+    /// wordline per row, held by a grounded source and tied to every
+    /// bitline through an open cell switch.
+    fn crossbar_tile(rows: usize, cols: usize) -> Netlist {
+        let mut net = Netlist::new();
+        let vdd = net.node("vdd");
+        net.voltage_source(Node::GROUND, vdd, Volts(1.0));
+        let ramp = net.node("ramp");
+        net.resistor(vdd, ramp, Ohms(1e4));
+        net.capacitor(ramp, Node::GROUND, Farads(1e-12));
+        net.switch(ramp, Node::GROUND, Ohms(10.0), Ohms(1e15));
+        let mut bitlines = Vec::with_capacity(cols);
+        for j in 0..cols {
+            let cog = net.node(&format!("cog{j}"));
+            net.capacitor(cog, Node::GROUND, Farads(1e-12));
+            let reset = net.switch(cog, Node::GROUND, Ohms(10.0), Ohms(1e15));
+            net.set_switch(reset, SwitchState::Closed);
+            bitlines.push(cog);
+        }
+        for i in 0..rows {
+            let held = net.node(&format!("held{i}"));
+            net.voltage_source(Node::GROUND, held, Volts(0.0));
+            for (j, &cog) in bitlines.iter().enumerate() {
+                let r_cell = Ohms(1e4 + 1e3 * ((i * cols + j) % 97) as f64);
+                net.switch(held, cog, r_cell, Ohms(1e15));
+            }
+        }
+        net
+    }
+
+    /// Every wordline of a source-driven crossbar is pinned, so its MNA
+    /// system factors without fill: the factor stores no more entries
+    /// than the matrix has.
+    #[test]
+    fn source_driven_crossbar_factors_without_fill() {
+        let net = crossbar_tile(32, 32);
+        let n = (net.node_count() - 1) + net.vsource_count();
+        let h = 50e-12;
+        let mut builder = PatternBuilder::new(n);
+        stamp_mna(&net, &mut builder, h, Integrator::BackwardEuler);
+        let mut a = CsrMatrix::from_pattern(builder.finish());
+        stamp_mna(&net, &mut a, h, Integrator::BackwardEuler);
+        let lu = SparseLu::factor(&a, &min_degree_order(a.pattern())).unwrap();
+        let (l, u) = lu.factor_nnz();
+        assert!(
+            l + u <= a.pattern().nnz(),
+            "nnz(L) {l} + nnz(U) {u} exceeds nnz(A) {}",
+            a.pattern().nnz()
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!
 //! The process exits non-zero if a tolerance, monotonicity, or
 //! factorization-reuse gate fails, so `--smoke` doubles as the CI
-//! acceptance gate (`scripts/check.sh --circuit-smoke`). Every output
+//! acceptance gate (a stage of `scripts/check.sh`). Every output
 //! field is documented in `docs/BENCHMARKS.md`.
 
 use std::time::Instant;

@@ -96,6 +96,23 @@ impl AnalogMac {
     /// slice, [`ResipeError::DimensionMismatch`] for a count mismatch, or
     /// analog-substrate errors.
     pub fn run(&self, t_in: &[Seconds], step: Seconds) -> Result<AnalogMacResult, ResipeError> {
+        self.run_with_session(t_in, step, &mut SolverSession::new())
+    }
+
+    /// Runs the full two-slice transient, reusing `session`'s cached
+    /// sparse symbolic analysis when the column's topology matches the
+    /// previous run — as [`AnalogMvm::run_with_session`] does for a whole
+    /// crossbar. MACs with the same number of inputs share one analysis.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`AnalogMac::run`].
+    pub fn run_with_session(
+        &self,
+        t_in: &[Seconds],
+        step: Seconds,
+        session: &mut SolverSession,
+    ) -> Result<AnalogMacResult, ResipeError> {
         if t_in.len() != self.conductances.len() {
             return Err(ResipeError::DimensionMismatch {
                 expected: self.conductances.len(),
@@ -153,6 +170,7 @@ impl AnalogMac {
             cog_reset,
             t_in,
             step,
+            session,
         )
     }
 
@@ -171,6 +189,7 @@ impl AnalogMac {
         cog_reset: resipe_analog::netlist::SwitchId,
         t_in: &[Seconds],
         step: Seconds,
+        session: &mut SolverSession,
     ) -> Result<AnalogMacResult, ResipeError> {
         let slice = self.config.slice();
         let comp_start = slice.0 - self.config.dt().0;
@@ -224,7 +243,7 @@ impl AnalogMac {
         };
 
         let cfg = TransientConfig::new(total).with_step(step);
-        let result = Transient::new(&net, cfg)?.run_with(controller)?;
+        let result = Transient::new(&net, cfg)?.run_with_session(controller, session)?;
 
         let ramp_wave = result.waveform(ramp)?.clone();
         let cog_wave = result.waveform(cog)?.clone();

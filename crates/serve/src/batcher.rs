@@ -18,6 +18,7 @@
 //! tests), coalescing requests from *different* clients into one batch
 //! changes no output bit — only latency and throughput.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
@@ -40,7 +41,7 @@ pub trait BatchExecutor: Send + Sync + 'static {
     ///
     /// Propagates engine failures; the worker answers every request in
     /// the batch with [`Status::EngineError`], as it does when the
-    /// outputs do not have one row per input row.
+    /// outputs do not have one row per input row or `execute` panics.
     fn execute(&self, batch: &Tensor) -> Result<Tensor, ResipeError>;
 }
 
@@ -264,19 +265,26 @@ fn execute_group(ctx: &WorkerContext, replica: &Replica, group: Vec<PendingReque
     shape.push(total);
     shape.extend_from_slice(&ctx.entry.sample_shape);
     let input = Tensor::from_vec(data, &shape).expect("admission validated sample shapes");
-    // An executor that breaks its one-row-per-input contract is answered
-    // like one that failed, so the group still gets its replies.
-    let result = replica.executor.execute(&input).and_then(|outputs| {
-        let rows = outputs.shape().first().copied().unwrap_or(0);
-        if rows == total {
-            Ok(outputs)
-        } else {
-            Err(ResipeError::DimensionMismatch {
-                expected: total,
-                got: rows,
+    // An executor that panics (a kernel bug, or the OS refusing a thread
+    // to a batch's fan-out) or breaks its one-row-per-input contract is
+    // answered like one that failed: the group still gets its replies,
+    // and the model's one worker lives on to serve the next batch.
+    let result = match catch_unwind(AssertUnwindSafe(|| replica.executor.execute(&input))) {
+        Ok(executed) => executed
+            .and_then(|outputs| {
+                let rows = outputs.shape().first().copied().unwrap_or(0);
+                if rows == total {
+                    Ok(outputs)
+                } else {
+                    Err(ResipeError::DimensionMismatch {
+                        expected: total,
+                        got: rows,
+                    })
+                }
             })
-        }
-    });
+            .map_err(|e| e.to_string()),
+        Err(_) => Err("executor panicked".to_owned()),
+    };
     match result {
         Ok(outputs) => {
             let out_shape = outputs.shape().to_vec();
@@ -305,8 +313,8 @@ fn execute_group(ctx: &WorkerContext, replica: &Replica, group: Vec<PendingReque
                 ctx.finish(req, Status::Ok, encode_tensor(&sub));
             }
         }
-        Err(e) => {
-            let msg = e.to_string().into_bytes();
+        Err(msg) => {
+            let msg = msg.into_bytes();
             for req in &group {
                 ctx.bump(|c| &c.engine_errors, 1);
                 ctx.finish(req, Status::EngineError, msg.clone());
@@ -357,6 +365,21 @@ mod tests {
             Err(ResipeError::InvalidOptions {
                 reason: "synthetic failure".into(),
             })
+        }
+    }
+
+    /// Panics on its first batch, then echoes.
+    #[derive(Default)]
+    struct PanicOnceExecutor {
+        panicked: std::sync::atomic::AtomicBool,
+    }
+
+    impl BatchExecutor for PanicOnceExecutor {
+        fn execute(&self, batch: &Tensor) -> Result<Tensor, ResipeError> {
+            if !self.panicked.swap(true, Ordering::Relaxed) {
+                panic!("synthetic executor panic");
+            }
+            Ok(batch.clone())
         }
     }
 
@@ -509,6 +532,45 @@ mod tests {
         let replicas = ctx.entry.replicas().unwrap();
         assert_eq!(replicas[0].outstanding.load(Ordering::Relaxed), 0);
         assert_eq!(replicas[0].completed.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn panicking_batch_is_answered_and_the_worker_serves_on() {
+        // max_batch 2 splits four one-sample requests into two batches.
+        let ctx = context(Arc::new(PanicOnceExecutor::default()), 2, 1);
+        let (tx, rx) = mpsc::channel();
+        ctx.entry.in_flight.store(4, Ordering::Relaxed);
+        for id in 1..=4 {
+            ctx.entry
+                .queue
+                .try_push(request(id, vec![id as f32, 0.0], None, &tx))
+                .unwrap();
+        }
+        ctx.entry.queue.close();
+        worker_loop(ctx.clone());
+        drop(tx);
+        let mut replies: Vec<Reply> = rx.iter().collect();
+        replies.sort_by_key(|r| r.id);
+        assert_eq!(
+            replies.iter().map(|r| r.id).collect::<Vec<_>>(),
+            [1, 2, 3, 4],
+            "exactly one reply per request"
+        );
+        for reply in &replies[..2] {
+            assert_eq!(reply.status, Status::EngineError);
+            assert_eq!(reply.payload, b"executor panicked");
+        }
+        for reply in &replies[2..] {
+            assert_eq!(reply.status, Status::Ok);
+            let t = crate::protocol::decode_tensor(&reply.payload).unwrap();
+            assert_eq!(t.data(), &[reply.id as f32, 0.0]);
+        }
+        assert_eq!(ServerCounters::get(&ctx.entry.counters.engine_errors), 2);
+        assert_eq!(ServerCounters::get(&ctx.entry.counters.completed), 2);
+        assert_eq!(ctx.entry.in_flight.load(Ordering::Relaxed), 0);
+        let replicas = ctx.entry.replicas().unwrap();
+        assert_eq!(replicas[0].outstanding.load(Ordering::Relaxed), 0);
+        assert_eq!(replicas[0].completed.load(Ordering::Relaxed), 2);
     }
 
     #[test]

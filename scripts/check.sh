@@ -1,17 +1,16 @@
 #!/usr/bin/env bash
 # Repo gate: formatting, lints, the full test suite (the workspace and
 # the separate perfbench package, both formatted, linted and tested),
-# release-mode perfbench correctness smokes, and the fault-injection and
-# scrub smoke checks. Run from anywhere; exits non-zero on the first
-# failure.
+# release-mode perfbench correctness smokes, and the fault-injection,
+# scrub and circuit smoke checks. Run from anywhere, with no arguments;
+# exits non-zero on the first failure.
 #
-# With --circuit-smoke, additionally runs the whole-tile circuit
-# validation campaign in smoke mode and schema-checks BENCH_circuit.json.
-# The bench hard-fails if the netlist drifts out of engine tolerance, a
-# sweep group re-analyzes its topology (symbolic analysis must be shared
-# across the batch), or IR drop stops being monotone in wire resistance.
-# Single-threaded circuit solves, so it runs fine on `host_parallelism: 1`
-# CI hosts.
+# The circuit smoke runs the whole-tile circuit validation campaign in
+# smoke mode and schema-checks BENCH_circuit.json. It hard-fails if the
+# netlist drifts out of engine tolerance, a sweep group re-analyzes its
+# topology (symbolic analysis must be shared across the batch), or IR
+# drop stops being monotone in wire resistance. Single-threaded circuit
+# solves, well under a second in release.
 #
 # The bit-identity suites (block_equivalence, batch_equivalence,
 # telemetry_equivalence) run a second time in release mode, so planned ≡
@@ -26,18 +25,15 @@
 #
 # Last, it fails if building perfbench rewrote perfbench/Cargo.lock.
 #
-# Every stage, flag, gate, and output field is documented in
+# Every stage, gate, and output field is documented in
 # docs/BENCHMARKS.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-circuit_smoke=0
-for arg in "$@"; do
-    case "$arg" in
-        --circuit-smoke) circuit_smoke=1 ;;
-        *) echo "check: unknown argument '$arg' (supported: --circuit-smoke)" >&2; exit 2 ;;
-    esac
-done
+if [[ $# -gt 0 ]]; then
+    echo "check: takes no arguments (got '$*')" >&2
+    exit 2
+fi
 
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
@@ -123,33 +119,31 @@ for gate in '"degraded_monotone": true' '"recovered": true' '"lossless": true'; 
 done
 rm -f "$scrub_out"
 
-if [[ "$circuit_smoke" -eq 1 ]]; then
-    echo "==> circuit_sweep --smoke (whole-tile circuit gate + schema check)"
-    circuit_out="$(mktemp)"
-    cargo run --release -q -p resipe-bench --bin circuit_sweep -- --smoke \
-        --out "$circuit_out" >/dev/null
-    for key in model tolerance v_out_volts t_out_rel arms group rows cols \
-        wire_ohms dt_ps steps v_out_mean max_abs_dv mean_abs_dv max_rel_dt \
-        saturated_cols saturation_agreement wall_ms solver backend unknowns \
-        nonzeros assemblies symbolic_analyses symbolic_reuses numeric_refactors \
-        solves reused_factor_solves pivot_growth_max totals runs \
-        topology_groups within_tolerance ir_drop_monotone elapsed_s; do
-        if ! grep -q "\"$key\"" "$circuit_out"; then
-            echo "check: BENCH_circuit.json schema drift — missing key \"$key\"" >&2
-            rm -f "$circuit_out"
-            exit 1
-        fi
-    done
-    for gate in '"within_tolerance": true' '"ir_drop_monotone": true' \
-        '"topology_groups": 2, "symbolic_analyses": 2'; do
-        if ! grep -q "$gate" "$circuit_out"; then
-            echo "check: circuit_sweep validation gate failed ($gate)" >&2
-            rm -f "$circuit_out"
-            exit 1
-        fi
-    done
-    rm -f "$circuit_out"
-fi
+echo "==> circuit_sweep --smoke (whole-tile circuit gate + schema check)"
+circuit_out="$(mktemp)"
+cargo run --release -q -p resipe-bench --bin circuit_sweep -- --smoke \
+    --out "$circuit_out" >/dev/null
+for key in model tolerance v_out_volts t_out_rel arms group rows cols \
+    wire_ohms dt_ps steps v_out_mean max_abs_dv mean_abs_dv max_rel_dt \
+    saturated_cols saturation_agreement wall_ms solver backend unknowns \
+    nonzeros assemblies symbolic_analyses symbolic_reuses numeric_refactors \
+    solves reused_factor_solves pivot_growth_max totals runs \
+    topology_groups within_tolerance ir_drop_monotone elapsed_s; do
+    if ! grep -q "\"$key\"" "$circuit_out"; then
+        echo "check: BENCH_circuit.json schema drift — missing key \"$key\"" >&2
+        rm -f "$circuit_out"
+        exit 1
+    fi
+done
+for gate in '"within_tolerance": true' '"ir_drop_monotone": true' \
+    '"topology_groups": 2, "symbolic_analyses": 2'; do
+    if ! grep -q "$gate" "$circuit_out"; then
+        echo "check: circuit_sweep validation gate failed ($gate)" >&2
+        rm -f "$circuit_out"
+        exit 1
+    fi
+done
+rm -f "$circuit_out"
 
 # Building and running perfbench above must not rewrite its lock file:
 # the benchmark runs from committed files, so a crate-graph change that
