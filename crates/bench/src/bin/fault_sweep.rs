@@ -10,140 +10,17 @@
 //!     [--seeds N] [--train N] [--test N] [--epochs N]
 //! ```
 //!
-//! Each arm compiles a trained MLP-1 with clustered stuck-at faults (and
-//! optional retention drift), once under `RepairPolicy::detect_only` (the
-//! no-repair baseline — BIST runs, nothing is rewritten) and once under
-//! `RepairPolicy::full` (reprogram → spare remap → row permutation →
-//! graceful degradation), averaging over fault seeds.
+//! The campaign itself lives in [`resipe_bench::fault_campaign`].
 //!
-//! `--smoke` runs the acceptance check: at a 1 % fault rate the full
-//! ladder must recover at least half of the accuracy lost to faults, and
-//! at 10 % the part must report degraded tiles while still answering.
-//! The process exits non-zero if either check fails.
+//! `--smoke` runs the acceptance check
+//! ([`resipe_bench::fault_campaign::smoke_check`]): at a 1 % fault rate
+//! the full ladder must recover at least half of the accuracy lost to
+//! faults, and at 10 % the part must report degraded tiles while still
+//! answering. The process exits non-zero if either check fails. The
+//! crate's tests run the same check.
 
-use std::cell::RefCell;
-
-use resipe::cache::CompileCache;
-use resipe::inference::{CompileOptions, FaultInjection};
-use resipe::mapping::TileMapper;
-use resipe::repair::RepairPolicy;
-use resipe_analog::units::Seconds;
+use resipe_bench::fault_campaign::{self, ArmResult, CampaignConfig};
 use resipe_bench::Args;
-use resipe_nn::data::{synth_digits, Dataset};
-use resipe_nn::models::ModelKind;
-use resipe_nn::network::Network;
-use resipe_nn::tensor::Tensor;
-use resipe_nn::train::{Sgd, TrainConfig};
-use resipe_reram::faults::RetentionDrift;
-
-/// Aggregated outcome of one (rate, drift, policy) arm.
-#[derive(Debug, Clone)]
-struct ArmResult {
-    rate: f64,
-    drift_elapsed_s: f64,
-    policy: &'static str,
-    seeds: usize,
-    accuracy_mean: f64,
-    accuracy_min: f64,
-    degraded_tiles_mean: f64,
-    repaired_tiles_mean: f64,
-    repair_energy_j_mean: f64,
-    repair_pulses_mean: f64,
-    spare_utilization: f64,
-}
-
-fn parse_list(args: &Args, name: &str, default: &[f64]) -> Vec<f64> {
-    match args.value_of(name) {
-        Some(list) => {
-            let parsed: Vec<f64> = list
-                .split(',')
-                .filter_map(|v| v.trim().parse::<f64>().ok())
-                .collect();
-            if parsed.is_empty() {
-                eprintln!("--{name} {list:?} parsed to nothing; using defaults {default:?}");
-                default.to_vec()
-            } else {
-                parsed
-            }
-        }
-        None => default.to_vec(),
-    }
-}
-
-/// The fixed context one campaign shares across its (rate, drift,
-/// policy) arms.
-struct Campaign<'a> {
-    net: &'a Network,
-    test: &'a Dataset,
-    calib: &'a Tensor,
-    base: &'a CompileOptions,
-    /// Shared compile cache: arms with identical fingerprints (e.g.
-    /// duplicated entries in `--rates`) compile once.
-    cache: RefCell<CompileCache>,
-    cluster: usize,
-    seeds: usize,
-    spare_capacity: usize,
-}
-
-impl Campaign<'_> {
-    fn run_arm(
-        &self,
-        rate: f64,
-        drift: Option<(RetentionDrift, Seconds)>,
-        policy: RepairPolicy,
-        policy_name: &'static str,
-    ) -> ArmResult {
-        let mut acc_sum = 0.0;
-        let mut acc_min = f64::INFINITY;
-        let mut degraded = 0.0;
-        let mut repaired = 0.0;
-        let mut energy = 0.0;
-        let mut pulses = 0.0;
-        let mut spares = 0usize;
-        for seed in 0..self.seeds {
-            let mut faults =
-                FaultInjection::clustered(rate, self.cluster, 0xfau64 + seed as u64 * 131);
-            if let Some((model, elapsed)) = drift {
-                faults = faults.with_drift(model, elapsed);
-            }
-            let opts = self.base.with_faults(faults).with_repair(policy);
-            let hw = self
-                .cache
-                .borrow_mut()
-                .get_or_compile(self.net, self.calib, &opts)
-                .expect("compiles under faults");
-            let (acc, health) = hw
-                .accuracy_with_health(self.test)
-                .expect("faulty part answers");
-            let acc = acc as f64;
-            acc_sum += acc;
-            acc_min = acc_min.min(acc);
-            degraded += health.degraded_tiles() as f64;
-            repaired += health.repaired_tiles() as f64;
-            energy += health.total_repair_energy().0;
-            pulses += health.total_repair_pulses() as f64;
-            spares += health.total_spares_used();
-        }
-        let n = self.seeds as f64;
-        ArmResult {
-            rate,
-            drift_elapsed_s: drift.map_or(0.0, |(_, e)| e.0),
-            policy: policy_name,
-            seeds: self.seeds,
-            accuracy_mean: acc_sum / n,
-            accuracy_min: acc_min,
-            degraded_tiles_mean: degraded / n,
-            repaired_tiles_mean: repaired / n,
-            repair_energy_j_mean: energy / n,
-            repair_pulses_mean: pulses / n,
-            spare_utilization: if self.spare_capacity == 0 {
-                0.0
-            } else {
-                spares as f64 / (self.spare_capacity * self.seeds) as f64
-            },
-        }
-    }
-}
 
 fn json_escape_free(v: f64) -> String {
     if v.is_finite() {
@@ -205,168 +82,41 @@ fn emit_table(baseline: f64, arms: &[ArmResult]) {
 
 fn main() {
     let args = Args::from_env();
-    let smoke = args.has("smoke");
-    let quick = args.has("quick") || smoke;
-    let n_train = args.usize_of("train", if quick { 300 } else { 800 });
-    let n_test = args.usize_of(
-        "test",
-        if smoke {
-            120
-        } else if quick {
-            80
-        } else {
-            120
-        },
-    );
-    let epochs = args.usize_of("epochs", if quick { 4 } else { 10 });
-    // At least one seed — `--seeds 0` would make every mean NaN.
-    let seeds = args
-        .usize_of("seeds", if quick && !smoke { 3 } else { 5 })
-        .max(1);
-    let cluster = args.usize_of("cluster", 6);
-    let spares = args.usize_of("spares", 4);
-    let rates = if smoke {
-        vec![0.01, 0.10]
-    } else {
-        parse_list(&args, "rates", &[0.005, 0.01, 0.02, 0.05, 0.10])
-    };
-    let drift_tau = args.f64_of("drift-tau", 1e7);
-    let drift_horizons = if smoke {
-        vec![0.0]
-    } else {
-        parse_list(&args, "drift-horizons", &[0.0, 3e6, 1e7])
-    };
-
+    let config = CampaignConfig::from_args(&args);
     eprintln!(
-        "fault_sweep: rates {rates:?}, drift horizons {drift_horizons:?} (tau {drift_tau:.0} s), \
-         {seeds} seed(s), cluster {cluster}, {spares} spare col(s)/tile"
+        "fault_sweep: rates {:?}, drift horizons {:?} (tau {:.0} s), \
+         {} seed(s), cluster {}, {} spare col(s)/tile",
+        config.rates,
+        config.drift_horizons,
+        config.drift_tau,
+        config.seeds,
+        config.cluster,
+        config.spares
     );
 
-    let train = synth_digits(n_train, 1).expect("dataset");
-    let test = synth_digits(n_test, 2).expect("dataset");
-    let mut net = ModelKind::Mlp1.build(0xf167).expect("model builds");
-    Sgd::new(
-        TrainConfig::new(epochs)
-            .with_learning_rate(0.08)
-            .with_batch_size(32),
-    )
-    .fit(&mut net, &train)
-    .expect("training converges");
-    let (calib, _) = train
-        .batch(&(0..64.min(train.len())).collect::<Vec<_>>())
-        .expect("calibration batch");
-
-    let base = CompileOptions::paper().with_mapper(TileMapper::paper().with_spare_cols(spares));
-    let mut cache = CompileCache::new(16);
-    let baseline_hw = cache
-        .get_or_compile(&net, &calib, &base)
-        .expect("baseline compiles");
-    let baseline = baseline_hw.accuracy(&test).expect("baseline eval") as f64;
-    // Spare capacity = spares × tiles; tiles = dense MVMs / 2.
-    let spare_capacity = spares * baseline_hw.dense_mvms_per_sample() / 2;
-
-    let campaign = Campaign {
-        net: &net,
-        test: &test,
-        calib: &calib,
-        base: &base,
-        cache: RefCell::new(cache),
-        cluster,
-        seeds,
-        spare_capacity,
-    };
-
-    let mut arms = Vec::new();
-    for &rate in &rates {
-        for &horizon in &drift_horizons {
-            let drift = if horizon > 0.0 {
-                Some((
-                    RetentionDrift::new(Seconds(drift_tau)).expect("valid tau"),
-                    Seconds(horizon),
-                ))
-            } else {
-                None
-            };
-            for (policy, name) in [
-                (RepairPolicy::detect_only(), "detect_only"),
-                (RepairPolicy::full(), "full"),
-            ] {
-                arms.push(campaign.run_arm(rate, drift, policy, name));
-            }
-        }
-    }
-
+    let report = fault_campaign::run(&config);
     if args.has("json") {
-        emit_json(baseline, &arms);
+        emit_json(report.baseline, &report.arms);
     } else {
-        emit_table(baseline, &arms);
+        emit_table(report.baseline, &report.arms);
     }
-    {
-        let cache = campaign.cache.borrow();
-        eprintln!(
-            "compile cache: {} hit(s), {} miss(es)",
-            cache.hits(),
-            cache.misses()
-        );
-    }
+    eprintln!(
+        "compile cache: {} hit(s), {} miss(es)",
+        report.cache_hits, report.cache_misses
+    );
 
-    if smoke {
-        let find = |rate: f64, policy: &str| {
-            arms.iter()
-                .find(|a| (a.rate - rate).abs() < 1e-12 && a.policy == policy)
-                .expect("arm present")
-        };
-        let mut ok = true;
-
-        // Check 1: at 1 % faults the ladder recovers ≥ half the lost
-        // accuracy (trivially satisfied if the loss itself is negligible).
-        let no_rep = find(0.01, "detect_only");
-        let full = find(0.01, "full");
-        let lost = baseline - no_rep.accuracy_mean;
-        let recovered = full.accuracy_mean - no_rep.accuracy_mean;
-        let frac = if lost.abs() > 1e-12 {
-            recovered / lost
-        } else {
-            1.0
-        };
+    if config.smoke {
+        let check = fault_campaign::smoke_check(&report);
         // Smoke chatter goes to stderr so `--smoke --json` still leaves a
         // clean JSON document on stdout.
-        eprintln!(
-            "\nsmoke @ 1%: baseline {:.3}, no-repair {:.3}, full {:.3} \
-             -> lost {:.3}, recovered {:.3} ({:.0}% of loss)",
-            baseline,
-            no_rep.accuracy_mean,
-            full.accuracy_mean,
-            lost,
-            recovered,
-            frac * 100.0
-        );
-        if lost > 0.01 && frac < 0.5 {
-            eprintln!("FAIL: repair ladder recovered {frac:.2} < 0.5 of the accuracy loss");
-            ok = false;
+        eprintln!();
+        for line in &check.summary {
+            eprintln!("{line}");
         }
-
-        // Check 2: at 10 % faults the part reports degradation but still
-        // answers (non-panicking graceful degradation).
-        let heavy = find(0.10, "full");
-        eprintln!(
-            "smoke @ 10%: accuracy {:.3} (min {:.3}), {:.1} degraded tiles/run, \
-             spare utilization {:.0}%",
-            heavy.accuracy_mean,
-            heavy.accuracy_min,
-            heavy.degraded_tiles_mean,
-            heavy.spare_utilization * 100.0
-        );
-        if heavy.degraded_tiles_mean <= 0.0 {
-            eprintln!("FAIL: 10 % faults must leave degraded tiles in the health report");
-            ok = false;
+        for failure in &check.failures {
+            eprintln!("FAIL: {failure}");
         }
-        if !heavy.accuracy_mean.is_finite() {
-            eprintln!("FAIL: degraded part must still produce finite accuracy");
-            ok = false;
-        }
-
-        if ok {
+        if check.failures.is_empty() {
             eprintln!("smoke: PASS");
         } else {
             std::process::exit(1);

@@ -2,357 +2,39 @@
 //! online aging, with and without background scrubbing
 //! (`BENCH_scrub.json` at the repo root).
 //!
-//! Two phases run against the **same** trained and compiled MLP-1:
-//!
-//! - **Accuracy curves** — two bit-identical clones of the compiled
-//!   network age on the same deterministic [`AgingClock`] schedule
-//!   (retention drift driven by served-request count). One clone is left
-//!   alone (scrub OFF); the other gets a [`Scrubber`] pass after every
-//!   aging checkpoint (scrub ON). The OFF curve must degrade
-//!   monotonically; the ON curve must finish within one accuracy point
-//!   of the fresh compile.
-//! - **Availability under live repair** — a real [`Server`] with an
-//!   attached background scrubber serves concurrent clients over
-//!   loopback TCP while the main thread ages the served network
-//!   mid-load. Every request must be answered: zero busy rejects, zero
-//!   expiries, zero shutdown rejects, `accepted == completed`, while
-//!   the scrubber detects the regression and hot-swaps repaired state.
-//!
 //! ```text
 //! cargo run --release -p resipe-bench --bin scrub_sweep             # full
 //! cargo run --release -p resipe-bench --bin scrub_sweep -- --smoke  # CI gate
 //! ```
 //!
-//! The process exits non-zero if any resilience check fails, so
-//! `--smoke` doubles as the CI acceptance gate.
+//! The campaign and its checks live in
+//! [`resipe_bench::scrub_campaign`]. The report is written to `--out`
+//! (default `BENCH_scrub.json`) and printed; the process then exits
+//! non-zero if any resilience check fails, so `--smoke` doubles as the
+//! CI acceptance gate. The crate's tests run the same checks.
 
-use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
-
-use resipe::inference::{CompileOptions, HardwareNetwork};
-use resipe::repair::RepairPolicy;
-use resipe::scrub::{ScrubConfig, Scrubber};
-use resipe_analog::units::Seconds;
+use resipe_bench::scrub_campaign::{self, CampaignConfig};
 use resipe_bench::Args;
-use resipe_nn::data::synth_digits;
-use resipe_nn::models;
-use resipe_nn::tensor::Tensor;
-use resipe_nn::train::{Sgd, TrainConfig};
-use resipe_reram::aging::{AgingClock, AgingConfig};
-use resipe_reram::faults::RetentionDrift;
-use resipe_serve::{Client, ModelSpec, Server, ServerConfig};
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-/// Detection policy sharp enough to see smooth retention drift: the
-/// default 0.4-swing threshold only trips on hard faults, while drift
-/// relaxes every cell a little — probe at 0.05 swings instead.
-fn drift_sensitive_policy() -> RepairPolicy {
-    let mut policy = RepairPolicy::full();
-    policy.bist.cell_threshold = 0.05;
-    policy
-}
-
-/// One accuracy checkpoint on an aging curve.
-struct Point {
-    served_requests: u64,
-    accuracy: f64,
-}
-
-fn curve_json(points: &[Point]) -> String {
-    let entries: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"served_requests\": {}, \"accuracy\": {}}}",
-                p.served_requests,
-                json_num(p.accuracy)
-            )
-        })
-        .collect();
-    format!("[{}]", entries.join(", "))
-}
 
 fn main() {
     let args = Args::from_env();
-    let smoke = args.has("smoke");
-    let n_train = args.usize_of("train", if smoke { 200 } else { 600 });
-    let n_test = args.usize_of("test", if smoke { 120 } else { 300 });
-    let epochs = args.usize_of("epochs", if smoke { 2 } else { 6 });
-    let checkpoints = args
-        .usize_of("checkpoints", if smoke { 4 } else { 8 })
-        .max(1);
-    let step_requests = args.usize_of("step-requests", 5_000).max(1) as u64;
-    let seconds_per_request = args.f64_of("seconds-per-request", 100.0);
-    let tau_s = args.f64_of("drift-tau", 1e6);
-    let clients = args.usize_of("clients", 4).max(1);
-    let per_client = args
-        .usize_of("requests", if smoke { 40 } else { 120 })
-        .max(1);
     let out_path = args
         .value_of("out")
         .unwrap_or("BENCH_scrub.json")
         .to_owned();
+    let report = scrub_campaign::run(&CampaignConfig::from_args(&args));
 
-    eprintln!("training MLP-1 on {n_train} synthetic digits ({epochs} epochs)...");
-    let train = synth_digits(n_train, 1).expect("train set");
-    let test = synth_digits(n_test, 2).expect("test set");
-    let mut net = models::mlp1(7).expect("model");
-    Sgd::new(TrainConfig::new(epochs).with_learning_rate(0.1))
-        .fit(&mut net, &train)
-        .expect("training");
-    let (calib, _) = train.batch(&(0..32).collect::<Vec<_>>()).expect("calib");
-    let hw = HardwareNetwork::compile(&net, &calib, &CompileOptions::paper()).expect("compile");
-    let fresh_accuracy = f64::from(hw.accuracy(&test).expect("fresh accuracy"));
-    eprintln!("fresh accuracy: {fresh_accuracy:.4}");
-
-    let drift = RetentionDrift::new(Seconds(tau_s)).expect("drift model");
-    let aging = AgingConfig::new(Seconds(seconds_per_request), drift)
-        .expect("aging config")
-        .with_seed(0xa9e);
-
-    // ---- Phase 1: accuracy vs served requests, scrub OFF vs scrub ON.
-    // Both clones start bit-identical and age on the same deterministic
-    // schedule, so any divergence is the scrubber's doing.
-    let hw_off = hw.clone();
-    let mut clock_off = AgingClock::new(aging);
-    let hw_on = Arc::new(hw.clone());
-    let mut clock_on = AgingClock::new(aging);
-    let scrub_config = ScrubConfig::new()
-        .with_policy(drift_sensitive_policy())
-        .with_seed(7);
-    // Attached while fresh: the per-tile health baseline is recorded on
-    // an undamaged part, so later drift registers as a regression.
-    let scrubber = Scrubber::new(Arc::clone(&hw_on), scrub_config).expect("scrubber");
-
-    let mut off_curve = vec![Point {
-        served_requests: 0,
-        accuracy: fresh_accuracy,
-    }];
-    let mut on_curve = vec![Point {
-        served_requests: 0,
-        accuracy: fresh_accuracy,
-    }];
-    let mut total_repairs = 0u64;
-    for c in 1..=checkpoints {
-        if let Some(step) = clock_off.advance(step_requests) {
-            hw_off.age(&step).expect("age scrub-off clone");
-        }
-        let off_acc = f64::from(hw_off.accuracy(&test).expect("scrub-off accuracy"));
-        off_curve.push(Point {
-            served_requests: clock_off.served(),
-            accuracy: off_acc,
-        });
-
-        if let Some(step) = clock_on.advance(step_requests) {
-            hw_on.age(&step).expect("age scrub-on clone");
-        }
-        let report = scrubber.scrub_pass().expect("scrub pass");
-        total_repairs += report.repairs;
-        let on_acc = f64::from(hw_on.accuracy(&test).expect("scrub-on accuracy"));
-        on_curve.push(Point {
-            served_requests: clock_on.served(),
-            accuracy: on_acc,
-        });
-        eprintln!(
-            "checkpoint {c}/{checkpoints} ({} requests): scrub-off {:.4}, \
-             scrub-on {:.4} ({} repairs this pass)",
-            clock_off.served(),
-            off_acc,
-            on_acc,
-            report.repairs
-        );
-    }
-
-    // Scrub OFF must degrade monotonically (small tolerance for the
-    // nonlinear readout jiggling a point or two) and end clearly below
-    // fresh; scrub ON must recover to within one point of fresh.
-    let off_final = off_curve.last().map(|p| p.accuracy).unwrap_or(0.0);
-    let on_final = on_curve.last().map(|p| p.accuracy).unwrap_or(0.0);
-    let degraded_monotone = off_curve
-        .windows(2)
-        .all(|w| w[1].accuracy <= w[0].accuracy + 0.02);
-    let final_gap = fresh_accuracy - on_final;
-    let recovered = final_gap <= 0.01;
-    assert!(
-        degraded_monotone,
-        "scrub-off curve failed to degrade monotonically: {:?}",
-        off_curve.iter().map(|p| p.accuracy).collect::<Vec<_>>()
-    );
-    assert!(
-        off_final < fresh_accuracy - 0.02,
-        "aging too gentle to measure: scrub-off accuracy {off_final:.4} \
-         vs fresh {fresh_accuracy:.4}"
-    );
-    assert!(
-        recovered,
-        "scrubber failed to recover accuracy: {on_final:.4} vs fresh \
-         {fresh_accuracy:.4} (gap {final_gap:.4} > 0.01)"
-    );
-    assert!(total_repairs > 0, "scrub-on curve saw no repairs");
-
-    // ---- Phase 2: availability while the served network is repaired
-    // under live concurrent load.
-    eprintln!(
-        "availability: {clients} clients x {per_client} requests with \
-         mid-load aging and background scrubbing..."
-    );
-    let served_hw =
-        HardwareNetwork::compile(&net, &calib, &CompileOptions::paper()).expect("compile");
-    let total = clients * per_client;
-    let sample_shape = train.sample_shape().to_vec();
-    let width: usize = sample_shape.iter().product();
-    let indices: Vec<usize> = (0..total).map(|i| i % train.len()).collect();
-    let (corpus, _) = train.batch(&indices).expect("corpus");
-
-    let mut server = Server::builder()
-        .config(
-            ServerConfig::default()
-                .with_queue_capacity((2 * total).max(64))
-                .with_scrub(
-                    ScrubConfig::new()
-                        .with_policy(drift_sensitive_policy())
-                        .with_interval(Duration::from_millis(2))
-                        .with_seed(7),
-                ),
-        )
-        .register_model("mlp1", ModelSpec::compiled(served_hw, &sample_shape))
-        .bind("127.0.0.1:0")
-        .expect("server bind");
-    let addr = server.local_addr();
-
-    let load_start = Instant::now();
-    let mut joins = Vec::new();
-    for c in 0..clients {
-        let corpus = corpus.clone();
-        let sample_shape = sample_shape.clone();
-        joins.push(thread::spawn(move || {
-            let mut client = Client::connect(addr).expect("client");
-            for r in 0..per_client {
-                let idx = c * per_client + r;
-                let sample = Tensor::from_vec(
-                    corpus.data()[idx * width..(idx + 1) * width].to_vec(),
-                    &sample_shape,
-                )
-                .expect("sample");
-                let _ = client.infer(&sample).expect("infer under repair");
-                // Pace the load so the window spans the mid-load aging
-                // and at least a few background scrub passes.
-                thread::sleep(Duration::from_micros(500));
-            }
-        }));
-    }
-
-    // Mid-load: age the served part. The background scrubber must catch
-    // the regression and hot-swap repaired state with no request lost.
-    thread::sleep(Duration::from_millis(10));
-    let mut serve_clock = AgingClock::new(aging);
-    let network = server.network().expect("served network handle");
-    if let Some(step) = serve_clock.advance(step_requests * checkpoints as u64) {
-        network.age(&step).expect("age served network");
-    }
-
-    for j in joins {
-        j.join().expect("client thread");
-    }
-    // The scrubber runs on its own cadence; give it a bounded grace
-    // window to catch the regression if the load finished too fast.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while server.stats().scrub_repairs == 0 && Instant::now() < deadline {
-        thread::sleep(Duration::from_millis(5));
-    }
-    let elapsed_s = load_start.elapsed().as_secs_f64();
-    let stats = server.stats();
-    server.shutdown();
-
-    let lossless = stats.accepted == total as u64
-        && stats.completed == total as u64
-        && stats.rejected_busy == 0
-        && stats.expired == 0
-        && stats.shutdown_rejects == 0
-        && stats.engine_errors == 0;
-    assert!(
-        lossless,
-        "availability broke under hot repair: accepted {}, completed {}, \
-         busy {}, expired {}, shutdown {}, engine errors {} (of {total})",
-        stats.accepted,
-        stats.completed,
-        stats.rejected_busy,
-        stats.expired,
-        stats.shutdown_rejects,
-        stats.engine_errors
-    );
-    assert!(
-        stats.scrub_passes > 0,
-        "background scrubber never ran a pass"
-    );
-    assert!(
-        stats.scrub_repairs > 0,
-        "background scrubber never repaired the aged network"
-    );
-    assert!(
-        stats.plan_swaps >= 2,
-        "expected at least the aging publish and one repair swap, saw {}",
-        stats.plan_swaps
-    );
-
-    // ---- Report.
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"model\": \"MLP-1\",\n");
-    json.push_str(&format!(
-        "  \"fresh_accuracy\": {},\n",
-        json_num(fresh_accuracy)
-    ));
-    json.push_str(&format!("  \"checkpoints\": {checkpoints},\n"));
-    json.push_str(&format!(
-        "  \"requests_per_checkpoint\": {step_requests},\n"
-    ));
-    json.push_str(&format!(
-        "  \"seconds_per_request\": {},\n",
-        json_num(seconds_per_request)
-    ));
-    json.push_str(&format!("  \"drift_tau_s\": {},\n", json_num(tau_s)));
-    json.push_str(&format!("  \"scrub_off\": {},\n", curve_json(&off_curve)));
-    json.push_str(&format!("  \"scrub_on\": {},\n", curve_json(&on_curve)));
-    json.push_str(&format!("  \"degraded_monotone\": {degraded_monotone},\n"));
-    json.push_str(&format!("  \"final_gap\": {},\n", json_num(final_gap)));
-    json.push_str(&format!("  \"recovered\": {recovered},\n"));
-    json.push_str(&format!("  \"scrub_repairs_curve\": {total_repairs},\n"));
-    json.push_str(&format!(
-        "  \"availability\": {{\"total_requests\": {total}, \"elapsed_s\": {}, \
-         \"accepted\": {}, \"completed\": {}, \"rejected_busy\": {}, \
-         \"expired\": {}, \"shutdown_rejects\": {}, \"engine_errors\": {}, \
-         \"scrub_passes\": {}, \"scrub_tiles\": {}, \"scrub_repairs\": {}, \
-         \"plan_swaps\": {}, \"lossless\": {lossless}}}\n",
-        json_num(elapsed_s),
-        stats.accepted,
-        stats.completed,
-        stats.rejected_busy,
-        stats.expired,
-        stats.shutdown_rejects,
-        stats.engine_errors,
-        stats.scrub_passes,
-        stats.scrub_tiles,
-        stats.scrub_repairs,
-        stats.plan_swaps
-    ));
-    json.push_str("}\n");
-
+    let json = report.to_json();
     std::fs::write(&out_path, &json).expect("write BENCH_scrub.json");
     println!("{json}");
     eprintln!("wrote {out_path}");
-    println!(
-        "scrub OFF: {fresh_accuracy:.4} -> {off_final:.4} | scrub ON: \
-         {fresh_accuracy:.4} -> {on_final:.4} (gap {final_gap:.4}) | \
-         availability: {}/{total} answered, {} repairs, {} swaps",
-        stats.completed, stats.scrub_repairs, stats.plan_swaps
-    );
+    println!("{}", report.summary());
+
+    let failures = report.failures();
+    for failure in &failures {
+        eprintln!("FAIL: {failure}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
 }

@@ -3,7 +3,12 @@
 //! Each binary in `src/bin/` regenerates one table or figure of the
 //! paper; see `DESIGN.md` for the experiment index. This library holds
 //! the small shared pieces: flag parsing, series formatting, and the
-//! workload generators used by more than one experiment.
+//! workload generators used by more than one experiment, plus the
+//! resilience campaigns ([`fault_campaign`], [`scrub_campaign`]) whose
+//! `--smoke` gates the crate's tests also run.
+
+pub mod fault_campaign;
+pub mod scrub_campaign;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

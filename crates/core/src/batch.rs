@@ -80,7 +80,7 @@ use std::time::Instant;
 
 use resipe_analog::units::Seconds;
 
-use crate::engine::ResipeEngine;
+use crate::engine::{charge_factor, charged_v_out, decode_constant, ResipeEngine};
 use crate::error::ResipeError;
 use crate::mapping::{MappedWeights, SpikeEncoding, Tile, VoltageCodec};
 use crate::telemetry::{DecodeBins, LayerProbe, SampleStats};
@@ -197,9 +197,8 @@ impl TilePlan {
                     g_tail.extend_from_slice(col);
                 }
                 g_total.push(total);
-                charge.push(1.0 - (-dt_over_c * total).exp());
-                let gsum_nom = gsum[pc];
-                k.push((1.0 - (-dt_over_c * gsum_nom).exp()) / gsum_nom);
+                charge.push(charge_factor(total, dt_over_c));
+                k.push(decode_constant(gsum[pc], dt_over_c));
                 offs.push(offsets[pc]);
             }
         }
@@ -329,7 +328,7 @@ impl BatchPlan {
     ) -> BatchPlan {
         let cfg = engine.config();
         let codec = VoltageCodec::new(cfg, mapped.time_quantum().map(Seconds));
-        let dt_over_c = cfg.dt().0 / cfg.c_cog().0;
+        let dt_over_c = cfg.gain().0;
         let mut tiles = Vec::with_capacity(mapped.tiles().len());
         let mut row_start = 0usize;
         for tile in mapped.tiles() {
@@ -381,16 +380,6 @@ impl BatchPlan {
     pub fn preferred_block(&self) -> usize {
         let per_sample = 12 * self.max_tile_rows + 8 * self.cols;
         (32 * 1024 / per_sample.max(1)).clamp(1, 64)
-    }
-
-    /// The sampled bitline voltage of one column from its accumulated
-    /// weighted sum: `V_eq` times the hoisted charge factor.
-    fn v_out(weighted: f64, g_total: f64, charge: f64) -> f64 {
-        if g_total == 0.0 {
-            0.0
-        } else {
-            (weighted / g_total) * charge
-        }
     }
 
     /// The digital decode of one observed bitline voltage: the codec's
@@ -504,7 +493,7 @@ impl BatchPlan {
         }
         let mut v_out = [0.0f64; LANES];
         for i in 0..LANES {
-            v_out[i] = Self::v_out(w[i], g.total[i], g.charge[i]);
+            v_out[i] = charged_v_out(w[i], g.total[i], g.charge[i]);
         }
         v_out
     }
@@ -526,8 +515,8 @@ impl BatchPlan {
             wm += v * gm[p as usize];
         }
         (
-            Self::v_out(wp, tile.g_total_plus[j], tile.charge_plus[j]),
-            Self::v_out(wm, tile.g_total_minus[j], tile.charge_minus[j]),
+            charged_v_out(wp, tile.g_total_plus[j], tile.charge_plus[j]),
+            charged_v_out(wm, tile.g_total_minus[j], tile.charge_minus[j]),
         )
     }
 
@@ -914,13 +903,11 @@ mod tests {
                         .iter()
                         .map(|&l| Seconds(a[b * rows + row_start + l] * cfg.t_max().0))
                         .collect();
-                    for (g_cm, offsets) in [
-                        (&tile.eff_plus_cm, &tile.offset_plus),
-                        (&tile.eff_minus_cm, &tile.offset_minus),
+                    for (g, offsets) in [
+                        (tile.eff_plus(), &tile.offset_plus),
+                        (tile.eff_minus(), &tile.offset_minus),
                     ] {
-                        let macs = e
-                            .mvm_matrix_cm(g_cm, tile.rows, tile.phys_cols, &t_in)
-                            .unwrap();
+                        let macs = e.mvm_matrix(g, tile.rows, tile.phys_cols, &t_in).unwrap();
                         for &pc in tile.col_map() {
                             let v_eff =
                                 (macs[pc].v_out.0 + offsets[pc]).clamp(0.0, vs * (1.0 - 1e-12));

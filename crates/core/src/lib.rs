@@ -7,19 +7,23 @@
 //! within a fixed time slice. A matrix–vector multiplication is then three
 //! steps:
 //!
-//! 1. **S1** (one slice, 100 ns) — the [`gd::GlobalDecoder`] converts each
+//! 1. **S1** (one slice, 100 ns) — the Global Decoder (GD) converts each
 //!    input spike time `t_in` into a held voltage
-//!    `V_in = V_s (1 − e^(−t_in/R_gd C_gd))` (paper Eq. 1);
+//!    `V_in = V_s (1 − e^(−t_in/R_gd C_gd))` (paper Eq. 1,
+//!    `engine::ramp_voltage`);
 //! 2. **computation stage** (Δt = 1 ns) — the held voltages drive the
-//!    crossbar and each bitline's output capacitor charges to
-//!    `V_out = V_eq (1 − e^(−Δt/R_eq C_cog))` with
-//!    `V_eq = Σ V_i G_i / Σ G_i` (Eqs. 2–3), handled by the
-//!    [`cog::ColumnOutputGenerator`];
+//!    crossbar and each bitline's Column Output Generator (COG) charges
+//!    its capacitor to `V_out = V_eq (1 − e^(−Δt/R_eq C_cog))` with
+//!    `V_eq = Σ V_i G_i / Σ G_i` (Eqs. 2–3, `engine::charge_factor` and
+//!    `engine::charged_v_out`);
 //! 3. **S2** (one slice) — each COG compares the re-ramped `V(C_gd)`
 //!    against `V_out` and fires a spike at the crossing time `t_out`
-//!    (Eq. 4), giving `t_out ≈ (Δt / C_cog) Σ t_in,i G_i` (Eqs. 5–6).
+//!    (Eq. 4, `engine::crossing_time`), giving
+//!    `t_out ≈ (Δt / C_cog) Σ t_in,i G_i` (Eqs. 5–6).
 //!
-//! The [`engine::ResipeEngine`] implements the exact (exponential) physics;
+//! Each equation is one function in [`engine`], and every module that
+//! evaluates one calls it. [`engine::ResipeEngine`] runs them as the
+//! exact (exponential) MAC and MVM;
 //! [`circuit`] rebuilds the same datapath as an RC netlist on the
 //! [`resipe_analog`] MNA simulator and is used to validate the closed-form
 //! engine (and to regenerate the paper's Fig. 3 waveforms). [`mapping`]
@@ -53,15 +57,12 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 #![warn(missing_docs)]
 
-pub mod arch;
 pub mod batch;
 pub mod cache;
 pub mod circuit;
-pub mod cog;
 pub mod config;
 pub mod engine;
 pub mod error;
-pub mod gd;
 pub mod inference;
 pub mod mapping;
 pub mod parasitics;
@@ -73,6 +74,15 @@ pub mod scrub;
 pub mod seeds;
 pub mod spike;
 pub mod telemetry;
+
+// The GD (Eqs. 1, 4) and COG (Eqs. 2–4) unit checks, run on the
+// equation functions in `engine`.
+#[cfg(test)]
+#[path = "cog_tests.rs"]
+mod cog;
+#[cfg(test)]
+#[path = "gd_tests.rs"]
+mod gd;
 
 pub use config::ResipeConfig;
 pub use engine::{MacResult, ResipeEngine};

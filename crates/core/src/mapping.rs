@@ -69,7 +69,7 @@ use resipe_reram::quantize::Quantizer;
 use resipe_reram::variation::VariationModel;
 
 use crate::config::ResipeConfig;
-use crate::engine::ResipeEngine;
+use crate::engine::{crossing_time, decode_constant, ramp_fraction, ramp_voltage, ResipeEngine};
 use crate::error::ResipeError;
 
 /// Maximum wordlines per tile — the paper's 32×32 array.
@@ -100,8 +100,7 @@ pub fn linear_time_distortion(config: &ResipeConfig, a: f64) -> f64 {
     debug_assert!((0.0..=1.0).contains(&a), "activation {a} outside [0, 1]");
     let tau = config.tau_gd().0;
     let t_max = config.t_max().0;
-    let v_ref = 1.0 - (-t_max / tau).exp();
-    (1.0 - (-a * t_max / tau).exp()) / v_ref
+    ramp_fraction(a * t_max, tau) / ramp_fraction(t_max, tau)
 }
 
 /// The S1 encode and S2 decode of one mapped layer in the voltage
@@ -171,11 +170,11 @@ impl VoltageCodec {
             vs,
             t_max,
             slice,
-            v_ref: vs * (1.0 - (-t_max / tau).exp()),
+            v_ref: ramp_voltage(t_max, vs, tau),
             v_clamp: vs * (1.0 - 1e-12),
             // The time-domain decode of a column saturated at the slice
             // end, evaluated once with the same expression.
-            v_sat: vs * (1.0 - (-slice / tau).exp()),
+            v_sat: ramp_voltage(slice, vs, tau),
             time_quantum: time_quantum.map(|q| q.0),
         }
     }
@@ -200,10 +199,7 @@ impl VoltageCodec {
             return 0.0;
         }
         match encoding {
-            SpikeEncoding::LinearTime => {
-                let t = a * self.t_max;
-                self.vs * (1.0 - (-t / self.tau).exp())
-            }
+            SpikeEncoding::LinearTime => ramp_voltage(a * self.t_max, self.vs, self.tau),
             // The ramp sampled at t = f⁻¹(a·V_ref) is a·V_ref.
             SpikeEncoding::PassThrough => a * self.v_ref,
         }
@@ -225,11 +221,11 @@ impl VoltageCodec {
                 }
             }
             Some(q) => {
-                let t = -self.tau * (1.0 - v_eff / self.vs).ln();
+                let t = crossing_time(v_eff, self.vs, self.tau);
                 let t = (t / q).round() * q;
                 let saturated = t > self.slice;
                 let t = t.min(self.slice);
-                (self.vs * (1.0 - (-t / self.tau).exp()), Some(t), saturated)
+                (ramp_voltage(t, self.vs, self.tau), Some(t), saturated)
             }
         };
         ColumnDecode {
@@ -823,8 +819,7 @@ impl MappedWeights {
         activations: &[f64],
         encoding: SpikeEncoding,
     ) -> Result<Vec<f64>, ResipeError> {
-        let cfg = engine.config();
-        let dt_over_c = cfg.dt().0 / cfg.c_cog().0;
+        let dt_over_c = engine.config().gain().0;
         // Each physical wordline is driven by the logical tile row the
         // (possibly repair-permuted) routing assigns to it.
         let v_in: Vec<f64> = tile
@@ -838,8 +833,7 @@ impl MappedWeights {
         // Read the voltage back from the output spike and divide out the
         // known nominal column constant k_j.
         let decode_column = |v_out: f64, offset: f64, gsum_nom: f64| -> f64 {
-            let k = (1.0 - (-dt_over_c * gsum_nom).exp()) / gsum_nom;
-            codec.decode(v_out, offset).v_hat / k
+            codec.decode(v_out, offset).v_hat / decode_constant(gsum_nom, dt_over_c)
         };
         let mut acc = vec![0.0f64; self.cols];
         for (j, out) in acc.iter_mut().enumerate().take(tile.cols) {

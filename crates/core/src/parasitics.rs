@@ -19,8 +19,8 @@ use resipe_analog::netlist::{Netlist, Node};
 use resipe_analog::transient::{Transient, TransientConfig};
 use resipe_analog::units::{Ohms, Seconds, Siemens, Volts};
 
-use crate::cog::ColumnOutputGenerator;
 use crate::config::ResipeConfig;
+use crate::engine::ResipeEngine;
 use crate::error::ResipeError;
 
 /// Typical 65 nm mid-level metal wire resistance per crossbar cell pitch.
@@ -141,12 +141,14 @@ impl ParasiticColumn {
         let result = Transient::new(&net, cfg)?.run()?;
         let v_out = result.final_voltage(sense)?;
 
-        let ideal = ColumnOutputGenerator::new(self.config)?
-            .sample(v_in, &self.conductances)?
-            .v_out;
+        // The ideal value: the engine's computation stage on a one-column
+        // matrix.
+        let g: Vec<f64> = self.conductances.iter().map(|g| g.0).collect();
+        let held: Vec<f64> = v_in.iter().map(|v| v.0).collect();
+        let ideal = ResipeEngine::try_new(self.config)?.mvm_held_cm(&g, g.len(), 1, &held)?[0];
         Ok(ParasiticSample {
             v_out,
-            v_ideal: ideal,
+            v_ideal: Volts(ideal),
         })
     }
 

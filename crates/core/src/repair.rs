@@ -40,7 +40,7 @@ use resipe_reram::device::{ReramCell, ResistanceWindow};
 use resipe_reram::faults::FaultMap;
 use resipe_reram::program::{ProgramConfig, Programmer};
 
-use crate::engine::ResipeEngine;
+use crate::engine::{decode_constant, ramp_voltage, ResipeEngine};
 use crate::error::ResipeError;
 use crate::mapping::{MappedWeights, Tile};
 
@@ -262,8 +262,8 @@ pub fn run_bist(
     let tau = cfg.tau_gd().0;
     let vs = cfg.vs().0;
     let t_max = cfg.t_max().0;
-    let v_ref = vs * (1.0 - (-t_max / tau).exp());
-    let dt_over_c = cfg.dt().0 / cfg.c_cog().0;
+    let v_ref = ramp_voltage(t_max, vs, tau);
+    let dt_over_c = cfg.gain().0;
     let r_acc = tile.access_resistance;
     let eff = |g: f64| 1.0 / (1.0 / g + r_acc);
 
@@ -276,7 +276,7 @@ pub fn run_bist(
     let cell_swing: Vec<f64> = (0..tile.phys_cols)
         .map(|c| {
             let gsum = tile.gsum_plus[c].max(tile.gsum_minus[c]).max(1e-18);
-            let k = (1.0 - (-dt_over_c * gsum).exp()) / gsum;
+            let k = decode_constant(gsum, dt_over_c);
             (v_ref * k * (eff(window.g_max().0) - eff(window.g_min().0))).max(1e-18)
         })
         .collect();

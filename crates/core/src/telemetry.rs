@@ -54,6 +54,7 @@ use resipe_analog::units::Joules;
 use serde::{Deserialize, Serialize};
 
 use crate::config::ResipeConfig;
+use crate::engine::ramp_voltage;
 use crate::power::{EnergyModel, StageEnergy};
 
 /// Bins in the normalized `t_out` / `V_out` histograms.
@@ -285,8 +286,7 @@ impl Telemetry {
             // [i, i + 1) · slice/BINS; Eq. 1 maps each inner edge to the
             // read-back voltage a spike at that time decodes to.
             t_edges: std::array::from_fn(|i| {
-                let t = (i + 1) as f64 * slice / HISTOGRAM_BINS as f64;
-                vs * (1.0 - (-t / tau).exp())
+                ramp_voltage((i + 1) as f64 * slice / HISTOGRAM_BINS as f64, vs, tau)
             }),
         })
     }
