@@ -10,8 +10,8 @@
 //! The crate is deliberately scoped to what a ReRAM processing-in-memory
 //! datapath needs:
 //!
-//! * linear elements — resistors, capacitors, voltage and current sources
-//!   (see [`netlist::Netlist`]'s constructor methods);
+//! * linear elements — resistors, capacitors (starting at 0 V) and voltage
+//!   sources (see [`netlist::Netlist`]'s constructor methods);
 //! * time-controlled ideal switches (finite on/off resistance);
 //! * behavioural controllers ([`transient::Controller`]) that observe node
 //!   voltages every step and may retune element values — this is how
@@ -62,8 +62,6 @@ pub mod waveform;
 
 pub use error::AnalogError;
 pub use netlist::{Netlist, Node};
-pub use transient::{
-    Integrator, SolverSession, SolverStats, Transient, TransientConfig, TransientResult,
-};
+pub use transient::{SolverSession, SolverStats, Transient, TransientConfig, TransientResult};
 pub use units::{Amps, Farads, Hertz, Ohms, Seconds, Siemens, Volts};
 pub use waveform::Waveform;

@@ -1,9 +1,11 @@
 //! Circuit description: nodes and elements.
 //!
-//! A [`Netlist`] is a flat list of two-terminal elements between named nodes.
-//! Node 0 is always ground. Elements whose value can change during a
+//! A [`Netlist`] is a flat list of two-terminal elements between named nodes:
+//! resistors, capacitors (every one starts at 0 V), ideal voltage sources
+//! and switches — the elements the ReSiPE datapath is built from. Node 0 is
+//! always ground. The two elements whose value can change during a
 //! transient run (switch state, source level) are mutated through the typed
-//! handles ([`SwitchId`], `VSourceId`, ...) returned at construction time —
+//! handles ([`SwitchId`], [`VSourceId`]) returned at construction time —
 //! this is how behavioural controllers express sample-and-hold stages and
 //! comparators.
 //!
@@ -20,7 +22,7 @@
 //! assert_eq!(net.node_count(), 3); // ground + a + b
 //! ```
 
-use crate::units::{Amps, Farads, Ohms, Volts};
+use crate::units::{Farads, Ohms, Volts};
 
 /// A node in the circuit. `Node::GROUND` (index 0) is the reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -51,21 +53,9 @@ impl std::fmt::Display for Node {
     }
 }
 
-/// Handle to a resistor, for runtime value changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ResistorId(pub(crate) usize);
-
-/// Handle to a capacitor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CapacitorId(pub(crate) usize);
-
 /// Handle to a voltage source, for runtime level changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VSourceId(pub(crate) usize);
-
-/// Handle to a current source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ISourceId(pub(crate) usize);
 
 /// Handle to a switch, for runtime open/close.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -93,8 +83,6 @@ pub(crate) struct Capacitor {
     pub a: Node,
     pub b: Node,
     pub farads: Farads,
-    /// Initial voltage `V(a) − V(b)` at t = 0.
-    pub initial: Volts,
 }
 
 #[derive(Debug, Clone)]
@@ -104,15 +92,6 @@ pub(crate) struct VoltageSource {
     /// Positive terminal.
     pub b: Node,
     pub volts: Volts,
-}
-
-#[derive(Debug, Clone)]
-pub(crate) struct CurrentSource {
-    /// Current flows out of `a` ...
-    pub a: Node,
-    /// ... and into `b`.
-    pub b: Node,
-    pub amps: Amps,
 }
 
 #[derive(Debug, Clone)]
@@ -135,15 +114,15 @@ impl Switch {
 
 /// The circuit under simulation.
 ///
-/// Construction methods return typed handles used by controllers to retune
-/// element values mid-run; see [`crate::transient::Controller`].
+/// [`Netlist::switch`] and [`Netlist::voltage_source`] return typed handles
+/// that controllers use to retune those elements mid-run; see
+/// [`crate::transient::Controller`].
 #[derive(Debug, Clone, Default)]
 pub struct Netlist {
     node_names: Vec<String>,
     pub(crate) resistors: Vec<Resistor>,
     pub(crate) capacitors: Vec<Capacitor>,
     pub(crate) vsources: Vec<VoltageSource>,
-    pub(crate) isources: Vec<CurrentSource>,
     pub(crate) switches: Vec<Switch>,
 }
 
@@ -191,7 +170,7 @@ impl Netlist {
     ///
     /// Panics if either node is unknown or the resistance is not positive
     /// and finite.
-    pub fn resistor(&mut self, a: Node, b: Node, ohms: Ohms) -> ResistorId {
+    pub fn resistor(&mut self, a: Node, b: Node, ohms: Ohms) {
         self.check_node(a);
         self.check_node(b);
         assert!(
@@ -199,7 +178,6 @@ impl Netlist {
             "resistance must be positive and finite, got {ohms}"
         );
         self.resistors.push(Resistor { a, b, ohms });
-        ResistorId(self.resistors.len() - 1)
     }
 
     /// Adds a capacitor between `a` and `b` with zero initial voltage.
@@ -208,35 +186,14 @@ impl Netlist {
     ///
     /// Panics if either node is unknown or the capacitance is not positive
     /// and finite.
-    pub fn capacitor(&mut self, a: Node, b: Node, farads: Farads) -> CapacitorId {
-        self.capacitor_with_initial(a, b, farads, Volts::ZERO)
-    }
-
-    /// Adds a capacitor with an explicit initial voltage `V(a) − V(b)`.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Netlist::capacitor`].
-    pub fn capacitor_with_initial(
-        &mut self,
-        a: Node,
-        b: Node,
-        farads: Farads,
-        initial: Volts,
-    ) -> CapacitorId {
+    pub fn capacitor(&mut self, a: Node, b: Node, farads: Farads) {
         self.check_node(a);
         self.check_node(b);
         assert!(
             farads.0 > 0.0 && farads.0.is_finite(),
             "capacitance must be positive and finite, got {farads}"
         );
-        self.capacitors.push(Capacitor {
-            a,
-            b,
-            farads,
-            initial,
-        });
-        CapacitorId(self.capacitors.len() - 1)
+        self.capacitors.push(Capacitor { a, b, farads });
     }
 
     /// Adds an ideal voltage source driving `V(b) − V(a) = volts`.
@@ -249,18 +206,6 @@ impl Netlist {
         self.check_node(b);
         self.vsources.push(VoltageSource { a, b, volts });
         VSourceId(self.vsources.len() - 1)
-    }
-
-    /// Adds an ideal current source pushing `amps` from `a` into `b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is unknown.
-    pub fn current_source(&mut self, a: Node, b: Node, amps: Amps) -> ISourceId {
-        self.check_node(a);
-        self.check_node(b);
-        self.isources.push(CurrentSource { a, b, amps });
-        ISourceId(self.isources.len() - 1)
     }
 
     /// Adds a switch (initially open) with the given on/off resistances.
@@ -338,36 +283,6 @@ impl Netlist {
             .get(id.0)
             .expect("voltage source handle does not belong to this netlist")
             .volts
-    }
-
-    /// Sets a resistor's value. Returns the previous value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle is invalid or the value is not positive/finite.
-    pub fn set_resistance(&mut self, id: ResistorId, ohms: Ohms) -> Ohms {
-        assert!(
-            ohms.0 > 0.0 && ohms.0.is_finite(),
-            "resistance must be positive and finite, got {ohms}"
-        );
-        let r = self
-            .resistors
-            .get_mut(id.0)
-            .expect("resistor handle does not belong to this netlist");
-        std::mem::replace(&mut r.ohms, ohms)
-    }
-
-    /// Sets a current source's value. Returns the previous value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle does not belong to this netlist.
-    pub fn set_current(&mut self, id: ISourceId, amps: Amps) -> Amps {
-        let is = self
-            .isources
-            .get_mut(id.0)
-            .expect("current source handle does not belong to this netlist");
-        std::mem::replace(&mut is.amps, amps)
     }
 }
 
@@ -448,23 +363,5 @@ mod tests {
         let _ = (a, b);
         // `a`/`b` have indices 1 and 2, which don't exist in `net`.
         net.resistor(a, b, Ohms(1.0));
-    }
-
-    #[test]
-    fn resistance_retuning() {
-        let mut net = Netlist::new();
-        let a = net.node("a");
-        let r = net.resistor(Node::GROUND, a, Ohms(1e3));
-        let prev = net.set_resistance(r, Ohms(2e3));
-        assert_eq!(prev, Ohms(1e3));
-    }
-
-    #[test]
-    fn current_source_retuning() {
-        let mut net = Netlist::new();
-        let a = net.node("a");
-        let i = net.current_source(Node::GROUND, a, Amps(1e-6));
-        let prev = net.set_current(i, Amps(2e-6));
-        assert_eq!(prev, Amps(1e-6));
     }
 }

@@ -5,7 +5,8 @@
 //! their backward-Euler companion models (a conductance `C/h` in parallel
 //! with a history current source). Voltage sources contribute branch-current
 //! unknowns, whose solved values also give per-source delivered energy — the
-//! basis of the power numbers reported for the analog path.
+//! basis of the power numbers reported for the analog path. Every node and
+//! capacitor starts at 0 V, and every step is captured into the waveforms.
 //!
 //! Behavioural elements (sample-and-hold, comparators) are expressed as
 //! [`Controller`]s: callbacks invoked before every step that observe the
@@ -46,18 +47,6 @@ use crate::sparse::{
 use crate::units::{Joules, Seconds, Volts};
 use crate::waveform::Waveform;
 
-/// The numerical integration scheme for capacitor companion models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Integrator {
-    /// Backward Euler: L-stable, first order; damps ringing — the safe
-    /// default for switched RC networks.
-    #[default]
-    BackwardEuler,
-    /// Trapezoidal rule: A-stable, second order; more accurate on smooth
-    /// charging curves, used here to cross-check backward-Euler results.
-    Trapezoidal,
-}
-
 /// What is left of the old dense/sparse backend switch.
 ///
 /// Every transient runs on sparse LU. The one constant below keeps
@@ -78,8 +67,6 @@ impl SolverKind {
 pub struct TransientConfig {
     stop: Seconds,
     step: Seconds,
-    capture_every: usize,
-    integrator: Integrator,
     min_rcond: Option<f64>,
 }
 
@@ -89,13 +76,11 @@ impl TransientConfig {
     pub const DEFAULT_STEP: Seconds = Seconds(10e-12);
 
     /// Creates a configuration running from 0 to `stop` with the default
-    /// step and full capture.
+    /// step.
     pub fn new(stop: Seconds) -> TransientConfig {
         TransientConfig {
             stop,
             step: Self::DEFAULT_STEP,
-            capture_every: 1,
-            integrator: Integrator::default(),
             min_rcond: None,
         }
     }
@@ -121,27 +106,9 @@ impl TransientConfig {
         self.min_rcond
     }
 
-    /// Selects the integration scheme.
-    pub fn with_integrator(mut self, integrator: Integrator) -> TransientConfig {
-        self.integrator = integrator;
-        self
-    }
-
-    /// The configured integration scheme.
-    pub fn integrator(&self) -> Integrator {
-        self.integrator
-    }
-
     /// Sets the integration step.
     pub fn with_step(mut self, step: Seconds) -> TransientConfig {
         self.step = step;
-        self
-    }
-
-    /// Captures only every `n`-th step into waveforms (1 = every step).
-    /// Reduces memory for long runs; controllers still see every step.
-    pub fn with_capture_every(mut self, n: usize) -> TransientConfig {
-        self.capture_every = n;
         self
     }
 
@@ -169,11 +136,6 @@ impl TransientConfig {
         if self.step.0 > self.stop.0 {
             return Err(AnalogError::InvalidConfig {
                 reason: "step larger than stop time".to_owned(),
-            });
-        }
-        if self.capture_every == 0 {
-            return Err(AnalogError::InvalidConfig {
-                reason: "capture_every must be at least 1".to_owned(),
             });
         }
         if let Some(r) = self.min_rcond {
@@ -531,26 +493,17 @@ impl Transient {
         let n_steps = (self.cfg.stop.0 / h).round() as usize;
         let min_rcond = self.cfg.min_rcond;
 
-        let mut voltages = vec![0.0; n_nodes]; // index 0 = ground
-                                               // Capacitor branch voltage history, seeded from initial conditions.
-        let mut cap_history: Vec<f64> = self.net.capacitors.iter().map(|c| c.initial.0).collect();
-        // Capacitor branch current history (trapezoidal rule only).
-        let mut cap_current: Vec<f64> = vec![0.0; self.net.capacitors.len()];
-        // Apply consistent initial node voltages for grounded capacitors so
-        // the first captured sample reflects the IC.
-        for cap in &self.net.capacitors {
-            if cap.b.is_ground() && cap.initial.0 != 0.0 {
-                voltages[cap.a.index()] = cap.initial.0;
-            }
-        }
+        // Every node and capacitor starts at 0 V; index 0 is ground.
+        let mut voltages = vec![0.0; n_nodes];
+        let mut cap_history = vec![0.0; self.net.capacitors.len()];
 
         let mut waveforms = vec![Waveform::new(); n_nodes];
         let mut source_energy = vec![0.0; self.net.vsource_count()];
 
         // One symbolic stamping pass freezes the pattern (positions are
-        // value- and integrator-independent).
+        // value-independent).
         let mut builder = PatternBuilder::new(n_unknowns);
-        stamp_mna(&self.net, &mut builder, h, Integrator::BackwardEuler);
+        stamp_mna(&self.net, &mut builder, h);
         let pattern = builder.finish();
         let mut stats = SolverStats {
             unknowns: n_unknowns,
@@ -591,17 +544,6 @@ impl Transient {
             if dirty {
                 factors_current = false;
             }
-            // Trapezoidal runs use one backward-Euler startup step to
-            // establish a consistent capacitor-current history; the
-            // companion conductance changes after it, forcing a refactor.
-            let integrator = if step == 0 {
-                Integrator::BackwardEuler
-            } else {
-                self.cfg.integrator
-            };
-            if step == 1 && self.cfg.integrator == Integrator::Trapezoidal {
-                factors_current = false;
-            }
 
             if n_unknowns == 0 {
                 continue;
@@ -612,7 +554,7 @@ impl Transient {
             // so we rebuild RHS always and the matrix only when dirty.
             if !factors_current {
                 solver.matrix.clear();
-                stamp_mna(&self.net, &mut solver.matrix, h, integrator);
+                stamp_mna(&self.net, &mut solver.matrix, h);
                 stats.assemblies += 1;
                 solver.refresh_factors(step, min_rcond, &mut stats)?;
                 factors_current = true;
@@ -620,7 +562,7 @@ impl Transient {
                 stats.reused_factor_solves += 1;
             }
             rhs.fill(0.0);
-            self.stamp_rhs(&mut rhs, h, &cap_history, &cap_current, integrator);
+            self.stamp_rhs(&mut rhs, h, &cap_history);
 
             stats.solves += 1;
             let lu = solver.lu.as_ref().expect("factored before solve");
@@ -631,17 +573,8 @@ impl Transient {
             voltages[1..n_nodes].copy_from_slice(&solution[..n_nodes - 1]);
 
             // Update capacitor history from the new node voltages.
-            for (idx, cap) in self.net.capacitors.iter().enumerate() {
-                let v_new = voltages[cap.a.index()] - voltages[cap.b.index()];
-                cap_current[idx] = match integrator {
-                    // i_{n+1} = (C/h)(v_{n+1} − v_n)
-                    Integrator::BackwardEuler => cap.farads.0 / h * (v_new - cap_history[idx]),
-                    // i_{n+1} = (2C/h)(v_{n+1} − v_n) − i_n
-                    Integrator::Trapezoidal => {
-                        2.0 * cap.farads.0 / h * (v_new - cap_history[idx]) - cap_current[idx]
-                    }
-                };
-                cap_history[idx] = v_new;
+            for (v_prev, cap) in cap_history.iter_mut().zip(&self.net.capacitors) {
+                *v_prev = voltages[cap.a.index()] - voltages[cap.b.index()];
             }
 
             // Accumulate per-source delivered energy: E += V · I · h. The
@@ -653,10 +586,8 @@ impl Transient {
             }
 
             let t1 = Seconds((step + 1) as f64 * h);
-            if (step + 1) % self.cfg.capture_every == 0 || step + 1 == n_steps {
-                for (node, wf) in waveforms.iter_mut().enumerate() {
-                    wf.push(t1, Volts(voltages[node]));
-                }
+            for (node, wf) in waveforms.iter_mut().enumerate() {
+                wf.push(t1, Volts(voltages[node]));
             }
         }
 
@@ -680,35 +611,17 @@ impl Transient {
         })
     }
 
-    /// Stamps the right-hand side: capacitor history and source values.
-    fn stamp_rhs(
-        &self,
-        rhs: &mut [f64],
-        h: f64,
-        cap_history: &[f64],
-        cap_current: &[f64],
-        integrator: Integrator,
-    ) {
+    /// Stamps the right-hand side: each capacitor's backward-Euler history
+    /// current `(C/h)·v_n` and the source values.
+    fn stamp_rhs(&self, rhs: &mut [f64], h: f64, cap_history: &[f64]) {
         let n_nodes = self.net.node_count();
-        for ((c, &v_prev), &i_prev) in self.net.capacitors.iter().zip(cap_history).zip(cap_current)
-        {
-            let i_eq = match integrator {
-                Integrator::BackwardEuler => c.farads.0 / h * v_prev,
-                Integrator::Trapezoidal => 2.0 * c.farads.0 / h * v_prev + i_prev,
-            };
+        for (c, &v_prev) in self.net.capacitors.iter().zip(cap_history) {
+            let i_eq = c.farads.0 / h * v_prev;
             if !c.a.is_ground() {
                 rhs[c.a.index() - 1] += i_eq;
             }
             if !c.b.is_ground() {
                 rhs[c.b.index() - 1] -= i_eq;
-            }
-        }
-        for i in &self.net.isources {
-            if !i.a.is_ground() {
-                rhs[i.a.index() - 1] -= i.amps.0;
-            }
-            if !i.b.is_ground() {
-                rhs[i.b.index() - 1] += i.amps.0;
             }
         }
         for (k, vs) in self.net.vsources.iter().enumerate() {
@@ -722,7 +635,7 @@ impl Transient {
 /// [`PatternBuilder`] doing the symbolic pass. One routine serving both is
 /// what guarantees the pattern and the values it carries can never drift
 /// apart.
-fn stamp_mna<S: MnaStamp>(net: &Netlist, m: &mut S, h: f64, integrator: Integrator) {
+fn stamp_mna<S: MnaStamp>(net: &Netlist, m: &mut S, h: f64) {
     let n_nodes = net.node_count();
     let mut stamp_conductance = |a: Node, b: Node, g: f64| {
         if !a.is_ground() {
@@ -743,12 +656,8 @@ fn stamp_mna<S: MnaStamp>(net: &Netlist, m: &mut S, h: f64, integrator: Integrat
     for sw in &net.switches {
         stamp_conductance(sw.a, sw.b, 1.0 / sw.resistance().0);
     }
-    let cap_factor = match integrator {
-        Integrator::BackwardEuler => 1.0,
-        Integrator::Trapezoidal => 2.0,
-    };
     for c in &net.capacitors {
-        stamp_conductance(c.a, c.b, cap_factor * c.farads.0 / h);
+        stamp_conductance(c.a, c.b, c.farads.0 / h);
     }
     for (k, vs) in net.vsources.iter().enumerate() {
         let row = (n_nodes - 1) + k;
@@ -806,22 +715,6 @@ mod tests {
         let res = Transient::new(&net, cfg).unwrap().run().unwrap();
         let v = res.final_voltage(mid).unwrap();
         assert!((v.0 - 1.5).abs() < 1e-9, "divider voltage {v}");
-    }
-
-    #[test]
-    fn initial_condition_respected() {
-        let mut net = Netlist::new();
-        let cap = net.node("cap");
-        net.resistor(cap, Node::GROUND, Ohms(1e3));
-        net.capacitor_with_initial(cap, Node::GROUND, Farads(1e-9), Volts(1.0));
-        let cfg = TransientConfig::new(Seconds(2e-6)).with_step(Seconds(1e-9));
-        let res = Transient::new(&net, cfg).unwrap().run().unwrap();
-        let wf = res.waveform(cap).unwrap();
-        // Discharge: v(t) = e^(−t/τ), τ = 1 µs.
-        let got = wf.sample(Seconds(1e-6)).unwrap().0;
-        let expected = (-1.0_f64).exp();
-        assert!((got - expected).abs() < 2e-3, "got {got}");
-        assert!((wf.values()[0] - 1.0).abs() < 1e-12, "IC at t=0");
     }
 
     #[test]
@@ -900,13 +793,6 @@ mod tests {
             ),
             Err(AnalogError::InvalidConfig { .. })
         ));
-        assert!(matches!(
-            Transient::new(
-                &net,
-                TransientConfig::new(Seconds(1e-6)).with_capture_every(0)
-            ),
-            Err(AnalogError::InvalidConfig { .. })
-        ));
     }
 
     #[test]
@@ -920,120 +806,6 @@ mod tests {
         let cfg = TransientConfig::new(Seconds(1e-6)).with_step(Seconds(1e-8));
         let err = Transient::new(&net, cfg).unwrap().run();
         assert!(matches!(err, Err(AnalogError::SingularMatrix { .. })));
-    }
-
-    #[test]
-    fn capture_every_thins_samples() {
-        let mut net = Netlist::new();
-        let vdd = net.node("vdd");
-        net.voltage_source(Node::GROUND, vdd, Volts(1.0));
-        net.resistor(vdd, Node::GROUND, Ohms(1e3));
-        let cfg = TransientConfig::new(Seconds(1e-6))
-            .with_step(Seconds(1e-9))
-            .with_capture_every(10);
-        let res = Transient::new(&net, cfg).unwrap().run().unwrap();
-        let wf = res.waveform(vdd).unwrap();
-        // 1000 steps / 10 + initial sample.
-        assert!(wf.len() <= 102, "captured {} samples", wf.len());
-        assert_eq!(res.steps(), 1000);
-    }
-
-    #[test]
-    fn current_source_charges_capacitor_linearly() {
-        use crate::units::Amps;
-        let mut net = Netlist::new();
-        let cap = net.node("cap");
-        net.current_source(Node::GROUND, cap, Amps(1e-6));
-        net.capacitor(cap, Node::GROUND, Farads(1e-9));
-        // Leak to keep the matrix non-singular; large enough not to matter
-        // over the simulated window (tau_leak = 1 ms >> 10 µs).
-        net.resistor(cap, Node::GROUND, Ohms(1e6));
-        let cfg = TransientConfig::new(Seconds(10e-6)).with_step(Seconds(10e-9));
-        let res = Transient::new(&net, cfg).unwrap().run().unwrap();
-        let wf = res.waveform(cap).unwrap();
-        // v(t) = I·t/C = 1 µA · 5 µs / 1 nF = 5 mV.
-        let got = wf.sample(Seconds(5e-6)).unwrap().0;
-        assert!((got - 5e-3).abs() / 5e-3 < 0.01, "got {got}");
-        // Retuning the source mid-run flattens the ramp.
-        let mut net2 = Netlist::new();
-        let cap2 = net2.node("cap");
-        let src = net2.current_source(Node::GROUND, cap2, Amps(1e-6));
-        net2.capacitor(cap2, Node::GROUND, Farads(1e-9));
-        net2.resistor(cap2, Node::GROUND, Ohms(1e6));
-        let mut off = false;
-        let controller = move |view: &StepView<'_>, net: &mut Netlist| {
-            if !off && view.time.0 >= 5e-6 {
-                net.set_current(src, Amps(0.0));
-                off = true;
-                true
-            } else {
-                false
-            }
-        };
-        let cfg = TransientConfig::new(Seconds(10e-6)).with_step(Seconds(10e-9));
-        let res = Transient::new(&net2, cfg)
-            .unwrap()
-            .run_with(controller)
-            .unwrap();
-        let wf = res.waveform(cap2).unwrap();
-        let at_5us = wf.sample(Seconds(5e-6)).unwrap().0;
-        let at_10us = wf.sample(Seconds(10e-6)).unwrap().0;
-        assert!((at_10us - at_5us).abs() < 0.1, "held {at_5us} -> {at_10us}");
-    }
-
-    #[test]
-    fn trapezoidal_matches_closed_form_better() {
-        // Same RC charge as `rc_charging_matches_closed_form`, coarse
-        // step: trapezoidal (2nd order) must beat backward Euler (1st).
-        let mut net = Netlist::new();
-        let vdd = net.node("vdd");
-        let cap = net.node("cap");
-        net.voltage_source(Node::GROUND, vdd, Volts(1.0));
-        net.resistor(vdd, cap, Ohms(1e3));
-        net.capacitor(cap, Node::GROUND, Farads(1e-9));
-        let error_with = |integrator: Integrator| {
-            let cfg = TransientConfig::new(Seconds(2e-6))
-                .with_step(Seconds(50e-9)) // tau/20: coarse on purpose
-                .with_integrator(integrator);
-            let res = Transient::new(&net, cfg).unwrap().run().unwrap();
-            let wf = res.waveform(cap).unwrap();
-            let mut worst: f64 = 0.0;
-            for &t in &[0.5e-6, 1e-6, 1.5e-6, 2e-6] {
-                let expected = 1.0 - (-t / 1e-6_f64).exp();
-                let got = wf.sample(Seconds(t)).unwrap().0;
-                worst = worst.max((got - expected).abs());
-            }
-            worst
-        };
-        let be = error_with(Integrator::BackwardEuler);
-        let trap = error_with(Integrator::Trapezoidal);
-        assert!(
-            trap < be / 5.0,
-            "trapezoidal error {trap} should be well under BE {be}"
-        );
-    }
-
-    #[test]
-    fn trapezoidal_initial_condition_discharge() {
-        let mut net = Netlist::new();
-        let cap = net.node("cap");
-        net.resistor(cap, Node::GROUND, Ohms(1e3));
-        net.capacitor_with_initial(cap, Node::GROUND, Farads(1e-9), Volts(1.0));
-        let cfg = TransientConfig::new(Seconds(2e-6))
-            .with_step(Seconds(2e-9))
-            .with_integrator(Integrator::Trapezoidal);
-        let res = Transient::new(&net, cfg).unwrap().run().unwrap();
-        let got = res.waveform(cap).unwrap().sample(Seconds(1e-6)).unwrap().0;
-        let expected = (-1.0_f64).exp();
-        assert!((got - expected).abs() < 2e-3, "got {got}");
-    }
-
-    #[test]
-    fn integrator_accessor() {
-        let cfg = TransientConfig::new(Seconds(1e-6));
-        assert_eq!(cfg.integrator(), Integrator::BackwardEuler);
-        let cfg = cfg.with_integrator(Integrator::Trapezoidal);
-        assert_eq!(cfg.integrator(), Integrator::Trapezoidal);
     }
 
     /// Builds the RC+switch netlist used by the solver tests.
@@ -1216,9 +988,9 @@ mod tests {
         let n = (net.node_count() - 1) + net.vsource_count();
         let h = 50e-12;
         let mut builder = PatternBuilder::new(n);
-        stamp_mna(&net, &mut builder, h, Integrator::BackwardEuler);
+        stamp_mna(&net, &mut builder, h);
         let mut a = CsrMatrix::from_pattern(builder.finish());
-        stamp_mna(&net, &mut a, h, Integrator::BackwardEuler);
+        stamp_mna(&net, &mut a, h);
         let lu = SparseLu::factor(&a, &min_degree_order(a.pattern())).unwrap();
         let (l, u) = lu.factor_nnz();
         assert!(

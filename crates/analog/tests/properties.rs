@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use resipe_analog::linalg::{LuFactors, Matrix};
 use resipe_analog::netlist::{Netlist, Node};
 use resipe_analog::sparse::{CsrMatrix, MnaStamp, PatternBuilder, SparseLu, SparseLuError};
-use resipe_analog::transient::{Integrator, Transient, TransientConfig};
+use resipe_analog::transient::{Transient, TransientConfig};
 use resipe_analog::units::{Farads, Ohms, Seconds, Volts};
 use resipe_analog::waveform::{Edge, Waveform};
 
@@ -157,12 +157,11 @@ proptest! {
     }
 
     /// RC charging stays within [0, V] and is monotone for any R, C in a
-    /// physical range — under both integrators.
+    /// physical range.
     #[test]
     fn rc_charge_bounded_and_monotone(
         r_kohm in 1.0..500.0f64,
         c_ff in 10.0..1000.0f64,
-        trapezoidal in any::<bool>(),
     ) {
         let mut net = Netlist::new();
         let vdd = net.node("vdd");
@@ -171,14 +170,7 @@ proptest! {
         net.resistor(vdd, cap, Ohms(r_kohm * 1e3));
         net.capacitor(cap, Node::GROUND, Farads(c_ff * 1e-15));
         let tau = r_kohm * 1e3 * c_ff * 1e-15;
-        let integrator = if trapezoidal {
-            Integrator::Trapezoidal
-        } else {
-            Integrator::BackwardEuler
-        };
-        let cfg = TransientConfig::new(Seconds(3.0 * tau))
-            .with_step(Seconds(tau / 200.0))
-            .with_integrator(integrator);
+        let cfg = TransientConfig::new(Seconds(3.0 * tau)).with_step(Seconds(tau / 200.0));
         let res = Transient::new(&net, cfg).expect("valid").run().expect("converges");
         // Small circuits ride the same sparse path as whole tiles: one
         // symbolic analysis, then refactors only.

@@ -11,7 +11,8 @@
 //!   waveforms (S1 ramp + sample-and-hold, computation-stage `V(C_cog)`,
 //!   S2 ramp/comparator crossing).
 //!
-//! The circuit timeline per the paper:
+//! [`AnalogMac`] (one column) and [`AnalogMvm`] (a crossbar) differ only
+//! in their cells and bitlines; both run the same two-slice timeline:
 //!
 //! | window | ramp (`C_gd`) | crossbar switches | `C_cog` |
 //! |---|---|---|---|
@@ -19,18 +20,237 @@
 //! | comp `[T−Δt, T)` | discharged by `M_gd` | closed (held voltages drive column) | charging |
 //! | S2 `[T, 2T)` | recharging from 0 | open | holds `V_out` |
 
-use resipe_analog::netlist::{Netlist, Node, SwitchState};
-use resipe_analog::transient::{SolverSession, SolverStats, StepView, Transient, TransientConfig};
+use resipe_analog::netlist::{Netlist, Node, SwitchId, SwitchState, VSourceId};
+use resipe_analog::transient::{
+    Controller, SolverSession, SolverStats, StepView, Transient, TransientConfig, TransientResult,
+};
 use resipe_analog::units::{Joules, Ohms, Seconds, Siemens, Volts};
 use resipe_analog::waveform::{Edge, Waveform};
 
 use crate::config::ResipeConfig;
+use crate::engine::check_times;
 use crate::error::ResipeError;
 
 /// On-resistance used for the ideal reset/discharge/compute switches.
 const SWITCH_R_ON: Ohms = Ohms(10.0);
 /// Off-resistance of the switches (effectively open).
 const SWITCH_R_OFF: Ohms = Ohms(1e15);
+
+/// Rejects an empty column or a conductance that is not positive and
+/// finite (zero, negative, NaN, infinite).
+///
+/// # Errors
+///
+/// Returns [`ResipeError::DimensionMismatch`] for an empty slice, then
+/// [`ResipeError::InvalidConfig`] for the first bad conductance.
+pub(crate) fn check_conductances(conductances: &[Siemens]) -> Result<(), ResipeError> {
+    if conductances.is_empty() {
+        return Err(ResipeError::DimensionMismatch {
+            expected: 1,
+            got: 0,
+        });
+    }
+    for g in conductances {
+        if !(g.0 > 0.0) || !g.0.is_finite() {
+            return Err(ResipeError::InvalidConfig {
+                reason: format!("cell conductance must be positive, got {g}"),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Rejects `t_in` unless it has one time per input and every time lies in
+/// the slice, as the engine does.
+fn check_spikes(config: &ResipeConfig, t_in: &[Seconds], inputs: usize) -> Result<(), ResipeError> {
+    if t_in.len() != inputs {
+        return Err(ResipeError::DimensionMismatch {
+            expected: inputs,
+            got: t_in.len(),
+        });
+    }
+    check_times(config, t_in)
+}
+
+/// Where the two-slice timeline stands.
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    S1,
+    Compute,
+    S2,
+}
+
+/// The parts both circuits share — the GD ramp, the `C_cog` bitlines and
+/// the sample-and-hold sources — run through the two-slice timeline of
+/// the module table as a transient [`Controller`].
+///
+/// [`TwoSlice::new`] adds the ramp. The circuit then adds its bitlines
+/// and held sources with [`TwoSlice::bitline`] and
+/// [`TwoSlice::held_source`], and pushes the switches that connect its
+/// cells onto `compute_switches`.
+#[derive(Debug)]
+struct TwoSlice {
+    ramp: Node,
+    /// `M_gd`: discharges the ramp during the computation stage.
+    ramp_discharge: SwitchId,
+    /// One `C_cog` node per bitline.
+    cogs: Vec<Node>,
+    /// RST2 per bitline: holds `C_cog` at 0 V until the computation stage.
+    cog_resets: Vec<SwitchId>,
+    /// Closed for the computation stage only.
+    compute_switches: Vec<SwitchId>,
+    /// One per input, in input order.
+    held_sources: Vec<VSourceId>,
+    spike_times: Vec<Seconds>,
+    sampled: Vec<bool>,
+    slice: Seconds,
+    comp_start: f64,
+    phase: Phase,
+}
+
+impl TwoSlice {
+    /// Adds the supply and the GD ramp (`R_gd`, `C_gd`, `M_gd`) to `net`,
+    /// and schedules the sample of each input at its spike time.
+    fn new(net: &mut Netlist, config: &ResipeConfig, t_in: &[Seconds]) -> TwoSlice {
+        let vdd = net.node("vdd");
+        net.voltage_source(Node::GROUND, vdd, config.vs());
+        let ramp = net.node("ramp");
+        net.resistor(vdd, ramp, config.r_gd());
+        net.capacitor(ramp, Node::GROUND, config.c_gd());
+        let ramp_discharge = net.switch(ramp, Node::GROUND, SWITCH_R_ON, SWITCH_R_OFF);
+        TwoSlice {
+            ramp,
+            ramp_discharge,
+            cogs: Vec::new(),
+            cog_resets: Vec::new(),
+            compute_switches: Vec::new(),
+            held_sources: Vec::new(),
+            spike_times: t_in.to_vec(),
+            sampled: vec![false; t_in.len()],
+            slice: config.slice(),
+            comp_start: config.slice().0 - config.dt().0,
+            phase: Phase::S1,
+        }
+    }
+
+    /// Adds a bitline: a `C_cog` node with its reset switch, closed for S1.
+    fn bitline(&mut self, net: &mut Netlist, config: &ResipeConfig, name: &str) -> Node {
+        let cog = net.node(name);
+        net.capacitor(cog, Node::GROUND, config.c_cog());
+        let reset = net.switch(cog, Node::GROUND, SWITCH_R_ON, SWITCH_R_OFF);
+        net.set_switch(reset, SwitchState::Closed);
+        self.cogs.push(cog);
+        self.cog_resets.push(reset);
+        cog
+    }
+
+    /// Adds the next input's sample-and-hold output: a node driven by a
+    /// source that holds 0 V until the input's spike.
+    fn held_source(&mut self, net: &mut Netlist, name: &str) -> Node {
+        let held = net.node(name);
+        self.held_sources
+            .push(net.voltage_source(Node::GROUND, held, Volts(0.0)));
+        held
+    }
+
+    /// Runs both slices of `net` in steps of `step` and reads every
+    /// bitline. `V_out` is `V(C_cog)` at the start of S2 (the end of the
+    /// computation stage), and the output spike is the first S2 time the
+    /// ramp rises through it. A ramp already at or above `V_out` just
+    /// after S2 begins (`V_out ≈ 0` on a silent column) fires at once.
+    /// The columns carry no held waveforms and no energy.
+    fn run(
+        mut self,
+        net: &Netlist,
+        step: Seconds,
+        min_rcond: Option<f64>,
+        session: &mut SolverSession,
+    ) -> Result<(TransientResult, Vec<AnalogMacResult>), ResipeError> {
+        let (ramp, slice) = (self.ramp, self.slice);
+        let cogs = std::mem::take(&mut self.cogs);
+        let mut cfg = TransientConfig::new(Seconds(2.0 * slice.0)).with_step(step);
+        if let Some(r) = min_rcond {
+            cfg = cfg.with_min_rcond(r);
+        }
+        let result = Transient::new(net, cfg)?.run_with_session(self, session)?;
+        let ramp = result.waveform(ramp)?;
+        let ramp_at_s2 = ramp
+            .sample(Seconds(slice.0 + 2.0 * step.0))
+            .map_or(0.0, |v| v.0);
+        let columns = cogs
+            .iter()
+            .map(|&cog| {
+                let cog = result.waveform(cog)?;
+                let v_out = cog.sample(slice).unwrap_or(Volts(0.0));
+                let crossing = ramp.crossing(v_out, Edge::Rising, Seconds(slice.0 + step.0));
+                let (t_out, saturated) = match crossing {
+                    Some(t) => (Seconds(t.0 - slice.0), false),
+                    None if ramp_at_s2 >= v_out.0 => (Seconds(0.0), false),
+                    None => (slice, true),
+                };
+                Ok(AnalogMacResult {
+                    t_out,
+                    v_out,
+                    saturated,
+                    ramp: ramp.clone(),
+                    cog: cog.clone(),
+                    held: Vec::new(),
+                    source_energy: Joules(0.0),
+                })
+            })
+            .collect::<Result<_, ResipeError>>()?;
+        Ok((result, columns))
+    }
+}
+
+impl Controller for TwoSlice {
+    fn on_step(&mut self, view: &StepView<'_>, net: &mut Netlist) -> bool {
+        let t = view.time.0;
+        match self.phase {
+            Phase::S1 => {
+                // Sample-and-hold each input at its spike arrival.
+                let mut dirty = false;
+                let ramp = view.voltage(self.ramp);
+                for ((&src, ts), done) in self
+                    .held_sources
+                    .iter()
+                    .zip(&self.spike_times)
+                    .zip(&mut self.sampled)
+                {
+                    if !*done && t >= ts.0 {
+                        net.set_voltage(src, ramp);
+                        *done = true;
+                        dirty = true;
+                    }
+                }
+                if t >= self.comp_start {
+                    // Enter the computation stage: discharge the ramp,
+                    // release C_cog, connect the held voltages.
+                    net.set_switch(self.ramp_discharge, SwitchState::Closed);
+                    for &r in &self.cog_resets {
+                        net.set_switch(r, SwitchState::Open);
+                    }
+                    for &sw in &self.compute_switches {
+                        net.set_switch(sw, SwitchState::Closed);
+                    }
+                    self.phase = Phase::Compute;
+                    dirty = true;
+                }
+                dirty
+            }
+            Phase::Compute if t >= self.slice.0 => {
+                // Enter S2: recharge the ramp, isolate C_cog.
+                net.set_switch(self.ramp_discharge, SwitchState::Open);
+                for &sw in &self.compute_switches {
+                    net.set_switch(sw, SwitchState::Open);
+                }
+                self.phase = Phase::S2;
+                true
+            }
+            Phase::Compute | Phase::S2 => false,
+        }
+    }
+}
 
 /// An M-input single-spiking MAC rendered as an RC netlist.
 #[derive(Debug, Clone)]
@@ -40,6 +260,11 @@ pub struct AnalogMac {
 }
 
 /// Waveforms and extracted quantities from one analog MAC run.
+///
+/// The same type carries each column of an [`AnalogMvmResult`]; there
+/// `held` is empty and `source_energy` is zero, because a crossbar's
+/// sources are shared by all its columns (see
+/// [`AnalogMvmResult::source_energy`]).
 #[derive(Debug, Clone)]
 pub struct AnalogMacResult {
     /// The output spike time, measured from the start of S2.
@@ -53,9 +278,12 @@ pub struct AnalogMacResult {
     pub ramp: Waveform,
     /// The `V(C_cog)` bitline voltage across both slices.
     pub cog: Waveform,
-    /// The sample-and-hold outputs, one per input.
+    /// The sample-and-hold outputs, one per input ([`AnalogMac`] only;
+    /// empty in an [`AnalogMvmResult`] column).
     pub held: Vec<Waveform>,
-    /// Total energy delivered by all sources over the run.
+    /// Total energy delivered by all sources over an [`AnalogMac`] run;
+    /// zero in an [`AnalogMvmResult`] column, whose run reports one total
+    /// in [`AnalogMvmResult::source_energy`].
     pub source_energy: Joules,
 }
 
@@ -65,22 +293,11 @@ impl AnalogMac {
     /// # Errors
     ///
     /// Returns [`ResipeError::InvalidConfig`] for an invalid engine
-    /// configuration, non-positive conductances, or an empty column.
+    /// configuration or a conductance that is not positive and finite, or
+    /// [`ResipeError::DimensionMismatch`] for an empty column.
     pub fn new(config: ResipeConfig, conductances: &[Siemens]) -> Result<AnalogMac, ResipeError> {
         config.validate()?;
-        if conductances.is_empty() {
-            return Err(ResipeError::DimensionMismatch {
-                expected: 1,
-                got: 0,
-            });
-        }
-        for g in conductances {
-            if !(g.0 > 0.0) || !g.0.is_finite() {
-                return Err(ResipeError::InvalidConfig {
-                    reason: format!("cell conductance must be positive, got {g}"),
-                });
-            }
-        }
+        check_conductances(conductances)?;
         Ok(AnalogMac {
             config,
             conductances: conductances.to_vec(),
@@ -93,8 +310,8 @@ impl AnalogMac {
     /// # Errors
     ///
     /// Returns [`ResipeError::SpikeOutOfSlice`] for inputs outside the
-    /// slice, [`ResipeError::DimensionMismatch`] for a count mismatch, or
-    /// analog-substrate errors.
+    /// slice or NaN, [`ResipeError::DimensionMismatch`] for a count
+    /// mismatch, or analog-substrate errors.
     pub fn run(&self, t_in: &[Seconds], step: Seconds) -> Result<AnalogMacResult, ResipeError> {
         self.run_with_session(t_in, step, &mut SolverSession::new())
     }
@@ -113,173 +330,33 @@ impl AnalogMac {
         step: Seconds,
         session: &mut SolverSession,
     ) -> Result<AnalogMacResult, ResipeError> {
-        if t_in.len() != self.conductances.len() {
-            return Err(ResipeError::DimensionMismatch {
-                expected: self.conductances.len(),
-                got: t_in.len(),
-            });
-        }
-        let slice = self.config.slice();
-        for t in t_in {
-            if t.0 < 0.0 || t.0 > slice.0 {
-                return Err(ResipeError::SpikeOutOfSlice {
-                    time: t.0,
-                    slice: slice.0,
-                });
-            }
-        }
+        check_spikes(&self.config, t_in, self.conductances.len())?;
 
-        // ---- Build the netlist (Fig. 2). ----
+        // Fig. 2: the GD ramp and one bitline; per input an S/H output
+        // source, a compute switch, and the cell.
         let mut net = Netlist::new();
-        let vdd = net.node("vdd");
-        net.voltage_source(Node::GROUND, vdd, self.config.vs());
-        let ramp = net.node("ramp");
-        net.resistor(vdd, ramp, self.config.r_gd());
-        net.capacitor(ramp, Node::GROUND, self.config.c_gd());
-        // M_gd: discharges the ramp during the computation stage.
-        let ramp_discharge = net.switch(ramp, Node::GROUND, SWITCH_R_ON, SWITCH_R_OFF);
-
-        let cog = net.node("cog");
-        net.capacitor(cog, Node::GROUND, self.config.c_cog());
-        // RST2: holds C_cog at 0 V outside the computation stage of S1.
-        let cog_reset = net.switch(cog, Node::GROUND, SWITCH_R_ON, SWITCH_R_OFF);
-
-        // Per input: an S/H output source, a compute switch, and the cell.
-        let mut held_nodes = Vec::new();
-        let mut held_sources = Vec::new();
-        let mut compute_switches = Vec::new();
+        let mut timeline = TwoSlice::new(&mut net, &self.config, t_in);
+        let cog = timeline.bitline(&mut net, &self.config, "cog");
+        let mut held_nodes = Vec::with_capacity(self.conductances.len());
         for (i, g) in self.conductances.iter().enumerate() {
-            let held = net.node(&format!("held{i}"));
-            let src = net.voltage_source(Node::GROUND, held, Volts(0.0));
+            let held = timeline.held_source(&mut net, &format!("held{i}"));
             let mid = net.node(&format!("wl{i}"));
-            let sw = net.switch(held, mid, SWITCH_R_ON, SWITCH_R_OFF);
+            timeline
+                .compute_switches
+                .push(net.switch(held, mid, SWITCH_R_ON, SWITCH_R_OFF));
             net.resistor(mid, cog, g.recip());
             held_nodes.push(held);
-            held_sources.push(src);
-            compute_switches.push(sw);
         }
 
-        self.run_inner(
-            net,
-            ramp,
-            cog,
-            held_nodes,
-            held_sources,
-            compute_switches,
-            ramp_discharge,
-            cog_reset,
-            t_in,
-            step,
-            session,
-        )
-    }
-
-    /// The actual transient run; separated so the controller closure can
-    /// capture node/source handles cleanly.
-    #[allow(clippy::too_many_arguments)]
-    fn run_inner(
-        &self,
-        net: Netlist,
-        ramp: Node,
-        cog: Node,
-        held_nodes: Vec<Node>,
-        held_sources: Vec<resipe_analog::netlist::VSourceId>,
-        compute_switches: Vec<resipe_analog::netlist::SwitchId>,
-        ramp_discharge: resipe_analog::netlist::SwitchId,
-        cog_reset: resipe_analog::netlist::SwitchId,
-        t_in: &[Seconds],
-        step: Seconds,
-        session: &mut SolverSession,
-    ) -> Result<AnalogMacResult, ResipeError> {
-        let slice = self.config.slice();
-        let comp_start = slice.0 - self.config.dt().0;
-        let s2_start = slice.0;
-        let total = Seconds(2.0 * slice.0);
-
-        let spike_times: Vec<f64> = t_in.iter().map(|t| t.0).collect();
-        let mut sampled = vec![false; spike_times.len()];
-        let mut phase = 0u8; // 0 = S1, 1 = comp, 2 = S2
-        let mut reset_applied = false;
-
-        let controller = move |view: &StepView<'_>, net: &mut Netlist| -> bool {
-            let t = view.time.0;
-            let mut dirty = false;
-            if !reset_applied {
-                // Hold C_cog at 0 during S1.
-                net.set_switch(cog_reset, SwitchState::Closed);
-                reset_applied = true;
-                dirty = true;
-            }
-            if phase == 0 {
-                // Sample-and-hold each input at its spike arrival.
-                for (i, (&ts, done)) in spike_times.iter().zip(sampled.iter_mut()).enumerate() {
-                    if !*done && t >= ts {
-                        net.set_voltage(held_sources[i], view.voltage(ramp));
-                        *done = true;
-                        dirty = true;
-                    }
-                }
-                if t >= comp_start {
-                    // Enter the computation stage: discharge the ramp,
-                    // release C_cog, connect the held voltages.
-                    net.set_switch(ramp_discharge, SwitchState::Closed);
-                    net.set_switch(cog_reset, SwitchState::Open);
-                    for &sw in &compute_switches {
-                        net.set_switch(sw, SwitchState::Closed);
-                    }
-                    phase = 1;
-                    dirty = true;
-                }
-            } else if phase == 1 && t >= s2_start {
-                // Enter S2: recharge the ramp, isolate C_cog.
-                net.set_switch(ramp_discharge, SwitchState::Open);
-                for &sw in &compute_switches {
-                    net.set_switch(sw, SwitchState::Open);
-                }
-                phase = 2;
-                dirty = true;
-            }
-            dirty
-        };
-
-        let cfg = TransientConfig::new(total).with_step(step);
-        let result = Transient::new(&net, cfg)?.run_with_session(controller, session)?;
-
-        let ramp_wave = result.waveform(ramp)?.clone();
-        let cog_wave = result.waveform(cog)?.clone();
-        let held_waves: Vec<Waveform> = held_nodes
+        let (result, mut columns) = timeline.run(&net, step, None, session)?;
+        let held = held_nodes
             .iter()
             .map(|&n| result.waveform(n).cloned())
             .collect::<Result<_, _>>()?;
-
-        // V_out: the C_cog voltage at the start of S2 (end of computation).
-        let v_out = cog_wave
-            .sample(Seconds(s2_start))
-            .map(|v| Volts(v.0))
-            .unwrap_or(Volts(0.0));
-
-        // Output spike: first S2 time where the ramp crosses V_out. If the
-        // ramp already sits at/above the threshold when S2 begins (V_out ≈
-        // 0 for silent columns), the comparator fires immediately.
-        let crossing = ramp_wave.crossing(v_out, Edge::Rising, Seconds(s2_start + step.0));
-        let ramp_at_s2 = ramp_wave
-            .sample(Seconds(s2_start + 2.0 * step.0))
-            .map(|v| v.0)
-            .unwrap_or(0.0);
-        let (t_out, saturated) = match crossing {
-            Some(t) => (Seconds(t.0 - s2_start), false),
-            None if ramp_at_s2 >= v_out.0 => (Seconds(0.0), false),
-            None => (slice, true),
-        };
-
         Ok(AnalogMacResult {
-            t_out,
-            v_out,
-            saturated,
-            ramp: ramp_wave,
-            cog: cog_wave,
-            held: held_waves,
+            held,
             source_energy: result.total_source_energy(),
+            ..columns.pop().expect("one bitline")
         })
     }
 }
@@ -310,7 +387,9 @@ pub struct AnalogMvm {
 /// Per-column results of one analog MVM run.
 #[derive(Debug, Clone)]
 pub struct AnalogMvmResult {
-    /// One MAC-style result per bitline.
+    /// One MAC-style result per bitline. Each carries an empty `held` and
+    /// a zero `source_energy`: the sources are shared, so the run's
+    /// energy is the one total below.
     pub columns: Vec<AnalogMacResult>,
     /// Total energy delivered by all sources over the run.
     pub source_energy: Joules,
@@ -325,7 +404,8 @@ impl AnalogMvm {
     /// # Errors
     ///
     /// Returns [`ResipeError::DimensionMismatch`] for a shape mismatch or
-    /// [`ResipeError::InvalidConfig`] for non-positive conductances.
+    /// [`ResipeError::InvalidConfig`] for an invalid engine configuration
+    /// or a conductance that is not positive and finite.
     pub fn new(
         config: ResipeConfig,
         conductances: &[Siemens],
@@ -339,13 +419,7 @@ impl AnalogMvm {
                 got: conductances.len(),
             });
         }
-        for g in conductances {
-            if !(g.0 > 0.0) || !g.0.is_finite() {
-                return Err(ResipeError::InvalidConfig {
-                    reason: format!("cell conductance must be positive, got {g}"),
-                });
-            }
-        }
+        check_conductances(conductances)?;
         Ok(AnalogMvm {
             config,
             conductances: conductances.to_vec(),
@@ -371,9 +445,9 @@ impl AnalogMvm {
     /// (the default) keeps the ideal zero-resistance bitline and exactly
     /// the original netlist topology.
     ///
-    /// This is the circuit-fidelity counterpart of
-    /// [`crate::parasitics`]'s analytical IR-drop model and the knob the
-    /// `circuit_sweep` campaign sweeps.
+    /// This is the whole-tile counterpart of [`crate::parasitics`]'s
+    /// one-column MNA RC ladder, and the knob the `circuit_sweep`
+    /// campaign sweeps.
     pub fn with_wire_resistance(mut self, ohms: Ohms) -> AnalogMvm {
         self.wire_resistance = Some(ohms);
         self
@@ -383,9 +457,9 @@ impl AnalogMvm {
     ///
     /// # Errors
     ///
-    /// Returns [`ResipeError::SpikeOutOfSlice`] /
-    /// [`ResipeError::DimensionMismatch`] for bad inputs, or analog
-    /// errors.
+    /// Returns [`ResipeError::SpikeOutOfSlice`] for inputs outside the
+    /// slice or NaN, [`ResipeError::DimensionMismatch`] for a count
+    /// mismatch, or analog errors.
     pub fn run(&self, t_in: &[Seconds], step: Seconds) -> Result<AnalogMvmResult, ResipeError> {
         self.run_with_session(t_in, step, &mut SolverSession::new())
     }
@@ -405,40 +479,14 @@ impl AnalogMvm {
         step: Seconds,
         session: &mut SolverSession,
     ) -> Result<AnalogMvmResult, ResipeError> {
-        let slice = self.config.slice();
-        if t_in.len() != self.rows {
-            return Err(ResipeError::DimensionMismatch {
-                expected: self.rows,
-                got: t_in.len(),
-            });
-        }
-        for t in t_in {
-            if t.0 < 0.0 || t.0 > slice.0 {
-                return Err(ResipeError::SpikeOutOfSlice {
-                    time: t.0,
-                    slice: slice.0,
-                });
-            }
-        }
+        check_spikes(&self.config, t_in, self.rows)?;
 
-        // Shared GD ramp.
+        // Shared GD ramp and bitlines.
         let mut net = Netlist::new();
-        let vdd = net.node("vdd");
-        net.voltage_source(Node::GROUND, vdd, self.config.vs());
-        let ramp = net.node("ramp");
-        net.resistor(vdd, ramp, self.config.r_gd());
-        net.capacitor(ramp, Node::GROUND, self.config.c_gd());
-        let ramp_discharge = net.switch(ramp, Node::GROUND, SWITCH_R_ON, SWITCH_R_OFF);
-
-        // Bitlines.
-        let mut cog_nodes = Vec::with_capacity(self.cols);
-        let mut cog_resets = Vec::with_capacity(self.cols);
-        for j in 0..self.cols {
-            let cog = net.node(&format!("cog{j}"));
-            net.capacitor(cog, Node::GROUND, self.config.c_cog());
-            cog_resets.push(net.switch(cog, Node::GROUND, SWITCH_R_ON, SWITCH_R_OFF));
-            cog_nodes.push(cog);
-        }
+        let mut timeline = TwoSlice::new(&mut net, &self.config, t_in);
+        let cog_nodes: Vec<Node> = (0..self.cols)
+            .map(|j| timeline.bitline(&mut net, &self.config, &format!("cog{j}")))
+            .collect();
 
         // Wordlines: one held source per row, fanning out through the
         // row's cells to every bitline. Each cell is modelled as a
@@ -469,99 +517,17 @@ impl AnalogMvm {
                 taps
             }
         };
-
-        let mut held_sources = Vec::with_capacity(self.rows);
-        let mut cell_switches = Vec::with_capacity(self.rows * self.cols);
         for (i, row_taps) in cell_taps.iter().enumerate() {
-            let held = net.node(&format!("held{i}"));
-            held_sources.push(net.voltage_source(Node::GROUND, held, Volts(0.0)));
+            let held = timeline.held_source(&mut net, &format!("held{i}"));
             for (j, &tap) in row_taps.iter().enumerate() {
                 let r_cell = self.conductances[i * self.cols + j].recip();
-                cell_switches.push(net.switch(held, tap, r_cell, SWITCH_R_OFF));
+                timeline
+                    .compute_switches
+                    .push(net.switch(held, tap, r_cell, SWITCH_R_OFF));
             }
         }
 
-        let comp_start = slice.0 - self.config.dt().0;
-        let s2_start = slice.0;
-        let spike_times: Vec<f64> = t_in.iter().map(|t| t.0).collect();
-        let mut sampled = vec![false; spike_times.len()];
-        let mut phase = 0u8;
-        let mut reset_applied = false;
-        let cog_resets_c = cog_resets.clone();
-        let controller = move |view: &StepView<'_>, net: &mut Netlist| -> bool {
-            let t = view.time.0;
-            let mut dirty = false;
-            if !reset_applied {
-                for &r in &cog_resets_c {
-                    net.set_switch(r, SwitchState::Closed);
-                }
-                reset_applied = true;
-                dirty = true;
-            }
-            if phase == 0 {
-                for (i, (&ts, done)) in spike_times.iter().zip(sampled.iter_mut()).enumerate() {
-                    if !*done && t >= ts {
-                        net.set_voltage(held_sources[i], view.voltage(ramp));
-                        *done = true;
-                        dirty = true;
-                    }
-                }
-                if t >= comp_start {
-                    net.set_switch(ramp_discharge, SwitchState::Closed);
-                    for &r in &cog_resets_c {
-                        net.set_switch(r, SwitchState::Open);
-                    }
-                    for &sw in &cell_switches {
-                        net.set_switch(sw, SwitchState::Closed);
-                    }
-                    phase = 1;
-                    dirty = true;
-                }
-            } else if phase == 1 && t >= s2_start {
-                net.set_switch(ramp_discharge, SwitchState::Open);
-                for &sw in &cell_switches {
-                    net.set_switch(sw, SwitchState::Open);
-                }
-                phase = 2;
-                dirty = true;
-            }
-            dirty
-        };
-
-        let mut cfg = TransientConfig::new(Seconds(2.0 * slice.0)).with_step(step);
-        if let Some(r) = self.min_rcond {
-            cfg = cfg.with_min_rcond(r);
-        }
-        let result = Transient::new(&net, cfg)?.run_with_session(controller, session)?;
-
-        let ramp_wave = result.waveform(ramp)?;
-        let ramp_at_s2 = ramp_wave
-            .sample(Seconds(s2_start + 2.0 * step.0))
-            .map(|v| v.0)
-            .unwrap_or(0.0);
-        let mut columns = Vec::with_capacity(self.cols);
-        for &cog in &cog_nodes {
-            let cog_wave = result.waveform(cog)?;
-            let v_out = cog_wave
-                .sample(Seconds(s2_start))
-                .map(|v| Volts(v.0))
-                .unwrap_or(Volts(0.0));
-            let crossing = ramp_wave.crossing(v_out, Edge::Rising, Seconds(s2_start + step.0));
-            let (t_out, saturated) = match crossing {
-                Some(t) => (Seconds(t.0 - s2_start), false),
-                None if ramp_at_s2 >= v_out.0 => (Seconds(0.0), false),
-                None => (slice, true),
-            };
-            columns.push(AnalogMacResult {
-                t_out,
-                v_out,
-                saturated,
-                ramp: ramp_wave.clone(),
-                cog: cog_wave.clone(),
-                held: Vec::new(),
-                source_energy: Joules(0.0),
-            });
-        }
+        let (result, columns) = timeline.run(&net, step, self.min_rcond, session)?;
         Ok(AnalogMvmResult {
             columns,
             source_energy: result.total_source_energy(),
@@ -574,6 +540,7 @@ impl AnalogMvm {
 mod tests {
     use super::*;
     use crate::engine::ResipeEngine;
+    use crate::parasitics::ParasiticColumn;
 
     const STEP: Seconds = Seconds(20e-12);
 
@@ -652,16 +619,6 @@ mod tests {
         let h1_after = analog.held[1].sample(Seconds(80e-9)).unwrap().0;
         let expected1 = 1.0 - (-60e-9_f64 / 10e-9).exp();
         assert!((h1_after - expected1).abs() < 0.01);
-    }
-
-    #[test]
-    fn input_validation() {
-        let cfg = ResipeConfig::paper();
-        assert!(AnalogMac::new(cfg, &[]).is_err());
-        assert!(AnalogMac::new(cfg, &[Siemens(0.0)]).is_err());
-        let mac = AnalogMac::new(cfg, &[Siemens(1e-4)]).unwrap();
-        assert!(mac.run(&[Seconds(200e-9)], STEP).is_err());
-        assert!(mac.run(&[Seconds(1e-9), Seconds(2e-9)], STEP).is_err());
     }
 
     #[test]
@@ -838,13 +795,131 @@ mod tests {
         assert!(rc >= 1e-20, "healthy tile rcond {rc}");
     }
 
+    /// `got` is `want`: the same variant, and for every variant but
+    /// `InvalidConfig` (whose reason is prose) the same fields. Compared
+    /// through `Debug`, so a NaN time equals itself.
+    fn same_error(got: &ResipeError, want: &ResipeError) -> bool {
+        match (got, want) {
+            (ResipeError::InvalidConfig { .. }, ResipeError::InvalidConfig { .. }) => true,
+            _ => format!("{got:?}") == format!("{want:?}"),
+        }
+    }
+
+    /// Every circuit builder rejects the same conductances, and every run
+    /// rejects the same spike times with the error the engine gives.
+    #[test]
+    fn input_validation() {
+        let cfg = ResipeConfig::paper();
+        let slice = cfg.slice().0;
+        let ok = Siemens(1e-4);
+        let mac = AnalogMac::new(cfg, &[ok; 2]).unwrap();
+        let engine = ResipeEngine::new(cfg);
+        let mut cases: Vec<Case> = Vec::new();
+        for g in [0.0, -1.0, f64::NAN, f64::INFINITY].map(Siemens) {
+            cases.extend([
+                (
+                    format!("AnalogMac::new G = {g}"),
+                    AnalogMac::new(cfg, &[ok, g]).map(drop),
+                    invalid(),
+                ),
+                (
+                    format!("ParasiticColumn::new G = {g}"),
+                    ParasiticColumn::new(cfg, &[g, ok], Ohms(1.0)).map(drop),
+                    invalid(),
+                ),
+            ]);
+        }
+        for t in [-1e-12, slice + 1e-12, f64::NAN] {
+            let t_in = [Seconds(1e-9), Seconds(t)];
+            let out_of_slice = || ResipeError::SpikeOutOfSlice { time: t, slice };
+            cases.extend([
+                (
+                    format!("ResipeEngine::mac t = {t}"),
+                    engine.mac(&t_in, &[ok; 2]).map(drop),
+                    out_of_slice(),
+                ),
+                (
+                    format!("AnalogMac::run t = {t}"),
+                    mac.run(&t_in, STEP).map(drop),
+                    out_of_slice(),
+                ),
+            ]);
+        }
+        cases.extend([
+            (
+                "AnalogMac::new empty".to_owned(),
+                AnalogMac::new(cfg, &[]).map(drop),
+                dims(1, 0),
+            ),
+            (
+                "ParasiticColumn::new empty".to_owned(),
+                ParasiticColumn::new(cfg, &[], Ohms(1.0)).map(drop),
+                dims(1, 0),
+            ),
+            (
+                "AnalogMac::run 1 time for 2 inputs".to_owned(),
+                mac.run(&[Seconds(1e-9)], STEP).map(drop),
+                dims(2, 1),
+            ),
+        ]);
+        assert_rejected(&cases);
+    }
+
     #[test]
     fn analog_mvm_validation() {
         let cfg = ResipeConfig::paper();
-        assert!(AnalogMvm::new(cfg, &[Siemens(1e-5); 3], 2, 2).is_err());
-        assert!(AnalogMvm::new(cfg, &[Siemens(-1.0); 4], 2, 2).is_err());
-        let mvm = AnalogMvm::new(cfg, &[Siemens(1e-5); 4], 2, 2).unwrap();
-        assert!(mvm.run(&[Seconds(1e-9)], STEP).is_err());
-        assert!(mvm.run(&[Seconds(1e-9), Seconds(200e-9)], STEP).is_err());
+        let slice = cfg.slice().0;
+        let ok = Siemens(1e-4);
+        let mvm = AnalogMvm::new(cfg, &[ok; 4], 2, 2).unwrap();
+        let mut cases: Vec<Case> = Vec::new();
+        for g in [0.0, -1.0, f64::NAN, f64::INFINITY].map(Siemens) {
+            cases.push((
+                format!("AnalogMvm::new G = {g}"),
+                AnalogMvm::new(cfg, &[ok, ok, g, ok], 2, 2).map(drop),
+                invalid(),
+            ));
+        }
+        for t in [-1e-12, slice + 1e-12, f64::NAN] {
+            cases.push((
+                format!("AnalogMvm::run t = {t}"),
+                mvm.run(&[Seconds(1e-9), Seconds(t)], STEP).map(drop),
+                ResipeError::SpikeOutOfSlice { time: t, slice },
+            ));
+        }
+        cases.extend([
+            (
+                "AnalogMvm::new 3 cells for 2×2".to_owned(),
+                AnalogMvm::new(cfg, &[ok; 3], 2, 2).map(drop),
+                dims(4, 3),
+            ),
+            (
+                "AnalogMvm::run 1 time for 2 rows".to_owned(),
+                mvm.run(&[Seconds(1e-9)], STEP).map(drop),
+                dims(2, 1),
+            ),
+        ]);
+        assert_rejected(&cases);
+    }
+
+    /// A named call, its outcome, and the error it must fail with.
+    type Case = (String, Result<(), ResipeError>, ResipeError);
+
+    fn invalid() -> ResipeError {
+        ResipeError::InvalidConfig {
+            reason: String::new(),
+        }
+    }
+
+    fn dims(expected: usize, got: usize) -> ResipeError {
+        ResipeError::DimensionMismatch { expected, got }
+    }
+
+    fn assert_rejected(cases: &[Case]) {
+        for (case, got, want) in cases {
+            match got {
+                Err(e) => assert!(same_error(e, want), "{case}: got {e:?}, want {want:?}"),
+                Ok(()) => panic!("{case}: accepted, want {want:?}"),
+            }
+        }
     }
 }

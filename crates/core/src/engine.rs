@@ -146,18 +146,6 @@ impl ResipeEngine {
         &self.config
     }
 
-    fn check_times(&self, t_in: &[Seconds]) -> Result<(), ResipeError> {
-        for t in t_in {
-            if t.0 < 0.0 || t.0 > self.config.slice().0 || !t.0.is_finite() {
-                return Err(ResipeError::SpikeOutOfSlice {
-                    time: t.0,
-                    slice: self.config.slice().0,
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// One exact single-spiking MAC: input spike times `t_in` through
     /// cell conductances `g`, producing the output spike time. The same
     /// arithmetic as one column of [`ResipeEngine::mvm_matrix`].
@@ -175,7 +163,7 @@ impl ResipeEngine {
                 got: g.len(),
             });
         }
-        self.check_times(t_in)?;
+        check_times(&self.config, t_in)?;
         if let Some(bad) = g.iter().find(|gi| gi.0 < 0.0 || !gi.0.is_finite()) {
             return Err(ResipeError::InvalidConfig {
                 reason: format!("negative or non-finite conductance {bad}"),
@@ -198,7 +186,7 @@ impl ResipeEngine {
                 got: g.len(),
             });
         }
-        self.check_times(t_in)?;
+        check_times(&self.config, t_in)?;
         let dot: f64 = t_in.iter().zip(g).map(|(t, gi)| t.0 * gi.0).sum();
         Ok(Seconds(self.config.gain().0 * dot))
     }
@@ -271,7 +259,7 @@ impl ResipeEngine {
         t_in: &[Seconds],
     ) -> Result<Vec<MacResult>, ResipeError> {
         check_shape(g_matrix.len(), rows, cols, t_in.len())?;
-        self.check_times(t_in)?;
+        check_times(&self.config, t_in)?;
         let (vs, tau) = (self.config.vs().0, self.config.tau_gd().0);
         let v_in: Vec<f64> = t_in.iter().map(|t| ramp_voltage(t.0, vs, tau)).collect();
         let mut out = Vec::with_capacity(cols);
@@ -349,7 +337,7 @@ impl ResipeEngine {
         t_probe: Seconds,
     ) -> Result<Vec<f64>, ResipeError> {
         check_shape(g_matrix.len(), rows, cols, rows)?;
-        self.check_times(&[t_probe])?;
+        check_times(&self.config, &[t_probe])?;
         let v_probe = ramp_voltage(t_probe.0, self.config.vs().0, self.config.tau_gd().0);
         let mut g_total = vec![0.0; cols];
         for g_row in g_matrix.chunks_exact(cols.max(1)) {
@@ -400,6 +388,23 @@ impl ResipeEngine {
             saturated,
         }
     }
+}
+
+/// Rejects a spike time outside `[0, slice]`; NaN is rejected too.
+///
+/// # Errors
+///
+/// Returns [`ResipeError::SpikeOutOfSlice`] for the first bad time.
+pub(crate) fn check_times(config: &ResipeConfig, t_in: &[Seconds]) -> Result<(), ResipeError> {
+    for t in t_in {
+        if t.0 < 0.0 || t.0 > config.slice().0 || !t.0.is_finite() {
+            return Err(ResipeError::SpikeOutOfSlice {
+                time: t.0,
+                slice: config.slice().0,
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Rejects a conductance matrix that is not `rows × cols`, then an input

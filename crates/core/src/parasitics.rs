@@ -19,6 +19,7 @@ use resipe_analog::netlist::{Netlist, Node};
 use resipe_analog::transient::{Transient, TransientConfig};
 use resipe_analog::units::{Ohms, Seconds, Siemens, Volts};
 
+use crate::circuit::check_conductances;
 use crate::config::ResipeConfig;
 use crate::engine::ResipeEngine;
 use crate::error::ResipeError;
@@ -69,19 +70,7 @@ impl ParasiticColumn {
         segment_resistance: Ohms,
     ) -> Result<ParasiticColumn, ResipeError> {
         config.validate()?;
-        if conductances.is_empty() {
-            return Err(ResipeError::DimensionMismatch {
-                expected: 1,
-                got: 0,
-            });
-        }
-        for g in conductances {
-            if !(g.0 > 0.0) || !g.0.is_finite() {
-                return Err(ResipeError::InvalidConfig {
-                    reason: format!("cell conductance must be positive, got {g}"),
-                });
-            }
-        }
+        check_conductances(conductances)?;
         if segment_resistance.0 < 0.0 || !segment_resistance.0.is_finite() {
             return Err(ResipeError::InvalidConfig {
                 reason: format!(

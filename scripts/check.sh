@@ -13,9 +13,11 @@
 # solves, well under a second in release.
 #
 # The bit-identity suites (block_equivalence, batch_equivalence,
-# telemetry_equivalence) run a second time in release mode, so planned ≡
+# telemetry_equivalence) and the golden-bit suites (circuit_golden,
+# equation_golden) run a second time in release mode, so planned ≡
 # reference is checked under release codegen on random shapes, not only
-# on perfbench's fixed networks.
+# on perfbench's fixed networks, and the recorded transient and equation
+# bits hold under the optimizer the benchmark and the binaries use.
 #
 # Two release-mode perfbench runs (infer_conv, infer_dense: one second
 # each, traced) fail the gate if a planned output differs from the
@@ -55,13 +57,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
 
-# The bit-identity suites again under release codegen: the test profile
-# above runs at opt-level 1, and the planned path must equal the
-# per-sample reference to the bit under the optimizer the benchmark and
+# The bit-identity and golden-bit suites again under release codegen:
+# the test profile above runs at opt-level 1, and the planned path must
+# equal the per-sample reference, and the analog transients and paper
+# equations their recorded bits, under the optimizer the benchmark and
 # the binaries use.
-echo "==> cargo test --release (bit-identity suites)"
+echo "==> cargo test --release (bit-identity and golden-bit suites)"
 cargo test --release -q -p resipe --test block_equivalence --test batch_equivalence \
-    --test telemetry_equivalence
+    --test telemetry_equivalence --test circuit_golden --test equation_golden
 
 # perfbench is a workspace of its own, so `--workspace` above never
 # reaches its unit tests.
